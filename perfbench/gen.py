@@ -185,53 +185,40 @@ def domain_word(rng, spec: Spec, length: int) -> tuple:
     step; a uniform random word when no such word exists.  Uses only
     the arc structure, not the outputs."""
     eps = defaultdict(set)
+    eps_back = defaultdict(set)
     step = defaultdict(set)
     back = defaultdict(set)
     for src, inp, _, dst in spec.arcs:
         if inp is None:
             eps[src].add(dst)
+            eps_back[dst].add(src)
         else:
             step[(src, inp)].add(dst)
             back[(dst, inp)].add(src)
 
-    def closure(states):
+    def reach(states, adj):
         seen = set(states)
         stack = list(seen)
         while stack:
-            for q in eps[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    eps_back = defaultdict(set)
-    for src, dsts in eps.items():
-        for dst in dsts:
-            eps_back[dst].add(src)
-
-    def back_closure(states):
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            for q in eps_back[stack.pop()]:
+            for q in adj[stack.pop()]:
                 if q not in seen:
                     seen.add(q)
                     stack.append(q)
         return seen
 
     # finish[k]: states that reach a final state reading exactly k symbols
-    finish = [back_closure(spec.final)]
+    finish = [reach(spec.final, eps_back)]
     for _ in range(length):
         prev = finish[-1]
-        finish.append(back_closure({p for (q, a), ps in back.items() if q in prev for p in ps}))
-    current = closure(spec.initial)
+        finish.append(reach({p for (q, a), ps in back.items() if q in prev for p in ps}, eps_back))
+    current = reach(spec.initial, eps)
     if not current & finish[length]:
         return random_word(rng, spec.alphabet, length)
     word = []
     for k in range(length, 0, -1):
         options = []
         for a in spec.alphabet:
-            nxt = closure({d for q in current for d in step[(q, a)]})
+            nxt = reach({d for q in current for d in step[(q, a)]}, eps)
             if nxt & finish[k - 1]:
                 options.append((a, nxt))
         a, current = options[rng.randrange(len(options))]
