@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classical import unambiguous_expand
+from .classical import expand_and_determinize
 from .compiler import compile as mge_compile
-from .fsa import StateLimitExceeded, Transducer, determinize, make_transducer, project_input, reverse
+from .fsa import StateLimitExceeded, Transducer, make_transducer, output_cells
 from .monoid import FreeWords
 
 CSV_COLUMNS = "n,method,left_states,right_states,intermediate_states,psi_entries,build_ms"
@@ -122,33 +122,6 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def count_output_entries(left, right, alphabet) -> int:
-    """Number of defined output-map cells, counted from the two subset
-    automata alone: the cell (l, a, r) is defined exactly when some state
-    is both reachable along l and co-reachable along r after a.  Subsets
-    are packed into bitmasks so the factorial-sized baseline automata
-    stay countable without materializing any output values."""
-    def masks(dfa):
-        out = []
-        for subset in dfa.subsets:
-            m = 0
-            for p in subset:
-                m |= 1 << p
-            out.append(m)
-        return out
-
-    masks_l, masks_r = masks(left), masks(right)
-    count = 0
-    for li in range(left.n_states):
-        lm = masks_l[li]
-        for a in alphabet:
-            for ri in range(right.n_states):
-                ri2 = right.delta.get((ri, a))
-                if ri2 is not None and lm & masks_r[ri2]:
-                    count += 1
-    return count
-
-
 def _measure(n: int, method: str) -> BenchRow:
     t = make_tn(n)
     start = time.perf_counter()
@@ -156,11 +129,8 @@ def _measure(n: int, method: str) -> BenchRow:
         b = mge_compile(t, verify=True)
         ms = (time.perf_counter() - start) * 1000
         return BenchRow(n, "mge", b.left.n_states, b.right.n_states, None, len(b.psi), ms)
-    tt = unambiguous_expand(t).transducer
-    underlying = project_input(tt)
-    left = determinize(underlying)
-    right = determinize(reverse(underlying))
-    entries = count_output_entries(left, right, tt.alphabet)
+    tt, left, right = expand_and_determinize(t)
+    entries = sum(1 for _ in output_cells(left, right))
     ms = (time.perf_counter() - start) * 1000
     return BenchRow(n, "classical", left.n_states, right.n_states, tt.n_states, entries, ms)
 

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 from .bimachine import Bimachine
 from .fsa import (
+    MaskStates,
     Transducer,
     Transition,
     _check_cap,
     determinize,
+    output_cells,
     project_input,
     reverse,
     trim,
@@ -110,37 +112,33 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     return ExpandedTransducer(trimmed, tuple(pairs[old] for old in kept))
 
 
+def expand_and_determinize(t: Transducer):
+    """The unambiguous expansion of t and its forward and backward subset
+    automata: (expanded transducer, left, right)."""
+    tt = unambiguous_expand(t).transducer
+    underlying = project_input(tt)
+    return tt, determinize(underlying), determinize(reverse(underlying))
+
+
 def classical_compile(t: Transducer) -> Bimachine:
     """Expand, determinize both directions, and read the output map off
     the expansion: by unambiguity exactly one transition survives between
     any reachable set and co-reachable set, and its word is the entry."""
-    tt = unambiguous_expand(t).transducer
-    underlying = project_input(tt)
-    left = determinize(underlying)
-    right = determinize(reverse(underlying))
+    tt, left, right = expand_and_determinize(t)
     by_move = defaultdict(list)
     for tr in tt.transitions:
         by_move[(tr.src, tr.inp)].append(tr)
+    states = MaskStates()
     psi = {}
-    for li in range(left.n_states):
-        L = set(left.subsets[li])
-        for a in tt.alphabet:
-            for ri in range(right.n_states):
-                ri2 = right.delta.get((ri, a))
-                if ri2 is None:
-                    continue
-                S = L & set(right.subsets[ri2])
-                if not S:
-                    continue
-                li2 = left.delta[(li, a)]
-                S2 = set(left.subsets[li2]) & set(right.subsets[ri])
-                v = None
-                for p in sorted(S):
-                    for tr in by_move[(p, a)]:
-                        if tr.dst in S2:
-                            assert v is None or v == tr.out, "expansion left two choices"
-                            v = tr.out
-                assert v is not None, "no transition between intersection sets"
-                psi[(li, a, ri)] = v
+    for li, a, ri, s, l2, r in output_cells(left, right):
+        s2 = l2 & r
+        v = None
+        for p in states[s]:
+            for tr in by_move[(p, a)]:
+                if s2 >> tr.dst & 1:
+                    assert v is None or v == tr.out, "expansion left two choices"
+                    v = tr.out
+        assert v is not None, "no transition between intersection sets"
+        psi[(li, a, ri)] = v
     eps_out = tt.monoid.unit if (tt.initial & tt.final) else None
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

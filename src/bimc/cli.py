@@ -11,6 +11,7 @@ are written in sorted order, so equal machines produce identical text.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import warnings
 
@@ -352,13 +353,6 @@ def _cmd_bench(args):
     return 0
 
 
-def _all_words(alphabet, max_len):
-    batch = [()]
-    for _ in range(max_len + 1):
-        yield from batch
-        batch = [w + (a,) for w in batch for a in alphabet]
-
-
 def _cmd_compare(args):
     t = parse_transducer(_read(args.file))
     verdict = test_functionality(t)
@@ -376,7 +370,8 @@ def _cmd_compare(args):
     else:
         print("classical skipped: not deterministic over (symbol, output) pairs")
     checked = domain = 0
-    for word in _all_words(t.alphabet, args.max_len):
+    words = (itertools.product(t.alphabet, repeat=k) for k in range(args.max_len + 1))
+    for word in itertools.chain.from_iterable(words):
         expected = enumerate_outputs(t, word)
         assert len(expected) <= 1, "functional transducer produced two outputs"
         want = next(iter(expected), None)

@@ -11,10 +11,8 @@ verdict is deterministic, so equal inputs give identical bimachines.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, determinize_eps, project_input, reverse
+from .fsa import MaskStates, Transducer, determinize, eps_closure, output_cells, project_input, reverse
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -56,69 +54,21 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
     return dict(zip(states, values))
 
 
-def _eps_values_from(t: Transducer):
-    """state -> [(destination, emitted value)] over pure ε paths, in
-    discovery order, starting with (state, e) itself."""
-    step = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            step[tr.src].append((tr.out, tr.dst))
-    reach = {}
-    for q in range(t.n_states):
-        items = [(q, t.monoid.unit)]
-        seen = {items[0]}
-        queue = deque(items)
-        while queue:
-            p, v = queue.popleft()
-            for m, dst in step[p]:
-                node = (dst, v * m)
-                if node not in seen:
-                    seen.add(node)
-                    items.append(node)
-                    queue.append(node)
-        reach[q] = items
-    return reach
-
-
-def _eps_values_into(t: Transducer):
-    """state -> [(source, emitted value)] over pure ε paths ending at the
-    state, values composed source-to-state."""
-    step = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            step[tr.dst].append((tr.out, tr.src))
-    reach = {}
-    for q in range(t.n_states):
-        items = [(q, t.monoid.unit)]
-        seen = {items[0]}
-        queue = deque(items)
-        while queue:
-            p, v = queue.popleft()
-            for m, src in step[p]:
-                node = (src, m * v)
-                if node not in seen:
-                    seen.add(node)
-                    items.append(node)
-                    queue.append(node)
-        reach[q] = items
-    return reach
-
-
 def generalized_transitions(t: Transducer):
     """Every single-symbol step of t including surrounding ε movement.
 
     Returns (src, sym, value, dst) tuples: for a real-time transducer
     exactly its transition list, otherwise one entry per path shaped
     ε*·sym·ε* with the ε outputs folded into the value.  Enumeration
-    order is declaration order of the symbol transition, then discovery
-    order of the ε extensions.  Requires every ε-cycle to be output-free
-    (which the functionality test guarantees), otherwise the expansion
-    would not be finite.
+    order is declaration order of the symbol transition, then the ε
+    extensions by start state and discovery order.  Requires every
+    ε-cycle to be output-free (which the functionality test guarantees),
+    otherwise the expansion would not be finite.
     """
     if t.real_time:
         return [(tr.src, tr.inp, tr.out, tr.dst) for tr in t.transitions]
-    into = _eps_values_into(t)
-    outof = _eps_values_from(t)
+    arcs = ((tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None)
+    outof, into = eps_closure(t.n_states, arcs, t.monoid.unit)
     gen = []
     seen = set()
     for tr in t.transitions:
@@ -133,29 +83,18 @@ def generalized_transitions(t: Transducer):
     return gen
 
 
-def output_value(li, a, ri, left, right, delta, phi, verify=False):
-    """The output entry for (left subset li, symbol a, right subset ri).
+def output_value(cell, phi_s, phi_s2, delta, verify=False):
+    """The output entry of cell (li, a, ri), given the delays phi_s of
+    its intersection set before the a-step and phi_s2 of the one after.
 
-    Returns None when no state is simultaneously reachable here and able
-    to finish the word (the entry stays undefined).  Otherwise solves
-    delay(p) ∘ c = value ∘ delay(p') on the first transition of delta
-    connecting the two intersection sets; with verify every such
+    Solves delay(p) ∘ c = value ∘ delay(p') on the first transition of
+    delta connecting the two intersection sets; with verify every such
     transition is checked to give the same c.
     """
-    ri2 = right.delta.get((ri, a))
-    if ri2 is None:
-        return None
-    S = tuple(sorted(set(left.subsets[li]) & set(right.subsets[ri2])))
-    if not S:
-        return None
-    li2 = left.delta.get((li, a))
-    assert li2 is not None, "reachable states must have somewhere to go"
-    S2 = tuple(sorted(set(left.subsets[li2]) & set(right.subsets[ri])))
-    phi_s, phi_s2 = phi[S], phi[S2]
-    members, members2 = set(S), set(S2)
+    li, a, ri = cell
     c = None
     for p, sym, m, q in delta:
-        if sym != a or p not in members or q not in members2:
+        if sym != a or p not in phi_s or q not in phi_s2:
             continue
         cand = solve_right(phi_s[p], m * phi_s2[q])
         if cand is None:
@@ -172,7 +111,7 @@ def output_value(li, a, ri, left, right, delta, phi, verify=False):
                 f"transition ({p}, {sym!r}, {q}) solves to {cand!r}, expected {c!r}"
             )
     if c is None:
-        raise CompileError(f"no transition connects {S} to {S2} on {a!r}")
+        raise CompileError(f"no transition connects {tuple(phi_s)} to {tuple(phi_s2)} on {a!r}")
     return c
 
 
@@ -190,12 +129,8 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
         raise NotFunctionalError(verdict)
     tt = verdict.trimmed
     underlying = project_input(tt)
-    if tt.real_time:
-        left = determinize(underlying)
-        right = determinize(reverse(underlying))
-    else:
-        left = determinize_eps(underlying)
-        right = determinize_eps(reverse(underlying))
+    left = determinize(underlying)
+    right = determinize(reverse(underlying))
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
     phi = {}
@@ -205,12 +140,10 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             if S and S not in phi:
                 phi[S] = set_mge(S, nu, tt.monoid)
     delta = generalized_transitions(tt)
+    states = MaskStates()
     psi = {}
-    for li in range(left.n_states):
-        for a in tt.alphabet:
-            for ri in range(right.n_states):
-                c = output_value(li, a, ri, left, right, delta, phi, verify=verify)
-                if c is not None:
-                    psi[(li, a, ri)] = c
+    for li, a, ri, s, l2, r in output_cells(left, right):
+        cell = (li, a, ri)
+        psi[cell] = output_value(cell, phi[states[s]], phi[states[l2 & r]], delta, verify=verify)
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

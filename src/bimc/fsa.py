@@ -1,6 +1,6 @@
 """Finite-state transducers with monoid outputs, plus the unweighted
-automaton layer: trimming, reversal, projection, and power-set
-determinization (with and without epsilon input moves)."""
+automaton layer: trimming, reversal, projection, epsilon closure,
+power-set determinization, and the walk over output cells."""
 
 from __future__ import annotations
 
@@ -52,6 +52,8 @@ class Transducer:
         for sym in self.alphabet:
             if not sym or not isinstance(sym, str) or any(c.isspace() for c in sym):
                 raise ValueError(f"bad input symbol {sym!r}")
+            if sym == "-":
+                raise ValueError("the symbol - is reserved for the empty input")
             if sym in seen:
                 raise ValueError(f"duplicate input symbol {sym!r}")
             seen.add(sym)
@@ -127,6 +129,46 @@ class Dfa:
         return q
 
 
+class MaskStates(dict):
+    """Memo from a bitmask-encoded state set to its states, ascending."""
+
+    def __missing__(self, mask):
+        states = self[mask] = tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+        return states
+
+
+def output_cells(left: Dfa, right: Dfa):
+    """Every bimachine output cell (li, a, ri) at which some state is
+    both reachable along li and co-reachable along ri after a.
+
+    left and right are the subset automata of one automaton and of its
+    reversal.  Yields (li, a, ri, s, l2, r) where the intersection sets
+    are bitmasks over source states: s before the a-step and l2 & r
+    after it.  The second is left to the callers that need it: on the
+    classical construction's large masks, intersecting them for every
+    cell adds about a third to the cost of counting the cells.
+    A state in s has an a-successor, so the left a-step always exists.
+    """
+    masks_l = [sum(1 << p for p in subset) for subset in left.subsets]
+    masks_r = [sum(1 << p for p in subset) for subset in right.subsets]
+    steps_r = {a: [] for a in left.alphabet}
+    for ri in range(right.n_states):
+        for a, moves in steps_r.items():
+            ri2 = right.delta.get((ri, a))
+            if ri2 is not None:
+                moves.append((ri, masks_r[ri2], masks_r[ri]))
+    for li, lm in enumerate(masks_l):
+        for a, moves in steps_r.items():
+            li2 = left.delta.get((li, a))
+            if li2 is None:
+                continue
+            lm2 = masks_l[li2]
+            for ri, rm2, rm in moves:
+                s = lm & rm2
+                if s:
+                    yield li, a, ri, s, lm2, rm
+
+
 def trim(t: Transducer):
     """Restrict to states both accessible and co-accessible.
 
@@ -168,14 +210,6 @@ def trim(t: Transducer):
     return trimmed, kept
 
 
-def e_extend(t: Transducer) -> Transducer:
-    """Add a unit epsilon loop at every state (idempotent up to dedup)."""
-    loops = [Transition(q, None, t.monoid.unit, q) for q in range(t.n_states)]
-    return Transducer(
-        t.alphabet, t.monoid, t.n_states, t.initial, t.final, t.transitions + tuple(loops)
-    )
-
-
 def project_input(t: Transducer) -> Automaton:
     """Drop outputs, keeping deduplicated (src, input, dst) edges."""
     edges = []
@@ -203,13 +237,52 @@ def _register(subset, index, order, what):
     return idx
 
 
+def eps_closure(n_states, eps_arcs, unit):
+    """The pure epsilon paths between states, listed both ways: returns
+    (outof, into) where outof[q] holds the (end, value) pairs of the
+    paths leaving q, in breadth-first discovery order from (q, unit),
+    and into[q] the (start, value) pairs of the paths ending at q.
+
+    eps_arcs are (src, value, dst) and values multiply along a path.
+    The lists are finite only when every epsilon cycle multiplies out
+    to unit; callers without outputs label every arc 1, the trivial
+    monoid.
+    """
+    step = defaultdict(list)
+    for src, value, dst in eps_arcs:
+        step[src].append((value, dst))
+    if not step:  # each state reaches only itself; callers only read the lists
+        alone = [[(q, unit)] for q in range(n_states)]
+        return alone, alone
+    outof = []
+    into = [[] for _ in range(n_states)]
+    for q in range(n_states):
+        items = [(q, unit)]
+        seen = set(items)
+        for p, v in items:  # items grows while it is read: breadth first
+            into[p].append((q, v))
+            for m, dst in step[p]:
+                node = (dst, v * m)
+                if node not in seen:
+                    seen.add(node)
+                    items.append(node)
+        outof.append(items)
+    return outof, into
+
+
 def determinize(a: Automaton) -> Dfa:
-    """Accessible power-set construction; requires an epsilon-free input."""
-    step = defaultdict(set)
+    """Accessible power-set construction where one input symbol may ride
+    along any number of epsilon moves: delta(L, a) collects every state
+    reachable from L by a generalized path whose input projection is
+    exactly a.  The start subset is the raw initial set, not its
+    closure."""
+    outof, into = eps_closure(a.n_states, ((s, 1, d) for s, inp, d in a.edges if inp is None), 1)
+    step = defaultdict(set)  # epsilon moves, the symbol, epsilon moves
     for src, inp, dst in a.edges:
-        if inp is None:
-            raise ValueError("determinize needs an epsilon-free automaton")
-        step[(src, inp)].add(dst)
+        if inp is not None:
+            for q, _ in into[src]:
+                for p, _ in outof[dst]:
+                    step[(q, inp)].add(p)
     start = frozenset(a.initial)
     order = [start]
     index = {start: 0}
@@ -227,61 +300,6 @@ def determinize(a: Automaton) -> Dfa:
             image = frozenset(image)
             known = image in index
             dst = _register(image, index, order, "determinize")
-            if not known:
-                queue.append(image)
-            delta[(src, sym)] = dst
-    assert len(order) <= 2 ** a.n_states
-    return Dfa(a.alphabet, len(order), 0, delta, tuple(tuple(sorted(s)) for s in order))
-
-
-def determinize_eps(a: Automaton) -> Dfa:
-    """Power-set construction where one input symbol may ride along any
-    number of epsilon moves: delta(L, a) collects every state reachable
-    from L by a generalized path whose input projection is exactly a.
-    The start subset is the raw initial set, not its closure."""
-    eps_next = defaultdict(set)
-    step = defaultdict(set)
-    for src, inp, dst in a.edges:
-        if inp is None:
-            eps_next[src].add(dst)
-        else:
-            step[(src, inp)].add(dst)
-    closure = {}
-    for q in range(a.n_states):
-        seen = {q}
-        stack = [q]
-        while stack:
-            u = stack.pop()
-            for v in eps_next[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        closure[q] = frozenset(seen)
-
-    def close(states):
-        out = set()
-        for q in states:
-            out |= closure[q]
-        return out
-
-    start = frozenset(a.initial)
-    order = [start]
-    index = {start: 0}
-    delta = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        before = close(subset)
-        for sym in a.alphabet:
-            mid = set()
-            for q in before:
-                mid |= step[(q, sym)]
-            if not mid:
-                continue
-            image = frozenset(close(mid))
-            known = image in index
-            dst = _register(image, index, order, "determinize_eps")
             if not known:
                 queue.append(image)
             delta[(src, sym)] = dst

@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .fsa import Transducer, trim
+from .fsa import Transducer, eps_closure, trim
 from .monoid import MonoidValue, format_value
-from .squared import SquaredAutomaton, Valuation, coaccessible, squared, squared_eps, valuation
+from .squared import SquaredAutomaton, Valuation, coaccessible, squared, valuation
 
 
 @dataclass(frozen=True)
@@ -41,59 +41,6 @@ class FunctionalityVerdict:
         return self.functional
 
 
-def _eps_scc(n_states, eps_edges):
-    """Strongly connected components of the epsilon graph (iterative
-    Tarjan); returns a component id per state."""
-    adj = defaultdict(list)
-    for src, _, dst in eps_edges:
-        adj[src].append(dst)
-    index = {}
-    low = {}
-    comp = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    n_comps = [0]
-    for root in range(n_states):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = adj[v]
-            while pi < len(children):
-                w = children[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comps[0]
-                    if w == v:
-                        break
-                n_comps[0] += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp
-
-
 def eps_cycle_check(t: Transducer):
     """None when every epsilon cycle multiplies out to the unit; otherwise
     a state witnessing a nonunit cycle.  Expects a trimmed transducer.
@@ -101,27 +48,31 @@ def eps_cycle_check(t: Transducer):
     Within one strongly connected epsilon component a single consistent
     labelling exists iff all its cycles are unit: any clash found while
     propagating labels exhibits two cycle values differing by
-    cancellation.
+    cancellation.  Components are walked in ascending order of their
+    smallest state, each labelled from that state.
     """
-    eps_edges = [(tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None]
-    if not eps_edges:
+    eps_from = defaultdict(list)
+    for tr in t.transitions:
+        if tr.inp is None:
+            eps_from[tr.src].append((tr.out, tr.dst))
+    if not eps_from:
         return None
-    comp = _eps_scc(t.n_states, eps_edges)
-    within = defaultdict(list)
-    members = defaultdict(list)
-    for src, out, dst in eps_edges:
-        if comp.get(src) == comp.get(dst):
-            within[src].append((out, dst))
-    for q in sorted(comp):
-        members[comp[q]].append(q)
+    arcs = ((src, 1, dst) for src, moves in eps_from.items() for _, dst in moves)
+    outof, into = eps_closure(t.n_states, arcs, 1)
     unit = t.monoid.unit
-    for states in members.values():
-        root = states[0]
+    placed = set()
+    for root in range(t.n_states):
+        if root in placed:
+            continue
+        component = {p for p, _ in outof[root]} & {p for p, _ in into[root]}
+        placed |= component
         label = {root: unit}
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for out, v in within[u]:
+            for out, v in eps_from[u]:
+                if v not in component:
+                    continue
                 cand = label[u] * out
                 if v not in label:
                     label[v] = cand
@@ -134,24 +85,9 @@ def eps_cycle_check(t: Transducer):
 def eps_language(t: Transducer) -> frozenset[MonoidValue]:
     """All outputs over successful epsilon-input paths.  Finite only when
     eps_cycle_check passed, which callers must ensure first."""
-    eps_from = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            eps_from[tr.src].append((tr.out, tr.dst))
-    unit = t.monoid.unit
-    seen = {(q, unit) for q in t.initial}
-    queue = deque(seen)
-    outputs = set()
-    while queue:
-        q, value = queue.popleft()
-        if q in t.final:
-            outputs.add(value)
-        for out, dst in eps_from[q]:
-            node = (dst, value * out)
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-    return frozenset(outputs)
+    arcs = ((tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None)
+    outof, _ = eps_closure(t.n_states, arcs, t.monoid.unit)
+    return frozenset(v for i in t.initial for q, v in outof[i] if q in t.final)
 
 
 def test_functionality(t: Transducer) -> FunctionalityVerdict:
@@ -177,7 +113,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
             eps_outputs=eps_outs,
         )
 
-    sq = squared(trimmed) if trimmed.real_time else squared_eps(trimmed)
+    sq = squared(trimmed)
     useful = coaccessible(sq)
     val = valuation(sq, useful)
     extras = dict(squared=sq, useful=useful, valuation=val, eps_outputs=eps_outs)

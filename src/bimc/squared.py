@@ -32,9 +32,30 @@ class SquaredAutomaton:
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
 
 
-def _pair_bfs(t: Transducer, expand):
-    """Shared breadth-first pairing skeleton: expand(p1, p2) yields
-    (m1, m2, q1, q2) successor moves for the pair (p1, p2)."""
+def squared(t: Transducer) -> SquaredAutomaton:
+    """Accessible part of the self-pairing: two component transitions
+    advance together on a shared input symbol, and either component may
+    take an epsilon transition alone while the other waits with a unit
+    label."""
+    by_state_sym = defaultdict(list)
+    eps_from = defaultdict(list)
+    for tr in t.transitions:
+        if tr.inp is None:
+            eps_from[tr.src].append((tr.out, tr.dst))
+        else:
+            by_state_sym[(tr.src, tr.inp)].append((tr.out, tr.dst))
+    unit = t.monoid.unit
+
+    def expand(p1, p2):
+        for sym in t.alphabet:
+            for m1, q1 in by_state_sym[(p1, sym)]:
+                for m2, q2 in by_state_sym[(p2, sym)]:
+                    yield m1, m2, q1, q2
+        for m2, q2 in eps_from[p2]:
+            yield unit, m2, p1, q2
+        for m1, q1 in eps_from[p1]:
+            yield m1, unit, q1, p2
+
     order = []
     index = {}
     queue = deque()
@@ -67,50 +88,6 @@ def _pair_bfs(t: Transducer, expand):
         i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
     )
     return SquaredAutomaton(t.monoid, tuple(order), initial, final, tuple(transitions))
-
-
-def squared(t: Transducer) -> SquaredAutomaton:
-    """Accessible part of the self-pairing of a real-time transducer:
-    two component transitions advance together on a shared input symbol."""
-    if not t.real_time:
-        raise ValueError("squared needs a real-time transducer")
-    by_state_sym = defaultdict(list)
-    for tr in t.transitions:
-        by_state_sym[(tr.src, tr.inp)].append((tr.out, tr.dst))
-
-    def expand(p1, p2):
-        for sym in t.alphabet:
-            for m1, q1 in by_state_sym[(p1, sym)]:
-                for m2, q2 in by_state_sym[(p2, sym)]:
-                    yield m1, m2, q1, q2
-
-    return _pair_bfs(t, expand)
-
-
-def squared_eps(t: Transducer) -> SquaredAutomaton:
-    """Self-pairing that keeps epsilon input moves one-sided: besides the
-    shared-symbol steps, either component may take an epsilon transition
-    alone while the other waits with a unit label."""
-    by_state_sym = defaultdict(list)
-    eps_from = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            eps_from[tr.src].append((tr.out, tr.dst))
-        else:
-            by_state_sym[(tr.src, tr.inp)].append((tr.out, tr.dst))
-    unit = t.monoid.unit
-
-    def expand(p1, p2):
-        for sym in t.alphabet:
-            for m1, q1 in by_state_sym[(p1, sym)]:
-                for m2, q2 in by_state_sym[(p2, sym)]:
-                    yield m1, m2, q1, q2
-        for m2, q2 in eps_from[p2]:
-            yield unit, m2, p1, q2
-        for m1, q1 in eps_from[p1]:
-            yield m1, unit, q1, p2
-
-    return _pair_bfs(t, expand)
 
 
 def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:

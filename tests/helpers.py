@@ -89,10 +89,14 @@ def random_transducer(
     require_eps=False,
     out_symbols=("x", "y"),
     max_out_len=2,
+    monoid=None,
 ):
+    """Free words over out_symbols, unless another monoid is given."""
     n = rng.randint(1, max_states)
     sigma = ("a", "b", "c")[: rng.randint(1, max_symbols)]
-    monoid = FreeWords(tuple(out_symbols))
+    free = monoid is None
+    if free:
+        monoid = FreeWords(tuple(out_symbols))
     arcs = []
     for _ in range(rng.randint(1, n + 3)):
         src = rng.randrange(n)
@@ -101,7 +105,10 @@ def random_transducer(
             inp = None
         else:
             inp = rng.choice(sigma)
-        out = "".join(rng.choice(out_symbols) for _ in range(rng.randint(0, max_out_len)))
+        if free:
+            out = "".join(rng.choice(out_symbols) for _ in range(rng.randint(0, max_out_len)))
+        else:
+            out = random_value(rng, monoid, max_out_len)
         arcs.append((src, inp, out, dst))
     if require_eps and not any(a[1] is None for a in arcs):
         src, _, out, dst = arcs[rng.randrange(len(arcs))]

@@ -25,7 +25,7 @@ from bimc.monoid import (
     mu_n,
     solve_right,
 )
-from bimc.squared import squared_eps
+from bimc.squared import squared
 from helpers import all_words, is_instance_of, output_table, random_transducer, random_value
 
 STATS = {"criterion1_compiles": 0, "criterion3_compiles": 0}
@@ -203,7 +203,7 @@ def test_criterion_6_squared_transition_bound():
     violations = 0
     for _ in range(100):
         t = random_transducer(rng, allow_eps=True, require_eps=True)
-        sq = squared_eps(t)
+        sq = squared(t)
         per_symbol = Counter(tr.inp for tr in t.transitions if tr.inp is not None)
         n_eps = sum(1 for tr in t.transitions if tr.inp is None)
         bound = sum(k * k for k in per_symbol.values()) + 2 * t.n_states * n_eps

@@ -1,25 +1,27 @@
 """Transducer plumbing: trim, projection, determinization, path outputs."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from bimc.classical import classical_compile
+from bimc.compiler import compile
 from bimc.fsa import (
     Automaton,
     StateLimitExceeded,
     Transducer,
-    Transition,
     determinize,
-    determinize_eps,
-    e_extend,
     enumerate_outputs,
     make_transducer,
+    output_cells,
     project_input,
     reverse,
     trim,
 )
-from bimc.monoid import FreeWords, MonoidValue
-from helpers import all_words, output_table, random_transducer, remove_eps_edges
+from bimc.functionality import test_functionality as functionality
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
+from helpers import all_words, output_table, random_pseudo_det, random_transducer, remove_eps_edges
 
 FREE = FreeWords(("x", "y"))
 
@@ -76,6 +78,8 @@ def test_transducer_validation():
         make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "b", "x", 0)])
     with pytest.raises(ValueError):
         make_transducer(("a", "a"), FREE, 1, {0}, {0}, [])
+    with pytest.raises(ValueError, match="reserved"):
+        make_transducer(("a", "-"), FREE, 1, {0}, {0}, [])
     other = FreeWords(("z",))
     with pytest.raises(ValueError):
         make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", MonoidValue(other, "z"), 0)])
@@ -88,7 +92,7 @@ def test_real_time_flag():
     assert not t2.real_time
 
 
-# --- trim, e_extend, project, reverse ---------------------------------------
+# --- trim, project, reverse -------------------------------------------------
 
 
 def test_trim_drops_useless_states():
@@ -124,14 +128,6 @@ def test_trim_preserves_outputs_per_word():
             assert enumerate_outputs(t, w, bound) == enumerate_outputs(trimmed, w, bound)
 
 
-def test_e_extend_adds_unit_loops_idempotently():
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
-    ext = e_extend(t)
-    loops = [tr for tr in ext.transitions if tr.inp is None]
-    assert loops == [Transition(q, None, FREE.unit, q) for q in range(2)]
-    assert e_extend(ext).transitions == ext.transitions
-
-
 def test_project_input_dedups_and_keeps_eps():
     t = make_transducer(
         ("a",), FREE, 2, {0}, {1},
@@ -150,12 +146,6 @@ def test_reverse_is_an_involution():
 
 
 # --- determinize -------------------------------------------------------------
-
-
-def test_determinize_rejects_eps_edges():
-    a = Automaton(("a",), 2, frozenset({0}), frozenset({1}), ((0, None, 1),))
-    with pytest.raises(ValueError):
-        determinize(a)
 
 
 def test_determinize_is_partial_without_sink():
@@ -194,12 +184,9 @@ def test_determinize_empty_initial_set():
     assert d.n_states == 1 and d.subsets == ((),) and d.delta == {}
 
 
-# --- determinize_eps ---------------------------------------------------------
-
-
 def test_determinize_eps_start_subset_is_not_closed():
     a = Automaton(("a",), 3, frozenset({0}), frozenset({2}), ((0, None, 1), (1, "a", 2)))
-    d = determinize_eps(a)
+    d = determinize(a)
     assert d.subsets[0] == (0,)
     assert d.delta[(0, "a")] == d.subsets.index((2,))
 
@@ -210,27 +197,20 @@ def test_determinize_eps_symbol_rides_epsilon_moves():
         ("a",), 4, frozenset({0}), frozenset({3}),
         ((0, None, 1), (1, "a", 2), (2, None, 3)),
     )
-    d = determinize_eps(a)
+    d = determinize(a)
     assert d.run("a") == d.subsets.index((2, 3))
 
 
-def test_determinize_eps_matches_naive_eps_removal():
+def test_determinize_matches_naive_eps_removal():
+    # on epsilon-free input the removal is the identity
     rng = random.Random(31337)
-    for _ in range(60):
-        t = random_transducer(rng, allow_eps=True)
+    for k in range(90):
+        t = random_transducer(rng, allow_eps=k < 60)
         a = project_input(t)
-        d1 = determinize_eps(a)
+        d1 = determinize(a)
         d2 = determinize(remove_eps_edges(a))
         assert d1.subsets == d2.subsets
         assert d1.delta == d2.delta
-
-
-def test_determinize_eps_on_eps_free_input_equals_determinize():
-    rng = random.Random(2024)
-    for _ in range(30):
-        t = random_transducer(rng, allow_eps=False)
-        a = project_input(t)
-        assert determinize_eps(a) == determinize(a)
 
 
 def test_determinize_eps_handles_eps_cycles():
@@ -238,8 +218,40 @@ def test_determinize_eps_handles_eps_cycles():
         ("a",), 3, frozenset({0}), frozenset({2}),
         ((0, None, 1), (1, None, 0), (0, "a", 2)),
     )
-    d = determinize_eps(a)
+    d = determinize(a)
     assert d.run("a") == d.subsets.index((2,))
+
+
+# --- output cells ------------------------------------------------------------
+
+
+def test_output_cells_are_the_compiled_output_maps():
+    def naive_count(left, right):
+        # the cell (l, a, r) is defined when L(l) meets R(delta_R(r, a))
+        return sum(
+            1
+            for li, L in enumerate(left.subsets)
+            for a in left.alphabet
+            for ri in range(right.n_states)
+            if (ri, a) in right.delta and set(L) & set(right.subsets[right.delta[(ri, a)]])
+        )
+
+    rng = random.Random(6060)
+    kinds = (FREE, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
+    compiled = Counter()
+    for k in range(240):
+        t = random_transducer(rng, allow_eps=k % 8 < 4, monoid=kinds[k % 4])
+        verdict = functionality(t)
+        if verdict.functional:
+            b = compile(t, verdict=verdict)
+            assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+            assert naive_count(b.left, b.right) == len(b.psi)
+            compiled[k % 4] += 1
+    assert min(compiled.values()) > 10
+    for _ in range(60):
+        b = classical_compile(random_pseudo_det(rng))
+        assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+        assert naive_count(b.left, b.right) == len(b.psi)
 
 
 # --- enumerate_outputs -------------------------------------------------------

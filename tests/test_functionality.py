@@ -49,6 +49,17 @@ def test_eps_cycle_check_ignores_edges_between_components():
     assert eps_cycle_check(t) is None
 
 
+def test_eps_cycle_check_labels_each_component_from_its_smallest_state():
+    # {0,1} closes a unit cycle and {2,3} a growing one; the nonunit edge
+    # 2 -> 0 joins them without closing a cycle, so the witness is in {2,3}
+    t = make_transducer(
+        ("a",), FREE, 4, {2}, {0},
+        [(0, None, "", 1), (1, None, "", 0), (2, None, "x", 3), (3, None, "", 2),
+         (2, None, "y", 0)],
+    )
+    assert eps_cycle_check(t) == 2
+
+
 def test_eps_language_collects_all_eps_outputs():
     t = make_transducer(
         ("a",), FREE, 3, {0}, {2},

@@ -3,11 +3,9 @@
 import random
 from collections import defaultdict, deque
 
-import pytest
-
 from bimc.fsa import make_transducer
 from bimc.monoid import FreeWords, MonoidValue, eta
-from bimc.squared import coaccessible, dump_valuation, squared, squared_eps, valuation
+from bimc.squared import coaccessible, dump_valuation, squared, valuation
 from helpers import brute_equalizers, candidate_values, is_instance_of, random_transducer
 
 FREE = FreeWords(("x", "y"))
@@ -79,12 +77,6 @@ def squared_reachable(sq, max_steps):
 # --- construction ------------------------------------------------------------
 
 
-def test_squared_requires_real_time():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
-    with pytest.raises(ValueError):
-        squared(t)
-
-
 def test_squared_pairs_up_branches():
     t = make_transducer(
         ("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "x", 1), (0, "a", "y", 2)]
@@ -102,7 +94,7 @@ def test_squared_eps_keeps_one_sided_moves():
     t = make_transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "y", 1), (0, "a", "x", 1)]
     )
-    sq = squared_eps(t)
+    sq = squared(t)
     e = FREE.unit
     arcs = {(sq.pairs[s], m1, m2, sq.pairs[d]) for s, m1, m2, d in sq.transitions}
     assert ((0, 0), fw("x"), fw("x"), (1, 1)) in arcs
@@ -110,21 +102,11 @@ def test_squared_eps_keeps_one_sided_moves():
     assert ((0, 0), fw("y"), e, (1, 0)) in arcs
 
 
-def test_squared_eps_on_eps_free_equals_squared():
-    rng = random.Random(808)
-    for _ in range(30):
-        t = random_transducer(rng, allow_eps=False)
-        a, b = squared(t), squared_eps(t)
-        assert a.pairs == b.pairs
-        assert a.transitions == b.transitions
-        assert a.final == b.final
-
-
 def test_squared_eps_transition_bound():
     rng = random.Random(909)
     for _ in range(60):
         t = random_transducer(rng, allow_eps=True)
-        sq = squared_eps(t)
+        sq = squared(t)
         per_symbol = defaultdict(int)
         n_eps = 0
         for tr in t.transitions:
@@ -138,9 +120,9 @@ def test_squared_eps_transition_bound():
 
 def test_squared_defining_property_bounded():
     rng = random.Random(1234)
-    for _ in range(25):
-        t = random_transducer(rng, max_states=3, max_symbols=2, allow_eps=True, max_out_len=1)
-        sq = squared_eps(t)
+    for k in range(35):
+        t = random_transducer(rng, max_states=3, max_symbols=2, allow_eps=k < 25, max_out_len=1)
+        sq = squared(t)
         L = 3
         from_paths = paired_by_word(t, L)
         in_squared_wide = squared_reachable(sq, 2 * L)
@@ -188,7 +170,7 @@ def test_valuation_defined_exactly_on_useful_pairs():
     rng = random.Random(5678)
     for _ in range(40):
         t = random_transducer(rng, allow_eps=True)
-        sq = squared_eps(t)
+        sq = squared(t)
         useful = coaccessible(sq)
         val = valuation(sq, useful)
         assert set(val.rho) == set(useful)
@@ -243,8 +225,8 @@ def test_valuation_is_deterministic():
     rng = random.Random(4321)
     for _ in range(20):
         t = random_transducer(rng, allow_eps=True)
-        a = squared_eps(t)
-        b = squared_eps(t)
+        a = squared(t)
+        b = squared(t)
         assert dump_valuation(a, valuation(a, coaccessible(a))) == dump_valuation(
             b, valuation(b, coaccessible(b))
         )
