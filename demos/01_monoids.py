@@ -8,7 +8,6 @@ from bimc import (
     PairOf,
     eta,
     gamma_n,
-    mu_n,
     solve_right,
 )
 
@@ -46,6 +45,5 @@ print(solve_right(v(rat, 5), v(rat, 7)))
 print()
 print("== n-ary accumulation ==")
 words = [v(free, "a"), v(free, "ab"), v(free, "abc")]
-print("mu:", mu_n(words))
 chain = [eta(words[i], words[i + 1]) for i in range(len(words) - 1)]
 print("gamma over the eta chain:", gamma_n(chain, free))

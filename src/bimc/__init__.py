@@ -43,7 +43,6 @@ from .monoid import (
     format_descriptor,
     format_value,
     gamma_n,
-    mu_n,
     op,
     parse_descriptor,
     parse_value,
@@ -86,7 +85,6 @@ __all__ = [
     "gamma_n",
     "make_tn",
     "make_transducer",
-    "mu_n",
     "op",
     "parse_descriptor",
     "parse_transducer",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fsa import Dfa
-from .monoid import Monoid, MonoidValue
+from .monoid import Monoid, MonoidValue, fold
 
 
 class AlphabetError(ValueError):
@@ -38,12 +38,13 @@ class Bimachine:
 
     def __post_init__(self):
         syms = set(self.alphabet)
+        m = self.monoid
         for (l, a, r), v in self.psi.items():
             if not (0 <= l < self.left.n_states and 0 <= r < self.right.n_states):
                 raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
             if a not in syms:
                 raise ValueError(f"output entry uses undeclared symbol {a!r}")
-            if not isinstance(v, MonoidValue) or v.monoid != self.monoid:
+            if not isinstance(v, MonoidValue) or (v.monoid is not m and v.monoid != m):
                 raise ValueError(f"output value {v!r} does not belong to the output monoid")
         if self.eps_output is not None and self.eps_output.monoid != self.monoid:
             raise ValueError("empty-word output does not belong to the output monoid")
@@ -59,9 +60,10 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
     is undefined; raises AlphabetError for symbols outside the alphabet.
     """
     syms = tuple(word)
-    for s in syms:
-        if s not in b.alphabet:
-            raise AlphabetError(f"symbol {s!r} is not in the input alphabet")
+    unknown = set(syms).difference(b.alphabet)
+    if unknown:
+        s = next(s for s in syms if s in unknown)
+        raise AlphabetError(f"symbol {s!r} is not in the input alphabet")
     if not syms:
         return b.eps_output
     n = len(syms)
@@ -73,18 +75,20 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
         if nxt is None:
             return None
         suffix[i] = nxt
-    out = b.monoid.unit
+    # collect the positional outputs and multiply once at the end: a
+    # running product would copy the growing output at every letter
+    outputs = []
     l = b.left.start
     for i in range(n):
         v = b.psi.get((l, syms[i], suffix[i + 1]))
         if v is None:
             return None
-        out = out * v
+        outputs.append(v)
         if i + 1 < n:
             l = b.left.delta.get((l, syms[i]))
             if l is None:
                 return None
-    return out
+    return fold(outputs, b.monoid)
 
 
 def domain_contains(b: Bimachine, word) -> bool:

@@ -14,6 +14,7 @@ import argparse
 import itertools
 import sys
 import warnings
+from collections import defaultdict
 
 from .benchmark import SAFETY_LIMITS, run_bench
 from .bimachine import Bimachine, evaluate
@@ -230,28 +231,65 @@ def bimachine_from_text(text: str) -> Bimachine:
     return Bimachine(monoid, alphabet, left, right, psi, eps_output)
 
 
+class AmbiguousInputError(ValueError):
+    """A raw input string that splits into alphabet symbols in more than
+    one way; splits holds two of the ways."""
+
+    def __init__(self, raw: str, splits):
+        self.splits = splits
+        shown = " and as ".join(repr(" ".join(w)) for w in splits)
+        super().__init__(f"ambiguous input {raw!r}: it splits as {shown}")
+
+
 def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
     """Split a raw input string into alphabet symbols (symbols may be
-    several characters long); None when no segmentation exists."""
+    several characters long); None when no segmentation exists.  Raises
+    AmbiguousInputError, showing two segmentations, when there are
+    several: picking one would make the result depend on symbol order."""
+    by_len = defaultdict(set)
+    for sym in alphabet:
+        if sym:
+            by_len[len(sym)].add(sym)
+    lengths = sorted(by_len)
     n = len(raw)
-    back = [None] * (n + 1)
-    ok = [False] * (n + 1)
-    ok[0] = True
-    for i in range(1, n + 1):
-        for sym in alphabet:
-            k = len(sym)
-            if k <= i and ok[i - k] and raw[i - k:i] == sym:
-                ok[i] = True
-                back[i] = sym
+    # ways[i]: number of segmentations of raw[:i], capped at 2; back[i]:
+    # the end of the first segmented prefix that raw[:i] extends, and
+    # more[i] the ends of the others
+    ways = [0] * (n + 1)
+    ways[0] = 1
+    back = [0] * (n + 1)
+    more = defaultdict(list)
+    for j in range(n):
+        w = ways[j]
+        if not w:
+            continue
+        for k in lengths:
+            i = j + k
+            if i > n:
                 break
-    if not ok[n]:
+            if raw[j:i] in by_len[k]:
+                if ways[i]:
+                    ways[i] = 2
+                    more[i].append(j)
+                else:
+                    ways[i] = w
+                    back[i] = j
+    if not ways[n]:
         return None
-    word = []
-    i = n
-    while i > 0:
-        word.append(back[i])
-        i -= len(back[i])
-    return tuple(reversed(word))
+    splits = []
+    for t in range(ways[n]):
+        word = []
+        i = n
+        while i:
+            j = back[i]
+            if t and ways[j] == 1:
+                j, t = more[i][0], 0
+            word.append(raw[j:i])
+            i = j
+        splits.append(tuple(reversed(word)))
+    if len(splits) > 1:
+        raise AmbiguousInputError(raw, splits)
+    return splits[0]
 
 
 class _UsageError(Exception):

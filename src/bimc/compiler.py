@@ -11,6 +11,8 @@ verdict is deterministic, so equal inputs give identical bimachines.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .bimachine import Bimachine
 from .fsa import MaskStates, Transducer, determinize, eps_closure, output_cells, project_input, reverse
 from .functionality import FunctionalityVerdict, test_functionality
@@ -83,33 +85,36 @@ def generalized_transitions(t: Transducer):
     return gen
 
 
-def output_value(cell, phi_s, phi_s2, delta, verify=False):
+def output_value(cell, phi_s, phi_s2, steps, verify=False):
     """The output entry of cell (li, a, ri), given the delays phi_s of
     its intersection set before the a-step and phi_s2 of the one after.
 
-    Solves delay(p) ∘ c = value ∘ delay(p') on the first transition of
-    delta connecting the two intersection sets; with verify every such
-    transition is checked to give the same c.
+    steps maps (symbol, source state) to the (value, target state) pairs
+    of the generalized transitions.  Solves delay(p) ∘ c = value ∘
+    delay(p') on the first transition connecting the two intersection
+    sets; with verify every such transition is checked to give the same
+    c.
     """
     li, a, ri = cell
     c = None
-    for p, sym, m, q in delta:
-        if sym != a or p not in phi_s or q not in phi_s2:
-            continue
-        cand = solve_right(phi_s[p], m * phi_s2[q])
-        if cand is None:
-            raise CompileError(
-                f"delay equation for transition ({p}, {sym!r}, {q}) has no solution"
-            )
-        if c is None:
-            c = cand
-            if not verify:
-                break
-        elif cand != c:
-            raise CompileError(
-                f"output entry ({li}, {a!r}, {ri}) is not well defined: "
-                f"transition ({p}, {sym!r}, {q}) solves to {cand!r}, expected {c!r}"
-            )
+    for p, delay in phi_s.items():
+        for m, q in steps.get((a, p), ()):
+            if q not in phi_s2:
+                continue
+            cand = solve_right(delay, m * phi_s2[q])
+            if cand is None:
+                raise CompileError(
+                    f"delay equation for transition ({p}, {a!r}, {q}) has no solution"
+                )
+            if c is None:
+                if not verify:
+                    return cand
+                c = cand
+            elif cand != c:
+                raise CompileError(
+                    f"output entry ({li}, {a!r}, {ri}) is not well defined: "
+                    f"transition ({p}, {a!r}, {q}) solves to {cand!r}, expected {c!r}"
+                )
     if c is None:
         raise CompileError(f"no transition connects {tuple(phi_s)} to {tuple(phi_s2)} on {a!r}")
     return c
@@ -139,11 +144,13 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             S = tuple(sorted(set(L) & set(R)))
             if S and S not in phi:
                 phi[S] = set_mge(S, nu, tt.monoid)
-    delta = generalized_transitions(tt)
+    steps = defaultdict(list)
+    for p, a, m, q in generalized_transitions(tt):
+        steps[(a, p)].append((m, q))
     states = MaskStates()
     psi = {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         cell = (li, a, ri)
-        psi[cell] = output_value(cell, phi[states[s]], phi[states[l2 & r]], delta, verify=verify)
+        psi[cell] = output_value(cell, phi[states[s]], phi[states[l2 & r]], steps, verify=verify)
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

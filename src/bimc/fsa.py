@@ -67,7 +67,7 @@ class Transducer:
                 raise ValueError(f"transition endpoint out of range: {tr}")
             if tr.inp is not None and tr.inp not in seen:
                 raise ValueError(f"undeclared input symbol {tr.inp!r}")
-            if tr.out.monoid != self.monoid:
+            if tr.out.monoid is not self.monoid and tr.out.monoid != self.monoid:
                 raise ValueError(f"output from a different monoid: {tr}")
             if tr not in have:
                 have.add(tr)

@@ -14,6 +14,7 @@ pairs combining any two of the above componentwise.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,11 @@ class Monoid:
         """Validate and normalize a raw payload, returning the stored form."""
         raise NotImplementedError
 
+    def fold_payloads(self, payloads):
+        """Product of a sequence of stored payloads, left to right, in
+        one pass; the unit payload for an empty sequence."""
+        raise NotImplementedError
+
     def format_payload(self, a) -> str:
         raise NotImplementedError
 
@@ -56,7 +62,7 @@ class Monoid:
 
     @property
     def unit(self) -> MonoidValue:
-        return MonoidValue(self, self.unit_payload())
+        return _trusted(self, self.unit_payload())
 
     def value(self, payload) -> MonoidValue:
         return MonoidValue(self, payload)
@@ -95,6 +101,9 @@ class FreeWords(Monoid):
 
     def op_payload(self, a, b):
         return a + b
+
+    def fold_payloads(self, payloads):
+        return "".join(payloads)
 
     def eta_payload(self, a, b):
         if b.startswith(a):
@@ -147,6 +156,14 @@ class NonNegRationals(Monoid):
     def op_payload(self, a, b):
         return a + b
 
+    def fold_payloads(self, payloads):
+        # integer sums per denominator: adding Fractions one by one
+        # normalizes by a gcd at every step
+        numerators = defaultdict(int)
+        for a in payloads:
+            numerators[a.denominator] += a.numerator
+        return sum((Fraction(n, d) for d, n in numerators.items()), Fraction(0))
+
     def eta_payload(self, a, b):
         m = max(a, b)
         return (m - a, m - b)
@@ -185,6 +202,9 @@ class Integers(Monoid):
     def op_payload(self, a, b):
         return a + b
 
+    def fold_payloads(self, payloads):
+        return sum(payloads, 0)
+
     def eta_payload(self, a, b):
         return (0, a - b)
 
@@ -222,6 +242,12 @@ class PairOf(Monoid):
     def op_payload(self, a, b):
         return (self.left.op_payload(a[0], b[0]), self.right.op_payload(a[1], b[1]))
 
+    def fold_payloads(self, payloads):
+        return (
+            self.left.fold_payloads([p[0] for p in payloads]),
+            self.right.fold_payloads([p[1] for p in payloads]),
+        )
+
     def eta_payload(self, a, b):
         el = self.left.eta_payload(a[0], b[0])
         if el is None:
@@ -256,9 +282,15 @@ class PairOf(Monoid):
         return (self.left.parse_payload(lt.strip()), self.right.parse_payload(rt.strip()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonoidValue:
-    """An element of a concrete monoid: descriptor plus raw payload."""
+    """An element of a concrete monoid: descriptor plus raw payload.
+
+    Constructing one validates the payload; the parsers and
+    make_transducer go through here.  Values computed from valid values
+    (products, folds, equalizers, inverses, units) are built by _trusted
+    instead, so validation happens once, where a payload enters.
+    """
 
     monoid: Monoid
     payload: object
@@ -273,15 +305,40 @@ class MonoidValue:
         return f"MonoidValue({self.monoid.format_payload(self.payload)})"
 
 
+_set_monoid = MonoidValue.monoid.__set__
+_set_payload = MonoidValue.payload.__set__
+
+
+def _trusted(m: Monoid, payload) -> MonoidValue:
+    """A MonoidValue whose payload is known to be in stored form; skips
+    check_payload.  Only for payloads computed from validated ones."""
+    v = object.__new__(MonoidValue)
+    _set_monoid(v, m)
+    _set_payload(v, payload)
+    return v
+
+
 def _same_monoid(a: MonoidValue, b: MonoidValue) -> Monoid:
-    if a.monoid != b.monoid:
-        raise DescriptorMismatch(f"{a.monoid} vs {b.monoid}")
-    return a.monoid
+    m = a.monoid
+    if m is not b.monoid and m != b.monoid:
+        raise DescriptorMismatch(f"{m} vs {b.monoid}")
+    return m
 
 
 def op(a: MonoidValue, b: MonoidValue) -> MonoidValue:
     m = _same_monoid(a, b)
-    return MonoidValue(m, m.op_payload(a.payload, b.payload))
+    return _trusted(m, m.op_payload(a.payload, b.payload))
+
+
+def fold(values, monoid: Monoid) -> MonoidValue:
+    """Product of a sequence of values of monoid, left to right, in time
+    linear in the total payload size; the unit for an empty sequence."""
+    payloads = []
+    for v in values:
+        if v.monoid is not monoid and v.monoid != monoid:
+            raise DescriptorMismatch(f"{v.monoid} vs {monoid}")
+        payloads.append(v.payload)
+    return _trusted(monoid, monoid.fold_payloads(payloads))
 
 
 def eta(a: MonoidValue, b: MonoidValue):
@@ -296,12 +353,12 @@ def eta(a: MonoidValue, b: MonoidValue):
     r = m.eta_payload(a.payload, b.payload)
     if r is None:
         return None
-    return (MonoidValue(m, r[0]), MonoidValue(m, r[1]))
+    return (_trusted(m, r[0]), _trusted(m, r[1]))
 
 
 def inverse(a: MonoidValue):
     r = a.monoid.inverse_payload(a.payload)
-    return None if r is None else MonoidValue(a.monoid, r)
+    return None if r is None else _trusted(a.monoid, r)
 
 
 def solve_right(m: MonoidValue, n: MonoidValue):
@@ -319,43 +376,13 @@ def solve_right(m: MonoidValue, n: MonoidValue):
     return r[0] * x2i
 
 
-def mu_n(values):
-    """Mge of a tuple of values: the componentwise-minimal (x1..xk) with
-    all values[i]*xi equal.  None when the tuple is not equalizable.
-
-    Built by extending the mge of the first k-1 components with
-    eta(values[-2], values[-1]), re-aligning through one more eta.
-    """
-    values = tuple(values)
-    if not values:
-        raise ValueError("mu_n of an empty tuple")
-    m = values[0].monoid
-    for v in values[1:]:
-        _same_monoid(values[0], v)
-    if len(values) == 1:
-        return (m.unit,)
-    acc = eta(values[0], values[1])
-    if acc is None:
-        return None
-    acc = list(acc)
-    for i in range(1, len(values) - 1):
-        w = eta(values[i], values[i + 1])
-        if w is None:
-            return None
-        z = eta(acc[-1], w[0])
-        if z is None:
-            return None
-        zx, zy = z
-        acc = [x * zx for x in acc] + [w[1] * zy]
-    return tuple(acc)
-
-
 def gamma_n(pairs, monoid: Monoid | None = None):
     """Accumulate a chain of pairwise mges into a tuple mge.
 
-    pairs[i] must be an mge of some (n_i, n_i+1); the result then equals
-    mu_n(n_1..n_k) without ever touching the n_i themselves.  The empty
-    chain needs an explicit monoid and yields (e,).  Raises
+    pairs[i] must be an mge of some (n_i, n_i+1); the result then is the
+    mge of the tuple (n_1..n_k), the componentwise-minimal (x_1..x_k)
+    with all n_i*x_i equal, without ever touching the n_i themselves.
+    The empty chain needs an explicit monoid and yields (e,).  Raises
     AccumulationFailure if an intermediate pair is not equalizable.
     """
     pairs = tuple(pairs)

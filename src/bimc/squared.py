@@ -13,7 +13,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .fsa import Transducer
-from .monoid import Monoid, MonoidValue, eta, format_value
+from .monoid import Monoid, MonoidValue, eta
 
 
 @dataclass
@@ -145,18 +145,3 @@ def valuation(sq: SquaredAutomaton, useful: frozenset[int]) -> Valuation:
                 nu[i] = r
     return Valuation(rho, nu)
 
-
-def dump_valuation(sq: SquaredAutomaton, val: Valuation) -> str:
-    """One line per pair, dashes for undefined entries."""
-
-    def render(entry):
-        if entry is None:
-            return "-"
-        return f"({format_value(entry[0])},{format_value(entry[1])})"
-
-    lines = []
-    for i, (p1, p2) in enumerate(sq.pairs):
-        lines.append(
-            f"(({p1},{p2})) rho={render(val.rho.get(i))} nu={render(val.nu.get(i))}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

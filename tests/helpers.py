@@ -13,11 +13,14 @@ from fractions import Fraction
 
 from bimc.fsa import make_transducer
 from bimc.monoid import (
+    DescriptorMismatch,
     FreeWords,
     Integers,
     MonoidValue,
     NonNegRationals,
     PairOf,
+    eta,
+    format_value,
     solve_right,
 )
 
@@ -79,6 +82,57 @@ def is_instance_of(mge, equalizer):
     k1, k2 = equalizer
     c = solve_right(x1, k1)
     return c is not None and x2 * c == k2
+
+
+def mu_n(values):
+    """Mge of a tuple of values: the componentwise-minimal (x1..xk) with
+    all values[i]*xi equal.  None when the tuple is not equalizable.
+
+    The oracle for gamma_n: built by extending the mge of the first k-1
+    components with eta(values[-2], values[-1]), re-aligning through one
+    more eta, so it works on the values themselves rather than on a
+    chain of pairwise mges.
+    """
+    values = tuple(values)
+    if not values:
+        raise ValueError("mu_n of an empty tuple")
+    m = values[0].monoid
+    for v in values[1:]:
+        if v.monoid != m:
+            raise DescriptorMismatch(f"{m} vs {v.monoid}")
+    if len(values) == 1:
+        return (m.unit,)
+    acc = eta(values[0], values[1])
+    if acc is None:
+        return None
+    acc = list(acc)
+    for i in range(1, len(values) - 1):
+        w = eta(values[i], values[i + 1])
+        if w is None:
+            return None
+        z = eta(acc[-1], w[0])
+        if z is None:
+            return None
+        zx, zy = z
+        acc = [x * zx for x in acc] + [w[1] * zy]
+    return tuple(acc)
+
+
+def dump_valuation(sq, val) -> str:
+    """One line per squared pair with its rho and nu, dashes for
+    undefined entries."""
+
+    def render(entry):
+        if entry is None:
+            return "-"
+        return f"({format_value(entry[0])},{format_value(entry[1])})"
+
+    lines = []
+    for i, (p1, p2) in enumerate(sq.pairs):
+        lines.append(
+            f"(({p1},{p2})) rho={render(val.rho.get(i))} nu={render(val.nu.get(i))}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def random_transducer(

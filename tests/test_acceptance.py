@@ -22,11 +22,10 @@ from bimc.monoid import (
     PairOf,
     eta,
     gamma_n,
-    mu_n,
     solve_right,
 )
 from bimc.squared import squared
-from helpers import all_words, is_instance_of, output_table, random_transducer, random_value
+from helpers import all_words, is_instance_of, mu_n, output_table, random_transducer, random_value
 
 STATS = {"criterion1_compiles": 0, "criterion3_compiles": 0}
 

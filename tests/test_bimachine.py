@@ -1,8 +1,11 @@
 import random
+import time
 
 import pytest
 
+from bimc.benchmark import make_tn
 from bimc.bimachine import AlphabetError, Bimachine, domain_contains, evaluate
+from bimc.compiler import compile as build
 from bimc.fsa import Dfa
 from bimc.monoid import FreeWords, MonoidValue
 from helpers import all_words, random_bimachine
@@ -121,3 +124,18 @@ def test_two_pass_matches_recursive_definition():
                 # the empty word is served by the stored output, not the recursion
                 continue
             assert evaluate(b, w) == psi_star(b, b.left.start, w, b.right.start)
+
+
+def test_evaluate_is_linear_in_the_word_length():
+    # T_9 outputs 1^(9k) on every word of length k >= 2; a running
+    # product that copies or re-validates the output so far at every
+    # letter needs minutes for this word
+    t = make_tn(9)
+    b = build(t, verify=False)
+    rng = random.Random(3)
+    word = tuple(rng.choice(t.alphabet) for _ in range(10**5))
+    start = time.perf_counter()
+    out = evaluate(b, word)
+    elapsed = time.perf_counter() - start
+    assert out == MonoidValue(t.monoid, "1" * (9 * len(word)))
+    assert elapsed < 5.0, f"10^5 symbols took {elapsed:.1f} s"

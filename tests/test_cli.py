@@ -5,6 +5,7 @@ import pytest
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
 from bimc.cli import (
+    AmbiguousInputError,
     BimachineFormatError,
     TransducerFormatError,
     bimachine_from_text,
@@ -58,6 +59,7 @@ def test_parse_errors_carry_line_numbers():
         ("monoid free:x\nalphabet a\nstates two\n", "states needs one count"),
         ("monoid free:x\nalphabet a -\nstates 1\n", "reserved"),
         ("monoid what\nalphabet a\nstates 1\n", "descriptor"),
+        ("monoid free:x\nalphabet a\nstates 2\n\nt 0 a \"xz\" 1\n", "line 5: symbols outside"),
         ("alphabet a\nstates 1\n", "missing monoid"),
         ("monoid free:x\nstates 1\n", "missing alphabet"),
     ]
@@ -137,6 +139,18 @@ def test_tokenize_multi_character_symbols():
     assert tokenize("zz", ("a",)) is None
 
 
+def test_tokenize_rejects_ambiguous_splits():
+    for alphabet in (("a", "b", "ab"), ("ab", "b", "a")):
+        with pytest.raises(AmbiguousInputError) as info:
+            tokenize("ab", alphabet)
+        assert sorted(info.value.splits) == [("a", "b"), ("ab",)]
+    with pytest.raises(AmbiguousInputError) as info:
+        tokenize("aaaa", ("aa", "a"))
+    first, second = info.value.splits
+    assert first != second and "".join(first) == "".join(second) == "aaaa"
+    assert tokenize("ba", ("a", "b", "ab")) == ("b", "a")
+
+
 def tn_file(tmp_path, n):
     path = tmp_path / f"tn{n}.fst"
     path.write_text(format_transducer(make_tn(n)), encoding="utf-8")
@@ -168,6 +182,24 @@ def test_cli_compile_and_run(tmp_path, capsys):
     assert cli_main(["run", out, "--input", "a1a7"]) == 2
     assert capsys.readouterr().out.strip() == "UNDEFINED"
     assert cli_main(["run", out, "--input", ""]) == 2
+
+
+def test_cli_run_rejects_ambiguous_input(tmp_path, capsys):
+    # "ab" reads as a·b (output "xx") or as the one symbol ab ("y")
+    src = tmp_path / "split.fst"
+    src.write_text(
+        'monoid free:xy\nalphabet a b ab\nstates 1\ninitial 0\nfinal 0\n'
+        't 0 a "x" 0\nt 0 b "x" 0\nt 0 ab "y" 0\n',
+        encoding="utf-8",
+    )
+    out = str(tmp_path / "split.bim")
+    assert cli_main(["compile", str(src), "-o", out]) == 0
+    assert cli_main(["run", out, "--input", "ab"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'a b'" in captured.err and "'ab'" in captured.err
+    assert cli_main(["run", out, "--input", "ba"]) == 0
+    assert capsys.readouterr().out.strip() == '"xx"'
 
 
 def test_cli_compile_classical_method(tmp_path, capsys):

@@ -15,17 +15,17 @@ from bimc.monoid import (
     NonNegRationals,
     PairOf,
     eta,
+    fold,
     format_descriptor,
     format_value,
     gamma_n,
     inverse,
-    mu_n,
     op,
     parse_descriptor,
     parse_value,
     solve_right,
 )
-from helpers import brute_equalizers, candidate_values, is_instance_of, random_value
+from helpers import brute_equalizers, candidate_values, is_instance_of, mu_n, random_value
 
 FREE = FreeWords(("a", "b", "c"))
 RAT = NonNegRationals()
@@ -69,6 +69,11 @@ INSTANCES = [
     (NESTED, nested_values),
 ]
 
+FREE_INT = PairOf(FreeWords(("a", "b")), INT)
+free_int_values = st.tuples(st.text(alphabet="ab", max_size=4), st.integers(-8, 8)).map(
+    lambda p: MonoidValue(FREE_INT, p)
+)
+
 
 # --- monoid laws -----------------------------------------------------------
 
@@ -95,7 +100,28 @@ def test_mixing_monoids_is_rejected():
     with pytest.raises(DescriptorMismatch):
         op(fw("a"), rat(1))
     with pytest.raises(DescriptorMismatch):
+        fold([fw("a"), rat(1)], FREE)
+    with pytest.raises(DescriptorMismatch):
         eta(ig(3), rat(3))
+
+
+@given(st.data())
+def test_fold_payloads_is_the_left_fold_of_op(data):
+    m, values = data.draw(st.sampled_from(INSTANCES + [(FREE_INT, free_int_values)]))
+    vals = data.draw(st.lists(values, max_size=8))
+    want = m.unit
+    for v in vals:
+        want = op(want, v)
+    got = m.fold_payloads([v.payload for v in vals])
+    # repr also tells a Fraction from an int of the same value
+    assert repr(got) == repr(want.payload)
+    assert fold(vals, m) == want
+
+
+def test_fold_of_nothing_is_the_unit():
+    for m in ALL_MONOIDS + [FREE_INT]:
+        assert repr(m.fold_payloads([])) == repr(m.unit_payload())
+        assert fold([], m) == m.unit
 
 
 # --- eta -------------------------------------------------------------------
@@ -347,6 +373,10 @@ def test_rational_arithmetic_stays_exact():
 def test_payload_validation():
     with pytest.raises(ValueError):
         MonoidValue(FREE, "zz")
+    with pytest.raises(ValueError):
+        MonoidValue(FreeWords(("a",)), "z")
+    with pytest.raises(ValueError):
+        FREE.value("az")
     with pytest.raises(ValueError):
         MonoidValue(RAT, -1)
     with pytest.raises(ValueError):

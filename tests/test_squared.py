@@ -5,8 +5,14 @@ from collections import defaultdict, deque
 
 from bimc.fsa import make_transducer
 from bimc.monoid import FreeWords, MonoidValue, eta
-from bimc.squared import coaccessible, dump_valuation, squared, valuation
-from helpers import brute_equalizers, candidate_values, is_instance_of, random_transducer
+from bimc.squared import coaccessible, squared, valuation
+from helpers import (
+    brute_equalizers,
+    candidate_values,
+    dump_valuation,
+    is_instance_of,
+    random_transducer,
+)
 
 FREE = FreeWords(("x", "y"))
 
