@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classical import expand_and_determinize
+from .classical import unambiguous_expand
 from .compiler import compile as mge_compile
-from .fsa import StateLimitExceeded, Transducer, make_transducer, output_cells
+from .fsa import StateLimitExceeded, Transducer, determinize, make_transducer, output_cells
 from .monoid import FreeWords
 
 CSV_COLUMNS = "n,method,left_states,right_states,intermediate_states,psi_entries,build_ms"
@@ -67,6 +67,22 @@ class BenchRow:
     skipped: str | None = None  # reason, when the row was not computed
 
 
+def _cells(r: BenchRow, missing: str) -> list[str]:
+    """The columns of CSV_COLUMNS for one row; a skipped row shows
+    missing in every measured column."""
+    if r.skipped:
+        return [str(r.n), r.method] + [missing] * 5
+    return [
+        str(r.n),
+        r.method,
+        str(r.left_states),
+        str(r.right_states),
+        "" if r.intermediate_states is None else str(r.intermediate_states),
+        str(r.psi_entries),
+        f"{r.build_ms:.1f}",
+    ]
+
+
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
@@ -77,40 +93,14 @@ class BenchReport:
         )
 
     def to_csv(self) -> str:
-        lines = [CSV_COLUMNS]
-        for r in self.rows:
-            if r.skipped:
-                cells = [str(r.n), r.method, "", "", "", "", ""]
-            else:
-                cells = [
-                    str(r.n),
-                    r.method,
-                    str(r.left_states),
-                    str(r.right_states),
-                    "" if r.intermediate_states is None else str(r.intermediate_states),
-                    str(r.psi_entries),
-                    f"{r.build_ms:.1f}",
-                ]
-            lines.append(",".join(cells))
+        lines = [CSV_COLUMNS] + [",".join(_cells(r, "")) for r in self.rows]
         return "\n".join(lines)
 
     def to_table(self) -> str:
         head = ("n", "method", "left", "right", "interm", "psi", "ms", "note")
-        body = []
-        for r in self.rows:
-            if r.skipped:
-                body.append((str(r.n), r.method, "-", "-", "-", "-", "-", f"skipped: {r.skipped}"))
-            else:
-                body.append((
-                    str(r.n),
-                    r.method,
-                    str(r.left_states),
-                    str(r.right_states),
-                    "" if r.intermediate_states is None else str(r.intermediate_states),
-                    str(r.psi_entries),
-                    f"{r.build_ms:.1f}",
-                    "",
-                ))
+        body = [
+            (*_cells(r, "-"), f"skipped: {r.skipped}" if r.skipped else "") for r in self.rows
+        ]
         widths = [max(len(row[i]) for row in [head] + body) for i in range(len(head))]
         lines = []
         for row in [head] + body:
@@ -129,7 +119,8 @@ def _measure(n: int, method: str) -> BenchRow:
         b = mge_compile(t, verify=True)
         ms = (time.perf_counter() - start) * 1000
         return BenchRow(n, "mge", b.left.n_states, b.right.n_states, None, len(b.psi), ms)
-    tt, left, right = expand_and_determinize(t)
+    tt = unambiguous_expand(t).transducer
+    left, right = determinize(tt)
     entries = sum(1 for _ in output_cells(left, right))
     ms = (time.perf_counter() - start) * 1000
     return BenchRow(n, "classical", left.n_states, right.n_states, tt.n_states, entries, ms)

@@ -39,14 +39,18 @@ class Bimachine:
     def __post_init__(self):
         syms = set(self.alphabet)
         m = self.monoid
+
+        def foreign(v):
+            return not isinstance(v, MonoidValue) or (v.monoid is not m and v.monoid != m)
+
         for (l, a, r), v in self.psi.items():
             if not (0 <= l < self.left.n_states and 0 <= r < self.right.n_states):
                 raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
             if a not in syms:
                 raise ValueError(f"output entry uses undeclared symbol {a!r}")
-            if not isinstance(v, MonoidValue) or (v.monoid is not m and v.monoid != m):
+            if foreign(v):
                 raise ValueError(f"output value {v!r} does not belong to the output monoid")
-        if self.eps_output is not None and self.eps_output.monoid != self.monoid:
+        if self.eps_output is not None and foreign(self.eps_output):
             raise ValueError("empty-word output does not belong to the output monoid")
 
 

@@ -15,17 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .bimachine import Bimachine
-from .fsa import (
-    MaskStates,
-    Transducer,
-    Transition,
-    _check_cap,
-    determinize,
-    output_cells,
-    project_input,
-    reverse,
-    trim,
-)
+from .fsa import MaskStates, Transducer, Transition, _check_cap, determinize, output_cells, trim
 from .monoid import DescriptorMismatch, FreeWords
 
 
@@ -112,19 +102,12 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     return ExpandedTransducer(trimmed, tuple(pairs[old] for old in kept))
 
 
-def expand_and_determinize(t: Transducer):
-    """The unambiguous expansion of t and its forward and backward subset
-    automata: (expanded transducer, left, right)."""
-    tt = unambiguous_expand(t).transducer
-    underlying = project_input(tt)
-    return tt, determinize(underlying), determinize(reverse(underlying))
-
-
 def classical_compile(t: Transducer) -> Bimachine:
     """Expand, determinize both directions, and read the output map off
     the expansion: by unambiguity exactly one transition survives between
     any reachable set and co-reachable set, and its word is the entry."""
-    tt, left, right = expand_and_determinize(t)
+    tt = unambiguous_expand(t).transducer
+    left, right = determinize(tt)
     by_move = defaultdict(list)
     for tr in tt.transitions:
         by_move[(tr.src, tr.inp)].append(tr)

@@ -340,22 +340,28 @@ def _read(path):
         return handle.read()
 
 
+def _read_verdict(path, rejections):
+    """Parse the transducer file at path and test it; a rejection is
+    printed to the rejections stream.  Returns (transducer, verdict)."""
+    t = parse_transducer(_read(path))
+    verdict = test_functionality(t)
+    if not verdict.functional:
+        w = verdict.witness
+        print(f"not functional ({w.kind}: {w.detail})", file=rejections)
+    return t, verdict
+
+
 def _cmd_check(args):
-    verdict = test_functionality(parse_transducer(_read(args.file)))
+    _, verdict = _read_verdict(args.file, sys.stdout)
     if verdict.functional:
         print("functional")
         return 0
-    w = verdict.witness
-    print(f"not functional ({w.kind}: {w.detail})")
     return 1
 
 
 def _cmd_compile(args):
-    t = parse_transducer(_read(args.file))
-    verdict = test_functionality(t)
+    t, verdict = _read_verdict(args.file, sys.stderr)
     if not verdict.functional:
-        w = verdict.witness
-        print(f"not functional ({w.kind}: {w.detail})", file=sys.stderr)
         return 1
     if args.method == "classical":
         b = classical_compile(t)
@@ -392,11 +398,8 @@ def _cmd_bench(args):
 
 
 def _cmd_compare(args):
-    t = parse_transducer(_read(args.file))
-    verdict = test_functionality(t)
+    t, verdict = _read_verdict(args.file, sys.stderr)
     if not verdict.functional:
-        w = verdict.witness
-        print(f"not functional ({w.kind}: {w.detail})", file=sys.stderr)
         return 1
     machines = [("mge", mge_compile(t, verdict=verdict))]
     try:

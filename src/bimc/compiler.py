@@ -1,11 +1,12 @@
 """Compiles functional transducers into bimachines.
 
-The construction determinizes the underlying automaton twice (forward
-and reversed), then fills the positional output map: for every subset
-of states that is simultaneously reachable and co-reachable, a most
-general equalizer chain assigns each member state its accumulated
-delay, and each output entry is the unique value balancing those delays
-across one transition.  Everything downstream of the functionality
+The construction builds the two subset automata of the transducer
+(forward from the initial states, backward from the final ones), then
+fills the positional output map: for every subset of states that is
+simultaneously reachable and co-reachable, a most general equalizer
+chain assigns each member state its accumulated delay, and each output
+entry is the unique value balancing those delays across one
+transition.  Everything downstream of the functionality
 verdict is deterministic, so equal inputs give identical bimachines.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .bimachine import Bimachine
-from .fsa import MaskStates, Transducer, determinize, eps_closure, output_cells, project_input, reverse
+from .fsa import Transducer, determinize, eps_closure, members, output_cells
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -59,16 +60,14 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
 def generalized_transitions(t: Transducer):
     """Every single-symbol step of t including surrounding ε movement.
 
-    Returns (src, sym, value, dst) tuples: for a real-time transducer
-    exactly its transition list, otherwise one entry per path shaped
-    ε*·sym·ε* with the ε outputs folded into the value.  Enumeration
-    order is declaration order of the symbol transition, then the ε
-    extensions by start state and discovery order.  Requires every
-    ε-cycle to be output-free (which the functionality test guarantees),
-    otherwise the expansion would not be finite.
+    Returns (src, sym, value, dst) tuples, one per path shaped
+    ε*·sym·ε* with the ε outputs folded into the value; on a real-time
+    transducer that is its transition list.  Enumeration order is
+    declaration order of the symbol transition, then the ε extensions
+    by start state and discovery order.  Requires every ε-cycle to be
+    output-free (which the functionality test guarantees), otherwise
+    the expansion would not be finite.
     """
-    if t.real_time:
-        return [(tr.src, tr.inp, tr.out, tr.dst) for tr in t.transitions]
     arcs = ((tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None)
     outof, into = eps_closure(t.n_states, arcs, t.monoid.unit)
     gen = []
@@ -133,24 +132,21 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     if not verdict.functional:
         raise NotFunctionalError(verdict)
     tt = verdict.trimmed
-    underlying = project_input(tt)
-    left = determinize(underlying)
-    right = determinize(reverse(underlying))
+    left, right = determinize(tt)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
-    phi = {}
-    for L in left.subsets:
-        for R in right.subsets:
-            S = tuple(sorted(set(L) & set(R)))
-            if S and S not in phi:
-                phi[S] = set_mge(S, nu, tt.monoid)
+    phi = {}  # keyed by the intersection set's bitmask
+    for lm in left.subsets:
+        for rm in right.subsets:
+            s = lm & rm
+            if s and s not in phi:
+                phi[s] = set_mge(members(s), nu, tt.monoid)
     steps = defaultdict(list)
     for p, a, m, q in generalized_transitions(tt):
         steps[(a, p)].append((m, q))
-    states = MaskStates()
     psi = {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         cell = (li, a, ri)
-        psi[cell] = output_value(cell, phi[states[s]], phi[states[l2 & r]], steps, verify=verify)
+        psi[cell] = output_value(cell, phi[s], phi[l2 & r], steps, verify=verify)
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

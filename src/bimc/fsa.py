@@ -1,6 +1,7 @@
-"""Finite-state transducers with monoid outputs, plus the unweighted
-automaton layer: trimming, reversal, projection, epsilon closure,
-power-set determinization, and the walk over output cells."""
+"""Finite-state transducers with monoid outputs and the constructions
+on their state sets: trimming, epsilon closure, the forward and backward
+power-set automata (subsets are bitmasks over the states), and the walk
+over output cells."""
 
 from __future__ import annotations
 
@@ -93,32 +94,22 @@ def make_transducer(alphabet, monoid, n_states, initial, final, arcs) -> Transdu
     )
 
 
-@dataclass(frozen=True)
-class Automaton:
-    """Unweighted skeleton: edges are (src, symbol-or-None, dst)."""
-
-    alphabet: tuple[str, ...]
-    n_states: int
-    initial: frozenset[int]
-    final: frozenset[int]
-    edges: tuple[tuple[int, str | None, int], ...]
-
-
 @dataclass
 class Dfa:
     """Partial deterministic automaton produced by determinization.
 
     States are indices into subsets (discovery order, start first); the
-    subsets record which source states each index stands for, or None
-    for machines read back from text.  delta is partial: missing keys
-    mean the transition is undefined, there is no sink state.
+    subsets record which source states each index stands for, as a
+    bitmask with bit q for state q, or None for machines read back from
+    text.  delta is partial: missing keys mean the transition is
+    undefined, there is no sink state.
     """
 
     alphabet: tuple[str, ...]
     n_states: int
     start: int
     delta: dict
-    subsets: tuple[tuple[int, ...], ...] | None = None
+    subsets: tuple[int, ...] | None = None
 
     def run(self, word):
         q = self.start
@@ -129,11 +120,21 @@ class Dfa:
         return q
 
 
+def members(mask):
+    """The states of a bitmask-encoded state set, ascending."""
+    states = []
+    while mask:
+        low = mask & -mask  # the lowest set bit
+        states.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(states)
+
+
 class MaskStates(dict):
-    """Memo from a bitmask-encoded state set to its states, ascending."""
+    """Memo from a bitmask-encoded state set to its members."""
 
     def __missing__(self, mask):
-        states = self[mask] = tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+        states = self[mask] = members(mask)
         return states
 
 
@@ -141,16 +142,15 @@ def output_cells(left: Dfa, right: Dfa):
     """Every bimachine output cell (li, a, ri) at which some state is
     both reachable along li and co-reachable along ri after a.
 
-    left and right are the subset automata of one automaton and of its
-    reversal.  Yields (li, a, ri, s, l2, r) where the intersection sets
-    are bitmasks over source states: s before the a-step and l2 & r
-    after it.  The second is left to the callers that need it: on the
+    left and right are the two subset automata of one transducer, as
+    determinize returns them.  Yields (li, a, ri, s, l2, r) where the
+    intersection sets are bitmasks over source states: s before the
+    a-step and l2 & r after it.  The second is left to the callers that need it: on the
     classical construction's large masks, intersecting them for every
     cell adds about a third to the cost of counting the cells.
     A state in s has an a-successor, so the left a-step always exists.
     """
-    masks_l = [sum(1 << p for p in subset) for subset in left.subsets]
-    masks_r = [sum(1 << p for p in subset) for subset in right.subsets]
+    masks_l, masks_r = left.subsets, right.subsets
     steps_r = {a: [] for a in left.alphabet}
     for ri in range(right.n_states):
         for a, moves in steps_r.items():
@@ -169,6 +169,19 @@ def output_cells(left: Dfa, right: Dfa):
                     yield li, a, ri, s, lm2, rm
 
 
+def reachable(seeds, adj) -> set:
+    """The seeds and everything reachable from them, where adj maps a
+    state to its successors (a defaultdict, or total on the states)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def trim(t: Transducer):
     """Restrict to states both accessible and co-accessible.
 
@@ -179,19 +192,7 @@ def trim(t: Transducer):
     for tr in t.transitions:
         fwd[tr.src].add(tr.dst)
         bwd[tr.dst].add(tr.src)
-
-    def closure(seeds, adj):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            q = stack.pop()
-            for nxt in adj[q]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    useful = closure(t.initial, fwd) & closure(t.final, bwd)
+    useful = reachable(t.initial, fwd) & reachable(t.final, bwd)
     kept = sorted(useful)
     renum = {old: new for new, old in enumerate(kept)}
     arcs = [
@@ -208,33 +209,6 @@ def trim(t: Transducer):
         tuple(arcs),
     )
     return trimmed, kept
-
-
-def project_input(t: Transducer) -> Automaton:
-    """Drop outputs, keeping deduplicated (src, input, dst) edges."""
-    edges = []
-    have = set()
-    for tr in t.transitions:
-        e = (tr.src, tr.inp, tr.dst)
-        if e not in have:
-            have.add(e)
-            edges.append(e)
-    return Automaton(t.alphabet, t.n_states, t.initial, t.final, tuple(edges))
-
-
-def reverse(a: Automaton) -> Automaton:
-    edges = tuple((dst, inp, src) for src, inp, dst in a.edges)
-    return Automaton(a.alphabet, a.n_states, a.final, a.initial, edges)
-
-
-def _register(subset, index, order, what):
-    idx = index.get(subset)
-    if idx is None:
-        _check_cap(len(order) + 1, what)
-        idx = len(order)
-        index[subset] = idx
-        order.append(subset)
-    return idx
 
 
 def eps_closure(n_states, eps_arcs, unit):
@@ -270,41 +244,48 @@ def eps_closure(n_states, eps_arcs, unit):
     return outof, into
 
 
-def determinize(a: Automaton) -> Dfa:
-    """Accessible power-set construction where one input symbol may ride
-    along any number of epsilon moves: delta(L, a) collects every state
-    reachable from L by a generalized path whose input projection is
-    exactly a.  The start subset is the raw initial set, not its
-    closure."""
-    outof, into = eps_closure(a.n_states, ((s, 1, d) for s, inp, d in a.edges if inp is None), 1)
-    step = defaultdict(set)  # epsilon moves, the symbol, epsilon moves
-    for src, inp, dst in a.edges:
-        if inp is not None:
-            for q, _ in into[src]:
-                for p, _ in outof[dst]:
-                    step[(q, inp)].add(p)
-    start = frozenset(a.initial)
-    order = [start]
-    index = {start: 0}
-    delta = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for sym in a.alphabet:
-            image = set()
-            for q in subset:
-                image |= step[(q, sym)]
-            if not image:
-                continue
-            image = frozenset(image)
-            known = image in index
-            dst = _register(image, index, order, "determinize")
-            if not known:
-                queue.append(image)
-            delta[(src, sym)] = dst
-    assert len(order) <= 2 ** a.n_states
-    return Dfa(a.alphabet, len(order), 0, delta, tuple(tuple(sorted(s)) for s in order))
+def determinize(t: Transducer) -> tuple[Dfa, Dfa]:
+    """The accessible power-set automata of t's input projection, (left,
+    right): left reads forward from the initial states, right reads
+    backward from the final states.  One input symbol may ride along
+    any number of epsilon moves on either side: delta(S, a) collects
+    every state that a path with input projection exactly a leads to
+    from S (into S, for right).  Start subsets are the raw initial and
+    final sets, not their closures."""
+    arcs = ((tr.src, 1, tr.dst) for tr in t.transitions if tr.inp is None)
+    outof, into = eps_closure(t.n_states, arcs, 1)
+    # per state and symbol, the epsilon-symbol-epsilon successors as a mask
+    fwd = [{} for _ in range(t.n_states)]
+    bwd = [{} for _ in range(t.n_states)]
+    for tr in t.transitions:
+        if tr.inp is not None:
+            for q, _ in into[tr.src]:
+                for p, _ in outof[tr.dst]:
+                    fwd[q][tr.inp] = fwd[q].get(tr.inp, 0) | 1 << p
+                    bwd[p][tr.inp] = bwd[p].get(tr.inp, 0) | 1 << q
+    dfas = []
+    for start, step in ((t.initial, fwd), (t.final, bwd)):
+        order = [sum(1 << q for q in start)]
+        index = {order[0]: 0}
+        delta = {}
+        for src, subset in enumerate(order):  # order grows while it is read: breadth first
+            images = {}
+            for q in members(subset):
+                for sym, mask in step[q].items():
+                    images[sym] = images.get(sym, 0) | mask
+            for sym in t.alphabet:
+                image = images.get(sym)
+                if image is None:
+                    continue
+                dst = index.get(image)
+                if dst is None:
+                    _check_cap(len(order) + 1, "determinize")
+                    dst = index[image] = len(order)
+                    order.append(image)
+                delta[(src, sym)] = dst
+        assert len(order) <= 2 ** t.n_states
+        dfas.append(Dfa(t.alphabet, len(order), 0, delta, tuple(order)))
+    return tuple(dfas)
 
 
 def enumerate_outputs(t: Transducer, word, max_path_len=None):

@@ -10,9 +10,9 @@ accumulated label divergence (rho) and its most general equalizer (nu).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .fsa import Transducer
+from .fsa import Transducer, reachable
 from .monoid import Monoid, MonoidValue, eta
 
 
@@ -26,10 +26,6 @@ class SquaredAutomaton:
     initial: frozenset[int]
     final: frozenset[int]
     transitions: tuple[tuple[int, MonoidValue, MonoidValue, int], ...]
-    index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.index = {pair: i for i, pair in enumerate(self.pairs)}
 
 
 def squared(t: Transducer) -> SquaredAutomaton:
@@ -95,15 +91,7 @@ def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:
     into = defaultdict(set)
     for src, _, _, dst in sq.transitions:
         into[dst].add(src)
-    seen = set(sq.final)
-    stack = list(sq.final)
-    while stack:
-        q = stack.pop()
-        for p in into[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+    return frozenset(reachable(sq.final, into))
 
 
 @dataclass

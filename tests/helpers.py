@@ -135,6 +135,11 @@ def dump_valuation(sq, val) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def pair_index(sq):
+    """Position of each state pair in the squared automaton's pairs."""
+    return {pair: i for i, pair in enumerate(sq.pairs)}
+
+
 def random_transducer(
     rng,
     max_states=4,
@@ -298,20 +303,19 @@ def count_paths(t, word):
     return sum(c for q, c in counts.items() if q in t.final)
 
 
-def remove_eps_edges(a):
-    """Naive unweighted epsilon removal: an a-edge from p to w for every
-    generalized path p ->eps* a eps*-> w.  Initial states unchanged."""
-    from bimc.fsa import Automaton
-
+def remove_eps_edges(t):
+    """Naive epsilon removal on the input projection: an a-transition
+    from p to w, with the unit output, for every generalized path
+    p ->eps* a eps*-> w.  Initial and final states unchanged."""
     eps_next = defaultdict(set)
     step = defaultdict(set)
-    for src, inp, dst in a.edges:
-        if inp is None:
-            eps_next[src].add(dst)
+    for tr in t.transitions:
+        if tr.inp is None:
+            eps_next[tr.src].add(tr.dst)
         else:
-            step[(src, inp)].add(dst)
+            step[(tr.src, tr.inp)].add(tr.dst)
     closure = {}
-    for q in range(a.n_states):
+    for q in range(t.n_states):
         seen = {q}
         stack = [q]
         while stack:
@@ -322,10 +326,11 @@ def remove_eps_edges(a):
                     stack.append(v)
         closure[q] = seen
     edges = set()
-    for p in range(a.n_states):
+    for p in range(t.n_states):
         for u in closure[p]:
-            for sym in a.alphabet:
+            for sym in t.alphabet:
                 for v in step[(u, sym)]:
                     for w in closure[v]:
                         edges.add((p, sym, w))
-    return Automaton(a.alphabet, a.n_states, a.initial, a.final, tuple(sorted(edges)))
+    arcs = [(p, sym, t.monoid.unit, w) for p, sym, w in sorted(edges)]
+    return make_transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs)

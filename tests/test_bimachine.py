@@ -90,6 +90,8 @@ def test_constructor_rejects_bad_entries():
         Bimachine(FREE, ("a",), left, right, {(0, "a", 0): other})
     with pytest.raises(ValueError):
         Bimachine(FREE, ("a",), left, right, {}, eps_output=other)
+    with pytest.raises(ValueError):
+        Bimachine(FREE, ("a",), left, right, {}, eps_output="x")
 
 
 def psi_star(b, l, syms, r):

@@ -1,4 +1,4 @@
-"""Transducer plumbing: trim, projection, determinization, path outputs."""
+"""Transducer plumbing: trim, determinization, output cells, path outputs."""
 
 import random
 from collections import Counter
@@ -8,15 +8,12 @@ import pytest
 from bimc.classical import classical_compile
 from bimc.compiler import compile
 from bimc.fsa import (
-    Automaton,
     StateLimitExceeded,
-    Transducer,
     determinize,
     enumerate_outputs,
     make_transducer,
+    members,
     output_cells,
-    project_input,
-    reverse,
     trim,
 )
 from bimc.functionality import test_functionality as functionality
@@ -30,21 +27,21 @@ def fw(w):
     return MonoidValue(FREE, w)
 
 
-def nfa_accepts(a, word):
-    """Path oracle over raw edges, epsilon moves included."""
-    stack = [(q, 0) for q in a.initial]
+def nfa_accepts(t, word):
+    """Path oracle over raw transitions, epsilon moves included."""
+    stack = [(q, 0) for q in t.initial]
     seen = set(stack)
     while stack:
         q, pos = stack.pop()
-        if pos == len(word) and q in a.final:
+        if pos == len(word) and q in t.final:
             return True
-        for src, inp, dst in a.edges:
-            if src != q:
+        for tr in t.transitions:
+            if tr.src != q:
                 continue
-            if inp is None:
-                node = (dst, pos)
-            elif pos < len(word) and word[pos] == inp:
-                node = (dst, pos + 1)
+            if tr.inp is None:
+                node = (tr.dst, pos)
+            elif pos < len(word) and word[pos] == tr.inp:
+                node = (tr.dst, pos + 1)
             else:
                 continue
             if node not in seen:
@@ -53,9 +50,15 @@ def nfa_accepts(a, word):
     return False
 
 
-def dfa_accepts(dfa, a, word):
+def dfa_accepts(dfa, ends, word):
+    """True when dfa reads word into a subset that meets the states ends."""
     q = dfa.run(word)
-    return q is not None and set(dfa.subsets[q]) & set(a.final)
+    return q is not None and bool(dfa.subsets[q] & sum(1 << p for p in ends))
+
+
+def arcs_free(edges):
+    """Input-only transitions: (src, symbol, dst) with the unit output."""
+    return [(src, inp, "", dst) for src, inp, dst in edges]
 
 
 # --- construction and validation -------------------------------------------
@@ -92,7 +95,7 @@ def test_real_time_flag():
     assert not t2.real_time
 
 
-# --- trim, project, reverse -------------------------------------------------
+# --- trim --------------------------------------------------------------------
 
 
 def test_trim_drops_useless_states():
@@ -128,77 +131,84 @@ def test_trim_preserves_outputs_per_word():
             assert enumerate_outputs(t, w, bound) == enumerate_outputs(trimmed, w, bound)
 
 
-def test_project_input_dedups_and_keeps_eps():
-    t = make_transducer(
-        ("a",), FREE, 2, {0}, {1},
-        [(0, "a", "x", 1), (0, "a", "y", 1), (0, None, "x", 0)],
-    )
-    a = project_input(t)
-    assert a.edges == ((0, "a", 1), (0, None, 0))
-
-
-def test_reverse_is_an_involution():
-    a = Automaton(("a", "b"), 3, frozenset({0}), frozenset({2}), ((0, "a", 1), (1, "b", 2)))
-    r = reverse(a)
-    assert r.initial == frozenset({2}) and r.final == frozenset({0})
-    assert r.edges == ((1, "a", 0), (2, "b", 1))
-    assert reverse(r) == Automaton(a.alphabet, a.n_states, a.initial, a.final, a.edges)
-
-
 # --- determinize -------------------------------------------------------------
 
 
+def test_members_lists_set_bits_ascending():
+    assert members(0) == ()
+    assert members(0b101001) == (0, 3, 5)
+    assert members(1 << 70 | 2) == (1, 70)
+
+
 def test_determinize_is_partial_without_sink():
-    a = Automaton(("a", "b"), 2, frozenset({0}), frozenset({1}), ((0, "a", 1),))
-    d = determinize(a)
-    assert d.n_states == 2
-    assert d.subsets == ((0,), (1,))
-    assert d.delta == {(0, "a"): 1}
-    assert d.run("ab") is None
+    t = make_transducer(("a", "b"), FREE, 2, {0}, {1}, arcs_free([(0, "a", 1)]))
+    left, right = determinize(t)
+    assert left.n_states == 2
+    assert left.subsets == (0b01, 0b10)
+    assert left.delta == {(0, "a"): 1}
+    assert left.run("ab") is None
+    assert right.subsets == (0b10, 0b01)
+    assert right.delta == {(0, "a"): 1}
 
 
 def test_determinize_preserves_language():
     rng = random.Random(777)
     for _ in range(60):
         t = random_transducer(rng, allow_eps=False)
-        a = project_input(t)
-        d = determinize(a)
-        assert len(set(d.subsets)) == d.n_states
-        assert d.n_states <= 2 ** a.n_states
-        for w in all_words(a.alphabet, 4):
-            assert bool(dfa_accepts(d, a, w)) == nfa_accepts(a, w)
+        left, right = determinize(t)
+        for d in (left, right):
+            assert len(set(d.subsets)) == d.n_states
+            assert d.n_states <= 2 ** t.n_states
+        for w in all_words(t.alphabet, 4):
+            assert dfa_accepts(left, t.final, w) == nfa_accepts(t, w)
+
+
+def test_right_dfa_accepts_the_reversed_words():
+    # the right automaton reads backward from the final states, so it
+    # reaches an initial state on exactly the reversed words in the domain
+    rng = random.Random(2718)
+    for k in range(80):
+        t = random_transducer(rng, allow_eps=True, require_eps=k % 2 == 0)
+        left, right = determinize(t)
+        for w in all_words(t.alphabet, 4):
+            want = nfa_accepts(t, w)
+            assert dfa_accepts(left, t.final, w) == want
+            assert dfa_accepts(right, t.initial, w[::-1]) == want
 
 
 def test_determinize_state_cap(monkeypatch):
     monkeypatch.setenv("BIMC_MAX_STATES", "2")
     # classic 2^n blowup: last symbol before the end must be 'a'
     edges = [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "a", 2), (1, "b", 2)]
-    a = Automaton(("a", "b"), 3, frozenset({0}), frozenset({2}), tuple(edges))
+    t = make_transducer(("a", "b"), FREE, 3, {0}, {2}, arcs_free(edges))
     with pytest.raises(StateLimitExceeded):
-        determinize(a)
+        determinize(t)
 
 
 def test_determinize_empty_initial_set():
-    a = Automaton(("a",), 2, frozenset(), frozenset({1}), ((0, "a", 1),))
-    d = determinize(a)
-    assert d.n_states == 1 and d.subsets == ((),) and d.delta == {}
+    t = make_transducer(("a",), FREE, 2, set(), {1}, arcs_free([(0, "a", 1)]))
+    left, right = determinize(t)
+    assert left.n_states == 1 and left.subsets == (0,) and left.delta == {}
+    assert right.subsets == (0b10, 0b01)
 
 
 def test_determinize_eps_start_subset_is_not_closed():
-    a = Automaton(("a",), 3, frozenset({0}), frozenset({2}), ((0, None, 1), (1, "a", 2)))
-    d = determinize(a)
-    assert d.subsets[0] == (0,)
-    assert d.delta[(0, "a")] == d.subsets.index((2,))
+    t = make_transducer(("a",), FREE, 3, {0}, {2}, arcs_free([(0, None, 1), (1, "a", 2)]))
+    left, right = determinize(t)
+    assert left.subsets[0] == 0b001
+    assert left.delta[(0, "a")] == left.subsets.index(0b100)
+    assert right.subsets[0] == 0b100
+    assert right.delta[(0, "a")] == right.subsets.index(0b011)
 
 
 def test_determinize_eps_symbol_rides_epsilon_moves():
     # a-step available only through eps closure on both sides
-    a = Automaton(
-        ("a",), 4, frozenset({0}), frozenset({3}),
-        ((0, None, 1), (1, "a", 2), (2, None, 3)),
+    t = make_transducer(
+        ("a",), FREE, 4, {0}, {3}, arcs_free([(0, None, 1), (1, "a", 2), (2, None, 3)]),
     )
-    d = determinize(a)
-    assert d.run("a") == d.subsets.index((2, 3))
+    left, right = determinize(t)
+    assert left.run("a") == left.subsets.index(0b1100)
+    assert right.run("a") == right.subsets.index(0b0011)
 
 
 def test_determinize_matches_naive_eps_removal():
@@ -206,20 +216,18 @@ def test_determinize_matches_naive_eps_removal():
     rng = random.Random(31337)
     for k in range(90):
         t = random_transducer(rng, allow_eps=k < 60)
-        a = project_input(t)
-        d1 = determinize(a)
-        d2 = determinize(remove_eps_edges(a))
-        assert d1.subsets == d2.subsets
-        assert d1.delta == d2.delta
+        for d1, d2 in zip(determinize(t), determinize(remove_eps_edges(t))):
+            assert d1.subsets == d2.subsets
+            assert d1.delta == d2.delta
 
 
 def test_determinize_eps_handles_eps_cycles():
-    a = Automaton(
-        ("a",), 3, frozenset({0}), frozenset({2}),
-        ((0, None, 1), (1, None, 0), (0, "a", 2)),
+    t = make_transducer(
+        ("a",), FREE, 3, {0}, {2}, arcs_free([(0, None, 1), (1, None, 0), (0, "a", 2)]),
     )
-    d = determinize(a)
-    assert d.run("a") == d.subsets.index((2,))
+    left, right = determinize(t)
+    assert left.run("a") == left.subsets.index(0b100)
+    assert right.run("a") == right.subsets.index(0b011)
 
 
 # --- output cells ------------------------------------------------------------
@@ -233,7 +241,7 @@ def test_output_cells_are_the_compiled_output_maps():
             for li, L in enumerate(left.subsets)
             for a in left.alphabet
             for ri in range(right.n_states)
-            if (ri, a) in right.delta and set(L) & set(right.subsets[right.delta[(ri, a)]])
+            if (ri, a) in right.delta and L & right.subsets[right.delta[(ri, a)]]
         )
 
     rng = random.Random(6060)

@@ -11,6 +11,7 @@ from helpers import (
     candidate_values,
     dump_valuation,
     is_instance_of,
+    pair_index,
     random_transducer,
 )
 
@@ -157,7 +158,7 @@ def test_coaccessible_filters_dead_pairs():
     useful = coaccessible(sq)
     dead = {i for i, p in enumerate(sq.pairs) if 2 in p}
     assert dead and not (dead & useful)
-    assert sq.index[(1, 1)] in useful
+    assert pair_index(sq)[(1, 1)] in useful
 
 
 def test_valuation_tracks_first_discovery():
@@ -165,11 +166,12 @@ def test_valuation_tracks_first_discovery():
     sq = squared(t)
     useful = coaccessible(sq)
     val = valuation(sq, useful)
-    idx = sq.index[(1, 2)]
+    index = pair_index(sq)
+    idx = index[(1, 2)]
     assert val.rho[idx] == (fw("x"), fw("xx"))
     assert val.nu[idx] == (fw("x"), fw(""))
-    assert val.rho[sq.index[(1, 1)]] == (fw("x"), fw("x"))
-    assert val.nu[sq.index[(1, 1)]] == (FREE.unit, FREE.unit)
+    assert val.rho[index[(1, 1)]] == (fw("x"), fw("x"))
+    assert val.nu[index[(1, 1)]] == (FREE.unit, FREE.unit)
 
 
 def test_valuation_defined_exactly_on_useful_pairs():
