@@ -11,11 +11,11 @@ unique surviving transition's word directly.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .bimachine import Bimachine
-from .fsa import MaskStates, Transducer, Transition, _check_cap, determinize, output_cells, trim
+from .fsa import MaskStates, Transducer, Transition, determinize, explore, output_cells, trim
 from .monoid import DescriptorMismatch, FreeWords
 
 
@@ -65,15 +65,9 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     by_src = defaultdict(list)
     for tr in t.transitions:
         by_src[tr.src].append(tr)
-    start = (next(iter(t.initial)), frozenset())
-    index = {start: 0}
-    pairs = [start]
-    arcs = []
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+
+    def successors(node):
         p, neg_set = node
-        src = index[node]
         for tr in by_src[p]:
             neg = set()
             for q in neg_set:
@@ -83,21 +77,16 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
             for tp in by_src[p]:
                 if tp.inp == tr.inp and lex(tp.out.payload) < lex(tr.out.payload):
                     neg.add(tp.dst)
-            if tr.dst in neg:
-                continue
-            succ = (tr.dst, frozenset(neg))
-            if succ not in index:
-                index[succ] = len(pairs)
-                pairs.append(succ)
-                _check_cap(len(pairs), "unambiguous expansion")
-                queue.append(succ)
-            arcs.append(Transition(src, tr.inp, tr.out, index[succ]))
+            if tr.dst not in neg:
+                yield tr, (tr.dst, frozenset(neg))
+
+    start = (next(iter(t.initial)), frozenset())
+    pairs, arcs = explore([start], successors, "unambiguous expansion")
+    arcs = tuple(Transition(src, tr.inp, tr.out, dst) for src, tr, dst in arcs)
     finals = frozenset(
         i for i, (p, neg) in enumerate(pairs) if p in t.final and not (neg & t.final)
     )
-    expanded = Transducer(
-        t.alphabet, t.monoid, len(pairs), frozenset({0}), finals, tuple(arcs)
-    )
+    expanded = Transducer(t.alphabet, t.monoid, len(pairs), frozenset({0}), finals, arcs)
     trimmed, kept = trim(expanded)
     return ExpandedTransducer(trimmed, tuple(pairs[old] for old in kept))
 

@@ -16,7 +16,7 @@ import sys
 import warnings
 from collections import defaultdict
 
-from .benchmark import SAFETY_LIMITS, run_bench
+from .benchmark import run_bench
 from .bimachine import Bimachine, evaluate
 from .classical import check_pseudo_deterministic, classical_compile
 from .compiler import CompileError, compile as mge_compile
@@ -50,32 +50,46 @@ def _content_lines(text):
             yield lineno, line.split()
 
 
+def _parsed(error, lineno, parse, *args):
+    """parse(*args), with a ValueError reraised as error at lineno."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        raise error(f"line {lineno}: {err}") from None
+
+
 def parse_transducer(text: str) -> Transducer:
     """Read the line-based transducer format.
 
-    Declarations may come in any order; transitions are resolved after
-    the whole file is read.  Duplicate transition rows collapse to one
-    with a warning, matching what the constructor would silently do.
+    Declarations may come in any order, each at most once; transitions
+    are resolved after the whole file is read.  Duplicate transition
+    rows collapse to one with a warning, matching what the constructor
+    would silently do.
     """
     monoid = None
     alphabet = None
     n_states = None
-    initial = None
-    final = None
     rows = []
     state_lists = {}
+    declared = {}  # line number of each declaration, which may appear once
     for lineno, tokens in _content_lines(text):
         kind, rest = tokens[0], tokens[1:]
+        if kind in ("monoid", "alphabet", "states", "initial", "final"):
+            if kind in declared:
+                raise TransducerFormatError(
+                    f"line {lineno}: {kind} already declared on line {declared[kind]}"
+                )
+            declared[kind] = lineno
         if kind == "monoid":
-            try:
-                monoid = parse_descriptor(" ".join(rest))
-            except ValueError as err:
-                raise TransducerFormatError(f"line {lineno}: {err}") from None
+            monoid = _parsed(TransducerFormatError, lineno, parse_descriptor, " ".join(rest))
         elif kind == "alphabet":
             if "-" in rest:
                 raise TransducerFormatError(
                     f"line {lineno}: the symbol - is reserved for the empty input"
                 )
+            for i, sym in enumerate(rest):
+                if sym in rest[:i]:
+                    raise TransducerFormatError(f"line {lineno}: duplicate input symbol {sym!r}")
             alphabet = tuple(rest)
         elif kind == "states":
             if len(rest) != 1 or not rest[0].isdigit():
@@ -84,7 +98,7 @@ def parse_transducer(text: str) -> Transducer:
         elif kind in ("initial", "final"):
             if not all(x.isdigit() for x in rest):
                 raise TransducerFormatError(f"line {lineno}: {kind} takes state indices")
-            state_lists[kind] = (lineno, frozenset(int(x) for x in rest))
+            state_lists[kind] = frozenset(int(x) for x in rest)
         elif kind == "t":
             if len(rest) < 4 or not rest[0].isdigit() or not rest[-1].isdigit():
                 raise TransducerFormatError(
@@ -96,16 +110,12 @@ def parse_transducer(text: str) -> Transducer:
     for name, value in (("monoid", monoid), ("alphabet", alphabet), ("states", n_states)):
         if value is None:
             raise TransducerFormatError(f"missing {name} declaration")
-    initial = state_lists.get("initial", (0, frozenset()))[1]
-    final = state_lists.get("final", (0, frozenset()))[1]
-    for kind in ("initial", "final"):
-        if kind in state_lists:
-            lineno, states = state_lists[kind]
-            for q in states:
-                if q >= n_states:
-                    raise TransducerFormatError(
-                        f"line {lineno}: {kind} state {q} not among the {n_states} states"
-                    )
+    for kind, states in state_lists.items():
+        for q in states:
+            if q >= n_states:
+                raise TransducerFormatError(
+                    f"line {declared[kind]}: {kind} state {q} not among the {n_states} states"
+                )
     transitions = []
     seen = set()
     for lineno, src, sym, literal, dst in rows:
@@ -115,16 +125,14 @@ def parse_transducer(text: str) -> Transducer:
             )
         if sym != "-" and sym not in alphabet:
             raise TransducerFormatError(f"line {lineno}: undeclared symbol {sym!r}")
-        try:
-            value = parse_value(monoid, literal)
-        except ValueError as err:
-            raise TransducerFormatError(f"line {lineno}: {err}") from None
+        value = _parsed(TransducerFormatError, lineno, parse_value, monoid, literal)
         tr = Transition(src, None if sym == "-" else sym, value, dst)
         if tr in seen:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")
             continue
         seen.add(tr)
         transitions.append(tr)
+    initial, final = (state_lists.get(kind, frozenset()) for kind in ("initial", "final"))
     return Transducer(alphabet, monoid, n_states, initial, final, tuple(transitions))
 
 
@@ -172,10 +180,7 @@ def bimachine_from_text(text: str) -> Bimachine:
         if monoid is None:
             if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
                 raise BimachineFormatError(f"line {lineno}: expected a BIM v1 header")
-            try:
-                monoid = parse_descriptor(" ".join(tokens[2:]))
-            except ValueError as err:
-                raise BimachineFormatError(f"line {lineno}: {err}") from None
+            monoid = _parsed(BimachineFormatError, lineno, parse_descriptor, " ".join(tokens[2:]))
             continue
         kind = tokens[0]
         if kind in ("LEFT", "RIGHT", "PSI"):
@@ -208,19 +213,13 @@ def bimachine_from_text(text: str) -> Bimachine:
         highest[side] = max(highest[side], starts[side])
     psi = {}
     for lineno, l, sym, r, literal in psi_rows:
-        try:
-            psi[(l, sym, r)] = parse_value(monoid, literal)
-        except ValueError as err:
-            raise BimachineFormatError(f"line {lineno}: {err}") from None
+        psi[(l, sym, r)] = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
         highest["LEFT"] = max(highest["LEFT"], l)
         highest["RIGHT"] = max(highest["RIGHT"], r)
     eps_output = None
     if eps_literal is not None:
         lineno, literal = eps_literal
-        try:
-            eps_output = parse_value(monoid, literal)
-        except ValueError as err:
-            raise BimachineFormatError(f"line {lineno}: {err}") from None
+        eps_output = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
     alphabet = tuple(sorted(
         {sym for _, sym in deltas["LEFT"]}
         | {sym for _, sym in deltas["RIGHT"]}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, eps_closure, members, output_cells
+from .fsa import Transducer, determinize, members, output_cells
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -57,8 +57,9 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
     return dict(zip(states, values))
 
 
-def generalized_transitions(t: Transducer):
-    """Every single-symbol step of t including surrounding ε movement.
+def generalized_transitions(t: Transducer, eps_paths):
+    """Every single-symbol step of t including surrounding ε movement,
+    given t's output-labelled eps_closure.
 
     Returns (src, sym, value, dst) tuples, one per path shaped
     ε*·sym·ε* with the ε outputs folded into the value; on a real-time
@@ -68,8 +69,7 @@ def generalized_transitions(t: Transducer):
     output-free (which the functionality test guarantees), otherwise
     the expansion would not be finite.
     """
-    arcs = ((tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None)
-    outof, into = eps_closure(t.n_states, arcs, t.monoid.unit)
+    outof, into = eps_paths
     gen = []
     seen = set()
     for tr in t.transitions:
@@ -142,7 +142,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             if s and s not in phi:
                 phi[s] = set_mge(members(s), nu, tt.monoid)
     steps = defaultdict(list)
-    for p, a, m, q in generalized_transitions(tt):
+    for p, a, m, q in generalized_transitions(tt, verdict.eps_paths):
         steps[(a, p)].append((m, q))
     psi = {}
     for li, a, ri, s, l2, r in output_cells(left, right):

@@ -1,10 +1,14 @@
 """Finite-state transducers with monoid outputs and the constructions
 on their state sets: trimming, epsilon closure, the forward and backward
 power-set automata (subsets are bitmasks over the states), and the walk
-over output cells."""
+over output cells.  Every construction that discovers its states from a
+start (the power-set automata, the squared automaton, the classical
+expansion) numbers them with explore, which also enforces the one state
+budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
+import math
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -14,18 +18,39 @@ from .monoid import Monoid, MonoidValue
 
 
 class StateLimitExceeded(RuntimeError):
-    """A power-set construction outgrew BIMC_MAX_STATES."""
+    """A construction found more states than BIMC_MAX_STATES allows; the
+    message names the construction (determinize, squared, unambiguous
+    expansion)."""
 
 
-def _state_cap():
-    raw = os.environ.get("BIMC_MAX_STATES")
-    return int(raw) if raw else None
+def explore(starts, successors, what):
+    """Breadth-first numbering of the nodes reachable from starts.
 
-
-def _check_cap(count, what):
-    cap = _state_cap()
-    if cap is not None and count > cap:
-        raise StateLimitExceeded(f"{what} exceeded BIMC_MAX_STATES={cap}")
+    The starts come first, deduplicated, in the order given; every other
+    node is numbered when it is first seen.  successors(node) yields
+    (label, node) pairs.  Returns (order, arcs): the nodes by number and
+    the (src, label, dst) triples in discovery order.  Raises
+    StateLimitExceeded, naming what, once more than BIMC_MAX_STATES
+    nodes are numbered; the count is checked before each visit, and
+    every numbered node gets one, so no result goes past the cap.
+    """
+    raw = os.environ.get("BIMC_MAX_STATES", "")
+    if raw and not raw.isdigit():
+        raise ValueError(f"BIMC_MAX_STATES must be a state count, not {raw!r}")
+    cap = int(raw) if raw else math.inf
+    order = list(dict.fromkeys(starts))
+    index = {node: i for i, node in enumerate(order)}
+    arcs = []
+    for src, node in enumerate(order):  # order grows while it is read: breadth first
+        if len(order) > cap:
+            raise StateLimitExceeded(f"{what} exceeded BIMC_MAX_STATES={cap}")
+        for label, nxt in successors(node):
+            dst = index.get(nxt)
+            if dst is None:
+                dst = index[nxt] = len(order)
+                order.append(nxt)
+            arcs.append((src, label, dst))
+    return order, arcs
 
 
 class Transition(NamedTuple):
@@ -110,14 +135,6 @@ class Dfa:
     start: int
     delta: dict
     subsets: tuple[int, ...] | None = None
-
-    def run(self, word):
-        q = self.start
-        for sym in word:
-            q = self.delta.get((q, sym))
-            if q is None:
-                return None
-        return q
 
 
 def members(mask):
@@ -265,25 +282,16 @@ def determinize(t: Transducer) -> tuple[Dfa, Dfa]:
                     bwd[p][tr.inp] = bwd[p].get(tr.inp, 0) | 1 << q
     dfas = []
     for start, step in ((t.initial, fwd), (t.final, bwd)):
-        order = [sum(1 << q for q in start)]
-        index = {order[0]: 0}
-        delta = {}
-        for src, subset in enumerate(order):  # order grows while it is read: breadth first
-            images = {}
+        def images(subset):
+            image = {}
             for q in members(subset):
                 for sym, mask in step[q].items():
-                    images[sym] = images.get(sym, 0) | mask
-            for sym in t.alphabet:
-                image = images.get(sym)
-                if image is None:
-                    continue
-                dst = index.get(image)
-                if dst is None:
-                    _check_cap(len(order) + 1, "determinize")
-                    dst = index[image] = len(order)
-                    order.append(image)
-                delta[(src, sym)] = dst
+                    image[sym] = image.get(sym, 0) | mask
+            return ((sym, image[sym]) for sym in t.alphabet if sym in image)
+
+        order, arcs = explore([sum(1 << q for q in start)], images, "determinize")
         assert len(order) <= 2 ** t.n_states
+        delta = {(src, sym): dst for src, sym, dst in arcs}
         dfas.append(Dfa(t.alphabet, len(order), 0, delta, tuple(order)))
     return tuple(dfas)
 

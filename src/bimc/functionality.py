@@ -33,9 +33,9 @@ class FunctionalityVerdict:
     trimmed: Transducer
     kept: list[int]
     squared: SquaredAutomaton | None = None
-    useful: frozenset[int] | None = None
     valuation: Valuation | None = None
     eps_outputs: frozenset[MonoidValue] = frozenset()
+    eps_paths: tuple | None = None  # eps_closure of trimmed, output-labelled
 
     def __bool__(self):
         return self.functional
@@ -82,17 +82,18 @@ def eps_cycle_check(t: Transducer):
     return None
 
 
-def eps_language(t: Transducer) -> frozenset[MonoidValue]:
-    """All outputs over successful epsilon-input paths.  Finite only when
-    eps_cycle_check passed, which callers must ensure first."""
-    arcs = ((tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None)
-    outof, _ = eps_closure(t.n_states, arcs, t.monoid.unit)
+def eps_language(t: Transducer, eps_paths) -> frozenset[MonoidValue]:
+    """All outputs over successful epsilon-input paths, given t's
+    output-labelled eps_closure.  Finite only when eps_cycle_check
+    passed, which callers must ensure first."""
+    outof, _ = eps_paths
     return frozenset(v for i in t.initial for q, v in outof[i] if q in t.final)
 
 
 def test_functionality(t: Transducer) -> FunctionalityVerdict:
-    """Decide functionality; the verdict keeps the trimmed transducer,
-    squared automaton, and valuation for reuse by the compiler."""
+    """Decide functionality; the verdict keeps the trimmed transducer, its
+    epsilon paths, squared automaton, and valuation for reuse by the
+    compiler."""
     trimmed, kept = trim(t)
 
     def reject(kind, detail, **extras):
@@ -104,7 +105,9 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
             "eps-cycle",
             f"state {kept[bad]} lies on an epsilon cycle with nonunit output",
         )
-    eps_outs = eps_language(trimmed)
+    arcs = ((tr.src, tr.out, tr.dst) for tr in trimmed.transitions if tr.inp is None)
+    eps_paths = eps_closure(trimmed.n_states, arcs, trimmed.monoid.unit)
+    eps_outs = eps_language(trimmed, eps_paths)
     if len(eps_outs) > 1:
         shown = ", ".join(sorted(format_value(v) for v in eps_outs))
         return reject(
@@ -116,7 +119,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     sq = squared(trimmed)
     useful = coaccessible(sq)
     val = valuation(sq, useful)
-    extras = dict(squared=sq, useful=useful, valuation=val, eps_outputs=eps_outs)
+    extras = dict(squared=sq, valuation=val, eps_outputs=eps_outs, eps_paths=eps_paths)
 
     for i in range(len(sq.pairs)):
         if i in useful and i not in val.nu:

@@ -9,10 +9,10 @@ accumulated label divergence (rho) and its most general equalizer (nu).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .fsa import Transducer, reachable
+from .fsa import Transducer, explore, reachable
 from .monoid import Monoid, MonoidValue, eta
 
 
@@ -42,44 +42,22 @@ def squared(t: Transducer) -> SquaredAutomaton:
             by_state_sym[(tr.src, tr.inp)].append((tr.out, tr.dst))
     unit = t.monoid.unit
 
-    def expand(p1, p2):
+    def successors(pair):
+        p1, p2 = pair
         for sym in t.alphabet:
             for m1, q1 in by_state_sym[(p1, sym)]:
                 for m2, q2 in by_state_sym[(p2, sym)]:
-                    yield m1, m2, q1, q2
+                    yield (m1, m2), (q1, q2)
         for m2, q2 in eps_from[p2]:
-            yield unit, m2, p1, q2
+            yield (unit, m2), (p1, q2)
         for m1, q1 in eps_from[p1]:
-            yield m1, unit, q1, p2
+            yield (m1, unit), (q1, p2)
 
-    order = []
-    index = {}
-    queue = deque()
-    for p1 in sorted(t.initial):
-        for p2 in sorted(t.initial):
-            pair = (p1, p2)
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-                queue.append(pair)
-    initial = frozenset(range(len(order)))
-    transitions = []
-    seen_arcs = set()
-    while queue:
-        pair = queue.popleft()
-        src = index[pair]
-        for m1, m2, q1, q2 in expand(*pair):
-            target = (q1, q2)
-            dst = index.get(target)
-            if dst is None:
-                dst = len(order)
-                index[target] = dst
-                order.append(target)
-                queue.append(target)
-            arc = (src, m1, m2, dst)
-            if arc not in seen_arcs:
-                seen_arcs.add(arc)
-                transitions.append(arc)
+    starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
+    order, arcs = explore(starts, successors, "squared")
+    initial = frozenset(range(len(starts)))
+    # a repeated arc is dropped, the first one kept in place
+    transitions = dict.fromkeys((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
     final = frozenset(
         i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
     )

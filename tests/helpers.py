@@ -11,7 +11,7 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import make_transducer
+from bimc.fsa import eps_closure, make_transducer
 from bimc.monoid import (
     DescriptorMismatch,
     FreeWords,
@@ -133,6 +133,24 @@ def dump_valuation(sq, val) -> str:
             f"(({p1},{p2})) rho={render(val.rho.get(i))} nu={render(val.nu.get(i))}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def run_dfa(dfa, word):
+    """The state dfa reaches reading word from its start, or None when
+    a move is undefined."""
+    q = dfa.start
+    for sym in word:
+        q = dfa.delta.get((q, sym))
+        if q is None:
+            return None
+    return q
+
+
+def eps_paths(t):
+    """t's output-labelled epsilon closure, as the functionality test
+    computes it for eps_language and generalized_transitions."""
+    arcs = [(tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None]
+    return eps_closure(t.n_states, arcs, t.monoid.unit)
 
 
 def pair_index(sq):

@@ -62,6 +62,11 @@ def test_parse_errors_carry_line_numbers():
         ("monoid free:x\nalphabet a\nstates 2\n\nt 0 a \"xz\" 1\n", "line 5: symbols outside"),
         ("alphabet a\nstates 1\n", "missing monoid"),
         ("monoid free:x\nstates 1\n", "missing alphabet"),
+        ("monoid free:x\nalphabet a a\nstates 1\n", "line 2: duplicate input symbol 'a'"),
+        (
+            "monoid free:x\nalphabet a\nstates 2\ninitial 0\nstates 1\n",
+            "line 5: states already declared on line 3",
+        ),
     ]
     for text, needle in cases:
         with pytest.raises(TransducerFormatError) as info:
@@ -168,6 +173,15 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     )
     assert cli_main(["check", str(bad)]) == 1
     assert "not functional" in capsys.readouterr().out
+
+
+def test_cli_check_names_the_phase_over_the_state_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIMC_MAX_STATES", "20")
+    assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
+    assert "error: squared exceeded BIMC_MAX_STATES=20" in capsys.readouterr().err
+    monkeypatch.setenv("BIMC_MAX_STATES", "many")
+    assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
+    assert "BIMC_MAX_STATES must be a state count, not 'many'" in capsys.readouterr().err
 
 
 def test_cli_compile_and_run(tmp_path, capsys):

@@ -13,7 +13,7 @@ from bimc.compiler import (
 from bimc.fsa import make_transducer
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue
-from helpers import all_words, output_table, random_transducer
+from helpers import all_words, eps_paths, output_table, random_transducer
 
 FREE = FreeWords(("x", "y"))
 
@@ -68,7 +68,7 @@ def test_generalized_transitions_real_time_is_delta_order():
         [(0, "a", "x", 1), (0, "b", "y", 1), (1, "a", "", 0)],
     )
     want = [(0, "a", fw("x"), 1), (0, "b", fw("y"), 1), (1, "a", fw(""), 0)]
-    assert generalized_transitions(t) == want
+    assert generalized_transitions(t, eps_paths(t)) == want
 
 
 def test_generalized_transitions_fold_eps_outputs():
@@ -76,7 +76,7 @@ def test_generalized_transitions_fold_eps_outputs():
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (1, "a", "y", 2)],
     )
-    gen = set(generalized_transitions(t))
+    gen = set(generalized_transitions(t, eps_paths(t)))
     assert gen == {(1, "a", fw("y"), 2), (0, "a", fw("xy"), 2)}
 
 

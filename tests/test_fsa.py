@@ -11,6 +11,7 @@ from bimc.fsa import (
     StateLimitExceeded,
     determinize,
     enumerate_outputs,
+    explore,
     make_transducer,
     members,
     output_cells,
@@ -18,7 +19,14 @@ from bimc.fsa import (
 )
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
-from helpers import all_words, output_table, random_pseudo_det, random_transducer, remove_eps_edges
+from helpers import (
+    all_words,
+    output_table,
+    random_pseudo_det,
+    random_transducer,
+    remove_eps_edges,
+    run_dfa,
+)
 
 FREE = FreeWords(("x", "y"))
 
@@ -52,7 +60,7 @@ def nfa_accepts(t, word):
 
 def dfa_accepts(dfa, ends, word):
     """True when dfa reads word into a subset that meets the states ends."""
-    q = dfa.run(word)
+    q = run_dfa(dfa, word)
     return q is not None and bool(dfa.subsets[q] & sum(1 << p for p in ends))
 
 
@@ -131,7 +139,19 @@ def test_trim_preserves_outputs_per_word():
             assert enumerate_outputs(t, w, bound) == enumerate_outputs(trimmed, w, bound)
 
 
-# --- determinize -------------------------------------------------------------
+# --- explore and determinize -------------------------------------------------
+
+
+def test_explore_numbers_starts_first_then_breadth_first(monkeypatch):
+    succ = {"a": [(1, "c"), (2, "b")], "b": [(3, "d")], "c": [(4, "a")], "d": []}
+    order, arcs = explore(["b", "a", "b"], succ.get, "walk")
+    assert order == ["b", "a", "d", "c"]
+    assert arcs == [(0, 3, 2), (1, 1, 3), (1, 2, 0), (3, 4, 1)]
+    monkeypatch.setenv("BIMC_MAX_STATES", "4")
+    assert explore(["b", "a"], succ.get, "walk") == (order, arcs)
+    monkeypatch.setenv("BIMC_MAX_STATES", "3")
+    with pytest.raises(StateLimitExceeded, match="walk exceeded BIMC_MAX_STATES=3"):
+        explore(["b", "a"], succ.get, "walk")
 
 
 def test_members_lists_set_bits_ascending():
@@ -146,7 +166,7 @@ def test_determinize_is_partial_without_sink():
     assert left.n_states == 2
     assert left.subsets == (0b01, 0b10)
     assert left.delta == {(0, "a"): 1}
-    assert left.run("ab") is None
+    assert run_dfa(left, "ab") is None
     assert right.subsets == (0b10, 0b01)
     assert right.delta == {(0, "a"): 1}
 
@@ -207,8 +227,8 @@ def test_determinize_eps_symbol_rides_epsilon_moves():
         ("a",), FREE, 4, {0}, {3}, arcs_free([(0, None, 1), (1, "a", 2), (2, None, 3)]),
     )
     left, right = determinize(t)
-    assert left.run("a") == left.subsets.index(0b1100)
-    assert right.run("a") == right.subsets.index(0b0011)
+    assert run_dfa(left, "a") == left.subsets.index(0b1100)
+    assert run_dfa(right, "a") == right.subsets.index(0b0011)
 
 
 def test_determinize_matches_naive_eps_removal():
@@ -226,8 +246,8 @@ def test_determinize_eps_handles_eps_cycles():
         ("a",), FREE, 3, {0}, {2}, arcs_free([(0, None, 1), (1, None, 0), (0, "a", 2)]),
     )
     left, right = determinize(t)
-    assert left.run("a") == left.subsets.index(0b100)
-    assert right.run("a") == right.subsets.index(0b011)
+    assert run_dfa(left, "a") == left.subsets.index(0b100)
+    assert run_dfa(right, "a") == right.subsets.index(0b011)
 
 
 # --- output cells ------------------------------------------------------------

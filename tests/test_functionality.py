@@ -3,11 +3,14 @@
 import random
 from fractions import Fraction
 
-from bimc.fsa import make_transducer
+import pytest
+
+from bimc.benchmark import make_tn
+from bimc.fsa import StateLimitExceeded, make_transducer
 from bimc.functionality import eps_cycle_check, eps_language
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
-from helpers import output_table, random_transducer
+from helpers import eps_paths, output_table, random_transducer
 
 FREE = FreeWords(("x", "y"))
 
@@ -65,14 +68,14 @@ def test_eps_language_collects_all_eps_outputs():
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 2)],
     )
-    assert eps_language(t) == frozenset({fw("x"), fw("y")})
+    assert eps_language(t, eps_paths(t)) == frozenset({fw("x"), fw("y")})
 
 
 def test_eps_language_empty_word_via_overlap():
     t = make_transducer(("a",), FREE, 1, {0}, {0}, [])
-    assert eps_language(t) == frozenset({fw("")})
+    assert eps_language(t, eps_paths(t)) == frozenset({fw("")})
     t2 = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
-    assert eps_language(t2) == frozenset()
+    assert eps_language(t2, eps_paths(t2)) == frozenset()
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -152,6 +155,14 @@ def test_witness_eps_language():
     assert not v.functional
     assert v.witness.kind == "eps-language"
     assert v.eps_outputs == frozenset({fw("x"), fw("y")})
+
+
+def test_squared_automaton_keeps_the_state_budget(monkeypatch):
+    t = make_tn(4)
+    assert len(functionality(t).squared.pairs) == 26
+    monkeypatch.setenv("BIMC_MAX_STATES", "20")
+    with pytest.raises(StateLimitExceeded, match="squared exceeded BIMC_MAX_STATES=20"):
+        functionality(t)
 
 
 def test_nonunit_eps_cycle_off_successful_paths_is_ignored():
