@@ -4,7 +4,8 @@ A pair (m1, m2) is equalizable when some (x1, x2) satisfies
 m1*x1 == m2*x2; a most general equalizer (mge) is an equalizer that
 every other equalizer factors through on the right.  Every monoid here
 is right cancellative and provides eta(m1, m2) returning an mge, or
-None when the pair has no equalizer at all.
+None when the pair has no equalizer at all, and solve_right(m, n),
+the unique c with m*c == n, or None.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and
@@ -13,6 +14,7 @@ pairs combining any two of the above componentwise.
 
 from __future__ import annotations
 
+import numbers
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -41,8 +43,8 @@ class Monoid:
         """Mge of (a, b) as a payload pair, or None if not equalizable."""
         raise NotImplementedError
 
-    def inverse_payload(self, a):
-        """Two-sided inverse payload, or None if a is not invertible."""
+    def solve_payload(self, a, b):
+        """The payload c with a*c == b, or None when there is none."""
         raise NotImplementedError
 
     def check_payload(self, a):
@@ -112,8 +114,8 @@ class FreeWords(Monoid):
             return ("", a[len(b):])
         return None
 
-    def inverse_payload(self, a):
-        return "" if a == "" else None
+    def solve_payload(self, a, b):
+        return b[len(a):] if b.startswith(a) else None
 
     def check_payload(self, a):
         if not isinstance(a, str):
@@ -168,12 +170,14 @@ class NonNegRationals(Monoid):
         m = max(a, b)
         return (m - a, m - b)
 
-    def inverse_payload(self, a):
-        return Fraction(0) if a == 0 else None
+    def solve_payload(self, a, b):
+        return b - a if b >= a else None
 
     def check_payload(self, a):
-        if isinstance(a, float):
-            raise ValueError("floats are not accepted, use Fraction or int")
+        if isinstance(a, str):
+            return self.parse_payload(a)
+        if isinstance(a, bool) or not isinstance(a, numbers.Rational):
+            raise ValueError(f"rational payload must be a Fraction, int or literal, got {a!r}")
         a = Fraction(a)
         if a < 0:
             raise ValueError(f"negative rational {a}")
@@ -208,8 +212,8 @@ class Integers(Monoid):
     def eta_payload(self, a, b):
         return (0, a - b)
 
-    def inverse_payload(self, a):
-        return -a
+    def solve_payload(self, a, b):
+        return b - a
 
     def check_payload(self, a):
         if isinstance(a, bool) or not isinstance(a, int):
@@ -257,14 +261,10 @@ class PairOf(Monoid):
             return None
         return ((el[0], er[0]), (el[1], er[1]))
 
-    def inverse_payload(self, a):
-        il = self.left.inverse_payload(a[0])
-        if il is None:
-            return None
-        ir = self.right.inverse_payload(a[1])
-        if ir is None:
-            return None
-        return (il, ir)
+    def solve_payload(self, a, b):
+        cl = self.left.solve_payload(a[0], b[0])
+        cr = self.right.solve_payload(a[1], b[1])
+        return None if cl is None or cr is None else (cl, cr)
 
     def check_payload(self, a):
         if not isinstance(a, tuple) or len(a) != 2:
@@ -288,7 +288,7 @@ class MonoidValue:
 
     Constructing one validates the payload; the parsers and
     make_transducer go through here.  Values computed from valid values
-    (products, folds, equalizers, inverses, units) are built by _trusted
+    (products, folds, equalizers, quotients, units) are built by _trusted
     instead, so validation happens once, where a payload enters.
     """
 
@@ -356,24 +356,12 @@ def eta(a: MonoidValue, b: MonoidValue):
     return (_trusted(m, r[0]), _trusted(m, r[1]))
 
 
-def inverse(a: MonoidValue):
-    r = a.monoid.inverse_payload(a.payload)
-    return None if r is None else _trusted(a.monoid, r)
-
-
 def solve_right(m: MonoidValue, n: MonoidValue):
-    """The unique c with m*c == n, or None when no such c exists.
-
-    Exists iff (m, n) is equalizable with an invertible second mge
-    component; then c = x1 * x2^-1 for (x1, x2) = eta(m, n).
-    """
-    r = eta(m, n)
-    if r is None:
-        return None
-    x2i = inverse(r[1])
-    if x2i is None:
-        return None
-    return r[0] * x2i
+    """The unique c with m*c == n, or None when no such c exists; each
+    instance divides on raw payloads in solve_payload."""
+    monoid = _same_monoid(m, n)
+    c = monoid.solve_payload(m.payload, n.payload)
+    return None if c is None else _trusted(monoid, c)
 
 
 def gamma_n(pairs, monoid: Monoid | None = None):

@@ -84,6 +84,32 @@ def is_instance_of(mge, equalizer):
     return c is not None and x2 * c == k2
 
 
+def inverse(v):
+    """Two-sided inverse of v, or None when v is not invertible: in free
+    words and the non-negative rationals only the unit is, in the
+    integers every element, in a product a pair of invertibles.
+
+    With eta it gives the reference derivation of solve_right: for
+    (x1, x2) = eta(m, n), m*c == n has a solution iff x2 is invertible,
+    and then c = x1 * inverse(x2).
+    """
+
+    def payload(m, a):
+        if isinstance(m, FreeWords):
+            return "" if a == "" else None
+        if isinstance(m, NonNegRationals):
+            return Fraction(0) if a == 0 else None
+        if isinstance(m, Integers):
+            return -a
+        if isinstance(m, PairOf):
+            left, right = payload(m.left, a[0]), payload(m.right, a[1])
+            return None if left is None or right is None else (left, right)
+        raise TypeError(m)
+
+    r = payload(v.monoid, v.payload)
+    return None if r is None else MonoidValue(v.monoid, r)
+
+
 def mu_n(values):
     """Mge of a tuple of values: the componentwise-minimal (x1..xk) with
     all values[i]*xi equal.  None when the tuple is not equalizable.

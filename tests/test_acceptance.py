@@ -77,17 +77,28 @@ def test_criterion_2_tn_counts_classical_construction():
     )
 
 
+MGE_INSTANCES = (
+    FreeWords(("x", "y")),
+    NonNegRationals(),
+    Integers(),
+    PairOf(FreeWords(("x", "y")), PairOf(NonNegRationals(), Integers())),
+)
+# random_transducer's own free words first, then the other output monoids
+TRANSDUCER_MONOIDS = (None,) + MGE_INSTANCES[1:]
+
+
 def test_criterion_3_compiled_machines_match_path_oracle():
     rng = random.Random(31337)
     samples = []
-    for with_eps in (False, True):
-        found = 0
-        while found < 100:
-            t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps)
-            verdict = functionality(t)
-            if verdict.functional:
-                samples.append((t, verdict))
-                found += 1
+    for monoid in TRANSDUCER_MONOIDS:
+        for with_eps in (False, True):
+            found = 0
+            while found < 100:
+                t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
+                verdict = functionality(t)
+                if verdict.functional:
+                    samples.append((t, verdict))
+                    found += 1
     mismatches = 0
     words_checked = 0
     for t, verdict in samples:
@@ -104,7 +115,8 @@ def test_criterion_3_compiled_machines_match_path_oracle():
     ok = mismatches == 0
     _line(
         3, ok,
-        f"200 random functional transducers (100 with eps moves), {words_checked} "
+        f"{len(samples)} random functional transducers over free words, rationals, "
+        f"integers and a nested product (half with eps moves), {words_checked} "
         f"words of length <= 5 against the path oracle, {mismatches} mismatches",
     )
 
@@ -136,14 +148,6 @@ def test_criterion_4_functionality_verdict_vs_bounded_oracle():
         f"{n_functional} functional (no conflict found in any), {n_rejected} rejected "
         f"({n_conflicts} with a conflict inside the bound), {disagreements} disagreements",
     )
-
-
-MGE_INSTANCES = (
-    FreeWords(("x", "y")),
-    NonNegRationals(),
-    Integers(),
-    PairOf(FreeWords(("x", "y")), PairOf(NonNegRationals(), Integers())),
-)
 
 
 def test_criterion_5_mge_algebra_property_suite():
@@ -222,16 +226,20 @@ def test_criterion_7_output_entries_well_defined():
     for n in range(1, 6):
         build(make_tn(n), verify=True)
         compiles += 1
-    while compiles < 55:
-        t = random_transducer(rng, allow_eps=(compiles % 2 == 0), require_eps=(compiles % 2 == 0))
-        verdict = functionality(t)
-        if not verdict.functional:
-            continue
-        try:
-            build(t, verdict=verdict, verify=True)
-        except CompileError:
-            violations += 1
-        compiles += 1
+    for monoid in TRANSDUCER_MONOIDS:
+        done = 0
+        while done < 50:
+            with_eps = compiles % 2 == 0
+            t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
+            verdict = functionality(t)
+            if not verdict.functional:
+                continue
+            try:
+                build(t, verdict=verdict, verify=True)
+            except CompileError:
+                violations += 1
+            compiles += 1
+            done += 1
     ok = violations == 0
     _line(
         7, ok,

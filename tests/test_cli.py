@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -17,8 +18,8 @@ from bimc.cli import (
 )
 from bimc.compiler import compile as build
 from bimc.fsa import make_transducer
-from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
-from helpers import all_words, random_bimachine
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
+from helpers import all_words, random_bimachine, random_transducer
 
 FREE = FreeWords(("x", "y"))
 
@@ -91,6 +92,63 @@ def test_transducer_round_trip():
     assert again == t
     text = format_transducer(make_tn(2))
     assert parse_transducer(text) == make_tn(2)
+    rng = random.Random(84)
+    nested = PairOf(FREE, PairOf(NonNegRationals(), Integers()))
+    for monoid in (None, NonNegRationals(), Integers(), nested):
+        for with_eps in (False, True):
+            for _ in range(25):
+                t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
+                assert parse_transducer(format_transducer(t)) == t
+
+
+def _mutated_lines(rng, text, pool):
+    """text after one to three random line edits: a line deleted,
+    duplicated, swapped with another, cut short, or given a token from
+    pool."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        kind = rng.randrange(5)
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 3:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_parsers_raise_only_format_errors():
+    rng = random.Random(2024)
+    pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
+            "o", "d", "t", "start", "PSI", "EPS", "LEFT", "free:", "nnrat", "product(", ""]
+    transducers = [make_tn(2)] + [
+        random_transducer(rng, allow_eps=True, monoid=m)
+        for m in (None, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
+    ]
+    texts = [format_transducer(t) for t in transducers]
+    machines = [bimachine_to_text(build(make_tn(2)))]
+    machines += [bimachine_to_text(random_bimachine(rng)) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # collapsed duplicate transitions
+        for _ in range(2000):
+            try:
+                parse_transducer(_mutated_lines(rng, rng.choice(texts), pool))
+            except TransducerFormatError:
+                pass
+            try:
+                bimachine_from_text(_mutated_lines(rng, rng.choice(machines), pool))
+            except BimachineFormatError:
+                pass
 
 
 def test_bimachine_round_trip_is_canonical():

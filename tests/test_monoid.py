@@ -19,13 +19,19 @@ from bimc.monoid import (
     format_descriptor,
     format_value,
     gamma_n,
-    inverse,
     op,
     parse_descriptor,
     parse_value,
     solve_right,
 )
-from helpers import brute_equalizers, candidate_values, is_instance_of, mu_n, random_value
+from helpers import (
+    brute_equalizers,
+    candidate_values,
+    inverse,
+    is_instance_of,
+    mu_n,
+    random_value,
+)
 
 FREE = FreeWords(("a", "b", "c"))
 RAT = NonNegRationals()
@@ -226,6 +232,20 @@ def test_solve_right_recovers_factor(data):
     assert solve_right(m, m * x) == x
 
 
+@given(st.data())
+def test_solve_right_matches_eta_inverse_derivation(data):
+    _, values = data.draw(st.sampled_from(INSTANCES))
+    m, x, n = data.draw(values), data.draw(values), data.draw(values)
+    for target in (n, m * x):
+        r = eta(m, target)
+        x2i = None if r is None else inverse(r[1])
+        want = None if x2i is None else r[0] * x2i
+        got = solve_right(m, target)
+        assert repr(None if got is None else got.payload) == repr(
+            None if want is None else want.payload
+        )
+
+
 # --- mu_n and gamma_n ------------------------------------------------------
 
 
@@ -383,6 +403,11 @@ def test_payload_validation():
         MonoidValue(RAT, 0.5)
     with pytest.raises(ValueError):
         MonoidValue(INT, "3")
+    # a string payload means what the literal means; bools are not numbers
+    for payload in (True, None, "1.5", "1e3", " 1/2 "):
+        with pytest.raises(ValueError):
+            MonoidValue(RAT, payload)
+    assert MonoidValue(RAT, "3/2") == rat(Fraction(3, 2))
     with pytest.raises(ValueError):
         FreeWords(("ab",))
     with pytest.raises(ValueError):
