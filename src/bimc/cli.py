@@ -92,15 +92,15 @@ def parse_transducer(text: str) -> Transducer:
                     raise TransducerFormatError(f"line {lineno}: duplicate input symbol {sym!r}")
             alphabet = tuple(rest)
         elif kind == "states":
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not rest[0].isdecimal():
                 raise TransducerFormatError(f"line {lineno}: states needs one count")
             n_states = int(rest[0])
         elif kind in ("initial", "final"):
-            if not all(x.isdigit() for x in rest):
+            if not all(x.isdecimal() for x in rest):
                 raise TransducerFormatError(f"line {lineno}: {kind} takes state indices")
             state_lists[kind] = frozenset(int(x) for x in rest)
         elif kind == "t":
-            if len(rest) < 4 or not rest[0].isdigit() or not rest[-1].isdigit():
+            if len(rest) < 4 or not rest[0].isdecimal() or not rest[-1].isdecimal():
                 raise TransducerFormatError(
                     f"line {lineno}: expected t <src> <sym> <value> <dst>"
                 )
@@ -187,11 +187,11 @@ def bimachine_from_text(text: str) -> Bimachine:
             section = kind
         elif kind == "EPS":
             eps_literal = (lineno, " ".join(tokens[1:]))
-        elif section in ("LEFT", "RIGHT") and kind == "start" and len(tokens) == 2 and tokens[1].isdigit():
+        elif section in ("LEFT", "RIGHT") and kind == "start" and len(tokens) == 2 and tokens[1].isdecimal():
             starts[section] = int(tokens[1])
         elif (
             section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
-            and tokens[1].isdigit() and tokens[3].isdigit()
+            and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
             p, sym, q = int(tokens[1]), tokens[2], int(tokens[3])
             move = deltas[section].setdefault((p, sym), q)
@@ -200,7 +200,7 @@ def bimachine_from_text(text: str) -> Bimachine:
             highest[section] = max(highest[section], p, q)
         elif (
             section == "PSI" and kind == "o" and len(tokens) >= 5
-            and tokens[1].isdigit() and tokens[3].isdigit()
+            and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
             psi_rows.append((lineno, int(tokens[1]), tokens[2], int(tokens[3]), " ".join(tokens[4:])))
         else:
@@ -390,7 +390,7 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     methods = ("mge", "classical") if args.method == "both" else (args.method,)
-    limits = {m: args.limit for m in methods} if args.limit else None
+    limits = {m: args.limit for m in methods} if args.limit is not None else None
     report = run_bench(args.max_n, methods=methods, limits=limits)
     print(report.to_csv() if args.format == "csv" else report.to_table())
     return 0

@@ -35,7 +35,7 @@ def explore(starts, successors, what):
     every numbered node gets one, so no result goes past the cap.
     """
     raw = os.environ.get("BIMC_MAX_STATES", "")
-    if raw and not raw.isdigit():
+    if raw and not raw.isdecimal():
         raise ValueError(f"BIMC_MAX_STATES must be a state count, not {raw!r}")
     cap = int(raw) if raw else math.inf
     order = list(dict.fromkeys(starts))

@@ -5,7 +5,9 @@ m1*x1 == m2*x2; a most general equalizer (mge) is an equalizer that
 every other equalizer factors through on the right.  Every monoid here
 is right cancellative and provides eta(m1, m2) returning an mge, or
 None when the pair has no equalizer at all, and solve_right(m, n),
-the unique c with m*c == n, or None.
+the unique c with m*c == n, or None.  An instance supplies only its
+product, right division and literals: the unit is the empty product,
+and eta follows from right division except in products.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and
@@ -30,30 +32,35 @@ class AccumulationFailure(ValueError):
 
 
 class Monoid:
-    """Base descriptor.  Subclasses implement the raw payload operations;
-    callers normally go through the module-level functions on MonoidValue."""
-
-    def unit_payload(self):
-        raise NotImplementedError
+    """Base descriptor.  Subclasses supply the product, right division
+    and literals on raw payloads; the unit and eta are derived from them.
+    Callers normally go through the module-level functions on MonoidValue."""
 
     def op_payload(self, a, b):
         raise NotImplementedError
 
-    def eta_payload(self, a, b):
-        """Mge of (a, b) as a payload pair, or None if not equalizable."""
+    def fold_payloads(self, payloads):
+        """Product of a sequence of stored payloads, left to right, in
+        one pass; the unit payload for an empty sequence."""
         raise NotImplementedError
 
     def solve_payload(self, a, b):
         """The payload c with a*c == b, or None when there is none."""
         raise NotImplementedError
 
+    def eta_payload(self, a, b):
+        """Mge of (a, b) as a payload pair, or None if not equalizable.
+        Right division decides it in a cancellative, equidivisible monoid,
+        where a*x1 == b*x2 implies b*c == a or a*c == b for some c; PairOf
+        overrides it, as products are not equidivisible."""
+        c = self.solve_payload(b, a)
+        if c is not None:
+            return (self.fold_payloads(()), c)
+        c = self.solve_payload(a, b)
+        return None if c is None else (c, self.fold_payloads(()))
+
     def check_payload(self, a):
         """Validate and normalize a raw payload, returning the stored form."""
-        raise NotImplementedError
-
-    def fold_payloads(self, payloads):
-        """Product of a sequence of stored payloads, left to right, in
-        one pass; the unit payload for an empty sequence."""
         raise NotImplementedError
 
     def format_payload(self, a) -> str:
@@ -64,10 +71,7 @@ class Monoid:
 
     @property
     def unit(self) -> MonoidValue:
-        return _trusted(self, self.unit_payload())
-
-    def value(self, payload) -> MonoidValue:
-        return MonoidValue(self, payload)
+        return _trusted(self, self.fold_payloads(()))
 
 
 # characters that would break descriptor and value literal parsing
@@ -98,21 +102,11 @@ class FreeWords(Monoid):
                 raise ValueError(f"duplicate alphabet symbol {c!r}")
             seen.add(c)
 
-    def unit_payload(self):
-        return ""
-
     def op_payload(self, a, b):
         return a + b
 
     def fold_payloads(self, payloads):
         return "".join(payloads)
-
-    def eta_payload(self, a, b):
-        if b.startswith(a):
-            return (b[len(a):], "")
-        if a.startswith(b):
-            return ("", a[len(b):])
-        return None
 
     def solve_payload(self, a, b):
         return b[len(a):] if b.startswith(a) else None
@@ -140,8 +134,8 @@ class FreeWords(Monoid):
         return tuple(rank[c] for c in a)
 
 
-_RAT_RE = re.compile(r"^\d+(/\d+)?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_RAT_RE = re.compile(r"\d+(/\d+)?")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
 @dataclass(frozen=True)
@@ -151,9 +145,6 @@ class NonNegRationals(Monoid):
     Any pair (m, n) is equalizable; the mge is (M - m, M - n) with
     M = max(m, n).  Only 0 is invertible.
     """
-
-    def unit_payload(self):
-        return Fraction(0)
 
     def op_payload(self, a, b):
         return a + b
@@ -165,10 +156,6 @@ class NonNegRationals(Monoid):
         for a in payloads:
             numerators[a.denominator] += a.numerator
         return sum((Fraction(n, d) for d, n in numerators.items()), Fraction(0))
-
-    def eta_payload(self, a, b):
-        m = max(a, b)
-        return (m - a, m - b)
 
     def solve_payload(self, a, b):
         return b - a if b >= a else None
@@ -187,7 +174,7 @@ class NonNegRationals(Monoid):
         return str(a)
 
     def parse_payload(self, text: str):
-        if not _RAT_RE.match(text):
+        if not _RAT_RE.fullmatch(text):
             raise ValueError(f"bad rational literal {text!r}")
         try:
             return Fraction(text)
@@ -200,17 +187,11 @@ class Integers(Monoid):
     """Integers under addition.  A group, so eta(g, h) = (0, g - h) and
     every element is invertible."""
 
-    def unit_payload(self):
-        return 0
-
     def op_payload(self, a, b):
         return a + b
 
     def fold_payloads(self, payloads):
         return sum(payloads, 0)
-
-    def eta_payload(self, a, b):
-        return (0, a - b)
 
     def solve_payload(self, a, b):
         return b - a
@@ -224,7 +205,7 @@ class Integers(Monoid):
         return str(a)
 
     def parse_payload(self, text: str):
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise ValueError(f"bad integer literal {text!r}")
         return int(text)
 
@@ -239,9 +220,6 @@ class PairOf(Monoid):
 
     left: Monoid
     right: Monoid
-
-    def unit_payload(self):
-        return (self.left.unit_payload(), self.right.unit_payload())
 
     def op_payload(self, a, b):
         return (self.left.op_payload(a[0], b[0]), self.right.op_payload(a[1], b[1]))

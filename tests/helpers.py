@@ -110,6 +110,49 @@ def inverse(v):
     return None if r is None else MonoidValue(v.monoid, r)
 
 
+def unit_payload(m):
+    """The unit payload of m, written out per instance."""
+    if isinstance(m, FreeWords):
+        return ""
+    if isinstance(m, NonNegRationals):
+        return Fraction(0)
+    if isinstance(m, Integers):
+        return 0
+    if isinstance(m, PairOf):
+        return (unit_payload(m.left), unit_payload(m.right))
+    raise TypeError(m)
+
+
+def eta_reference(a, b):
+    """Mge of the values (a, b) as a payload pair, or None, by each
+    instance's own rule: the prefix rule in free words, the max rule in
+    the non-negative rationals, (0, a - b) in the integers,
+    componentwise in products."""
+
+    def payloads(m, a, b):
+        if isinstance(m, FreeWords):
+            if b.startswith(a):
+                return (b[len(a):], "")
+            if a.startswith(b):
+                return ("", a[len(b):])
+            return None
+        if isinstance(m, NonNegRationals):
+            top = max(a, b)
+            return (top - a, top - b)
+        if isinstance(m, Integers):
+            return (0, a - b)
+        if isinstance(m, PairOf):
+            left, right = payloads(m.left, a[0], b[0]), payloads(m.right, a[1], b[1])
+            if left is None or right is None:
+                return None
+            return ((left[0], right[0]), (left[1], right[1]))
+        raise TypeError(m)
+
+    if a.monoid != b.monoid:
+        raise DescriptorMismatch(f"{a.monoid} vs {b.monoid}")
+    return payloads(a.monoid, a.payload, b.payload)
+
+
 def mu_n(values):
     """Mge of a tuple of values: the componentwise-minimal (x1..xk) with
     all values[i]*xi equal.  None when the tuple is not equalizable.

@@ -58,6 +58,7 @@ def test_parse_errors_carry_line_numbers():
         ("monoid free:x\nalphabet a\nstates 2\ninitial 9\n", "initial state 9"),
         ("monoid free:x\nalphabet a\nstates 2\nfrobnicate\n", "unknown directive"),
         ("monoid free:x\nalphabet a\nstates two\n", "states needs one count"),
+        ("monoid free:x\nalphabet a\nstates \u00b2\n", "line 3: states needs one count"),
         ("monoid free:x\nalphabet a -\nstates 1\n", "reserved"),
         ("monoid what\nalphabet a\nstates 1\n", "descriptor"),
         ("monoid free:x\nalphabet a\nstates 2\n\nt 0 a \"xz\" 1\n", "line 5: symbols outside"),
@@ -186,6 +187,7 @@ def test_bimachine_from_text_rejects_garbage():
         ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\n", "missing start"),
         ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 zzz\n", "line 7"),
         ("BIM v1 free:x\nLEFT\nwhat 3\n", "unexpected row"),
+        ("BIM v1 free:x\nLEFT\nstart \u00b2\n", "line 3: unexpected row"),
         ("", "empty input"),
     ]
     for text, needle in cases:
@@ -240,6 +242,9 @@ def test_cli_check_names_the_phase_over_the_state_budget(tmp_path, capsys, monke
     monkeypatch.setenv("BIMC_MAX_STATES", "many")
     assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
     assert "BIMC_MAX_STATES must be a state count, not 'many'" in capsys.readouterr().err
+    monkeypatch.setenv("BIMC_MAX_STATES", "\u00b2")
+    assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
+    assert "BIMC_MAX_STATES must be a state count, not '\u00b2'" in capsys.readouterr().err
 
 
 def test_cli_compile_and_run(tmp_path, capsys):
@@ -327,6 +332,10 @@ def test_cli_bench_csv_and_table(capsys):
     assert cli_main(["bench-tn", "--max-n", "2", "--format", "table"]) == 0
     table = capsys.readouterr().out
     assert "classical" in table and "mge" in table
+    assert cli_main(["bench-tn", "--max-n", "2", "--limit", "0", "--format", "table"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith("skipped: over the safety limit (0)") for row in rows)
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -27,10 +27,12 @@ from bimc.monoid import (
 from helpers import (
     brute_equalizers,
     candidate_values,
+    eta_reference,
     inverse,
     is_instance_of,
     mu_n,
     random_value,
+    unit_payload,
 )
 
 FREE = FreeWords(("a", "b", "c"))
@@ -126,7 +128,7 @@ def test_fold_payloads_is_the_left_fold_of_op(data):
 
 def test_fold_of_nothing_is_the_unit():
     for m in ALL_MONOIDS + [FREE_INT]:
-        assert repr(m.fold_payloads([])) == repr(m.unit_payload())
+        assert repr(m.fold_payloads([])) == repr(unit_payload(m))
         assert fold([], m) == m.unit
 
 
@@ -170,6 +172,17 @@ def test_eta_on_equal_arguments_is_unit_pair(data):
     m, values = data.draw(st.sampled_from(INSTANCES))
     a = data.draw(values)
     assert eta(a, a) == (m.unit, m.unit)
+
+
+@given(st.data())
+def test_eta_matches_the_per_instance_rules(data):
+    m, values = data.draw(st.sampled_from(INSTANCES + [(FREE_INT, free_int_values)]))
+    a = data.draw(values)
+    b = data.draw(st.one_of(values, st.just(a)))
+    want = repr(eta_reference(a, b))
+    assert repr(m.eta_payload(a.payload, b.payload)) == want
+    r = eta(a, b)
+    assert repr(None if r is None else (r[0].payload, r[1].payload)) == want
 
 
 @given(st.data())
@@ -396,7 +409,7 @@ def test_payload_validation():
     with pytest.raises(ValueError):
         MonoidValue(FreeWords(("a",)), "z")
     with pytest.raises(ValueError):
-        FREE.value("az")
+        MonoidValue(FREE, "az")
     with pytest.raises(ValueError):
         MonoidValue(RAT, -1)
     with pytest.raises(ValueError):
@@ -404,10 +417,12 @@ def test_payload_validation():
     with pytest.raises(ValueError):
         MonoidValue(INT, "3")
     # a string payload means what the literal means; bools are not numbers
-    for payload in (True, None, "1.5", "1e3", " 1/2 "):
+    for payload in (True, None, "1.5", "1e3", " 1/2 ", "3/2\n"):
         with pytest.raises(ValueError):
             MonoidValue(RAT, payload)
     assert MonoidValue(RAT, "3/2") == rat(Fraction(3, 2))
+    with pytest.raises(ValueError):
+        INT.parse_payload("5\n")
     with pytest.raises(ValueError):
         FreeWords(("ab",))
     with pytest.raises(ValueError):
