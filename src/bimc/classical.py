@@ -15,7 +15,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .bimachine import Bimachine
-from .fsa import MaskStates, Transducer, Transition, determinize, explore, output_cells, trim
+from .fsa import (
+    MaskStates, Transducer, Transition, determinize, explore, move_index, output_cells, trim,
+)
 from .monoid import DescriptorMismatch, FreeWords
 
 
@@ -65,18 +67,14 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     by_src = defaultdict(list)
     for tr in t.transitions:
         by_src[tr.src].append(tr)
+    moves = move_index(t.transitions)
 
     def successors(node):
         p, neg_set = node
         for tr in by_src[p]:
-            neg = set()
-            for q in neg_set:
-                for tq in by_src[q]:
-                    if tq.inp == tr.inp:
-                        neg.add(tq.dst)
-            for tp in by_src[p]:
-                if tp.inp == tr.inp and lex(tp.out.payload) < lex(tr.out.payload):
-                    neg.add(tp.dst)
+            neg = {dst for q in neg_set for _, dst in moves.get((q, tr.inp), ())}
+            key = lex(tr.out.payload)
+            neg.update(dst for out, dst in moves[(p, tr.inp)] if lex(out.payload) < key)
             if tr.dst not in neg:
                 yield tr, (tr.dst, frozenset(neg))
 
@@ -97,19 +95,17 @@ def classical_compile(t: Transducer) -> Bimachine:
     any reachable set and co-reachable set, and its word is the entry."""
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
-    by_move = defaultdict(list)
-    for tr in tt.transitions:
-        by_move[(tr.src, tr.inp)].append(tr)
+    moves = move_index(tt.transitions)
     states = MaskStates()
     psi = {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         s2 = l2 & r
         v = None
         for p in states[s]:
-            for tr in by_move[(p, a)]:
-                if s2 >> tr.dst & 1:
-                    assert v is None or v == tr.out, "expansion left two choices"
-                    v = tr.out
+            for out, dst in moves.get((p, a), ()):
+                if s2 >> dst & 1:
+                    assert v is None or v == out, "expansion left two choices"
+                    v = out
         assert v is not None, "no transition between intersection sets"
         psi[(li, a, ri)] = v
     eps_out = tt.monoid.unit if (tt.initial & tt.final) else None

@@ -5,7 +5,8 @@ The transducer format is line based: `monoid <descriptor>`, `alphabet
 one `t <src> <sym> <value> <dst>` row per transition, where the input
 symbol `-` stands for the empty input.  Full-line `#` comments and blank
 lines are ignored.  Bimachines serialize to a `BIM v1` block whose rows
-are written in sorted order, so equal machines produce identical text.
+are written in sorted order, so equal machines produce identical text;
+reading one back rejects a second start or EPS row and conflicting rows.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ def _parsed(error, lineno, parse, *args):
         raise error(f"line {lineno}: {err}") from None
 
 
+def _declare(error, declared, name, lineno):
+    """Record name as declared at lineno; a name may be declared once."""
+    if name in declared:
+        raise error(f"line {lineno}: {name} already declared on line {declared[name]}")
+    declared[name] = lineno
+
+
 def parse_transducer(text: str) -> Transducer:
     """Read the line-based transducer format.
 
@@ -75,11 +83,7 @@ def parse_transducer(text: str) -> Transducer:
     for lineno, tokens in _content_lines(text):
         kind, rest = tokens[0], tokens[1:]
         if kind in ("monoid", "alphabet", "states", "initial", "final"):
-            if kind in declared:
-                raise TransducerFormatError(
-                    f"line {lineno}: {kind} already declared on line {declared[kind]}"
-                )
-            declared[kind] = lineno
+            _declare(TransducerFormatError, declared, kind, lineno)
         if kind == "monoid":
             monoid = _parsed(TransducerFormatError, lineno, parse_descriptor, " ".join(rest))
         elif kind == "alphabet":
@@ -174,8 +178,9 @@ def bimachine_from_text(text: str) -> Bimachine:
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
     highest = {"LEFT": 0, "RIGHT": 0}
-    psi_rows = []
-    eps_literal = None
+    psi = {}
+    eps_output = None
+    declared = {}  # line number of each start and EPS row
     for lineno, tokens in _content_lines(text):
         if monoid is None:
             if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
@@ -186,8 +191,11 @@ def bimachine_from_text(text: str) -> Bimachine:
         if kind in ("LEFT", "RIGHT", "PSI"):
             section = kind
         elif kind == "EPS":
-            eps_literal = (lineno, " ".join(tokens[1:]))
+            _declare(BimachineFormatError, declared, "EPS", lineno)
+            literal = " ".join(tokens[1:])
+            eps_output = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
         elif section in ("LEFT", "RIGHT") and kind == "start" and len(tokens) == 2 and tokens[1].isdecimal():
+            _declare(BimachineFormatError, declared, f"{section} start", lineno)
             starts[section] = int(tokens[1])
         elif (
             section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
@@ -202,7 +210,12 @@ def bimachine_from_text(text: str) -> Bimachine:
             section == "PSI" and kind == "o" and len(tokens) >= 5
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
-            psi_rows.append((lineno, int(tokens[1]), tokens[2], int(tokens[3]), " ".join(tokens[4:])))
+            cell = (int(tokens[1]), tokens[2], int(tokens[3]))
+            value = _parsed(BimachineFormatError, lineno, parse_value, monoid, " ".join(tokens[4:]))
+            if psi.setdefault(cell, value) != value:
+                raise BimachineFormatError(f"line {lineno}: conflicting outputs for {cell}")
+            highest["LEFT"] = max(highest["LEFT"], cell[0])
+            highest["RIGHT"] = max(highest["RIGHT"], cell[2])
         else:
             raise BimachineFormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
     if monoid is None:
@@ -211,15 +224,6 @@ def bimachine_from_text(text: str) -> Bimachine:
         if side not in starts:
             raise BimachineFormatError(f"missing start declaration in {side}")
         highest[side] = max(highest[side], starts[side])
-    psi = {}
-    for lineno, l, sym, r, literal in psi_rows:
-        psi[(l, sym, r)] = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
-        highest["LEFT"] = max(highest["LEFT"], l)
-        highest["RIGHT"] = max(highest["RIGHT"], r)
-    eps_output = None
-    if eps_literal is not None:
-        lineno, literal = eps_literal
-        eps_output = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
     alphabet = tuple(sorted(
         {sym for _, sym in deltas["LEFT"]}
         | {sym for _, sym in deltas["RIGHT"]}
@@ -451,3 +455,7 @@ def cli_main(argv=None) -> int:
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

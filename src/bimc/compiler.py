@@ -12,10 +12,8 @@ verdict is deterministic, so equal inputs give identical bimachines.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, members, output_cells
+from .fsa import Transducer, determinize, members, move_index, output_cells
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -88,16 +86,15 @@ def output_value(cell, phi_s, phi_s2, steps, verify=False):
     """The output entry of cell (li, a, ri), given the delays phi_s of
     its intersection set before the a-step and phi_s2 of the one after.
 
-    steps maps (symbol, source state) to the (value, target state) pairs
-    of the generalized transitions.  Solves delay(p) ∘ c = value ∘
-    delay(p') on the first transition connecting the two intersection
-    sets; with verify every such transition is checked to give the same
-    c.
+    steps is the move_index of the generalized transitions.  Solves
+    delay(p) ∘ c = value ∘ delay(p') on the first transition connecting
+    the two intersection sets; with verify every such transition is
+    checked to give the same c.
     """
     li, a, ri = cell
     c = None
     for p, delay in phi_s.items():
-        for m, q in steps.get((a, p), ()):
+        for m, q in steps.get((p, a), ()):
             if q not in phi_s2:
                 continue
             cand = solve_right(delay, m * phi_s2[q])
@@ -141,9 +138,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             s = lm & rm
             if s and s not in phi:
                 phi[s] = set_mge(members(s), nu, tt.monoid)
-    steps = defaultdict(list)
-    for p, a, m, q in generalized_transitions(tt, verdict.eps_paths):
-        steps[(a, p)].append((m, q))
+    steps = move_index(generalized_transitions(tt, verdict.eps_paths))
     psi = {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         cell = (li, a, ri)

@@ -186,6 +186,16 @@ def output_cells(left: Dfa, right: Dfa):
                     yield li, a, ri, s, lm2, rm
 
 
+def move_index(transitions) -> dict:
+    """The moves of (src, inp, out, dst) tuples by (src, inp), each key's
+    [(out, dst)] list in the order given; inp is None for an epsilon
+    move.  Read it with .get(key, ())."""
+    index = {}
+    for src, inp, out, dst in transitions:
+        index.setdefault((src, inp), []).append((out, dst))
+    return index
+
+
 def reachable(seeds, adj) -> set:
     """The seeds and everything reachable from them, where adj maps a
     state to its successors (a defaultdict, or total on the states)."""
@@ -304,13 +314,7 @@ def enumerate_outputs(t: Transducer, word, max_path_len=None):
     word = tuple(word)
     if max_path_len is None:
         max_path_len = 2 * t.n_states * (len(word) + 1)
-    eps_from = defaultdict(list)
-    sym_from = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            eps_from[tr.src].append((tr.out, tr.dst))
-        else:
-            sym_from[(tr.src, tr.inp)].append((tr.out, tr.dst))
+    moves = move_index(t.transitions)
     outputs = set()
     seen = set()
     queue = deque()
@@ -325,9 +329,9 @@ def enumerate_outputs(t: Transducer, word, max_path_len=None):
             outputs.add(out)
         if steps >= max_path_len:
             continue
-        succ = [(pos, out * m, dst) for m, dst in eps_from[state]]
+        succ = [(pos, out * m, dst) for m, dst in moves.get((state, None), ())]
         if pos < len(word):
-            succ += [(pos + 1, out * m, dst) for m, dst in sym_from[(state, word[pos])]]
+            succ += [(pos + 1, out * m, dst) for m, dst in moves.get((state, word[pos]), ())]
         for npos, nout, dst in succ:
             node = (dst, npos, nout)
             if node not in seen:

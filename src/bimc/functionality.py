@@ -9,10 +9,10 @@ completion, and final pairs must balance exactly.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
-from .fsa import Transducer, eps_closure, trim
+from .fsa import Transducer, eps_closure, move_index, trim
 from .monoid import MonoidValue, format_value
 from .squared import SquaredAutomaton, Valuation, coaccessible, squared, valuation
 
@@ -51,13 +51,10 @@ def eps_cycle_check(t: Transducer):
     cancellation.  Components are walked in ascending order of their
     smallest state, each labelled from that state.
     """
-    eps_from = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            eps_from[tr.src].append((tr.out, tr.dst))
-    if not eps_from:
+    if t.real_time:
         return None
-    arcs = ((src, 1, dst) for src, moves in eps_from.items() for _, dst in moves)
+    eps_from = move_index(tr for tr in t.transitions if tr.inp is None)
+    arcs = ((src, 1, dst) for (src, _), moves in eps_from.items() for _, dst in moves)
     outof, into = eps_closure(t.n_states, arcs, 1)
     unit = t.monoid.unit
     placed = set()
@@ -70,7 +67,7 @@ def eps_cycle_check(t: Transducer):
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for out, v in eps_from[u]:
+            for out, v in eps_from.get((u, None), ()):
                 if v not in component:
                     continue
                 cand = label[u] * out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .fsa import Transducer, explore, reachable
+from .fsa import Transducer, explore, move_index, reachable
 from .monoid import Monoid, MonoidValue, eta
 
 
@@ -33,24 +33,18 @@ def squared(t: Transducer) -> SquaredAutomaton:
     advance together on a shared input symbol, and either component may
     take an epsilon transition alone while the other waits with a unit
     label."""
-    by_state_sym = defaultdict(list)
-    eps_from = defaultdict(list)
-    for tr in t.transitions:
-        if tr.inp is None:
-            eps_from[tr.src].append((tr.out, tr.dst))
-        else:
-            by_state_sym[(tr.src, tr.inp)].append((tr.out, tr.dst))
+    moves = move_index(t.transitions)
     unit = t.monoid.unit
 
     def successors(pair):
         p1, p2 = pair
         for sym in t.alphabet:
-            for m1, q1 in by_state_sym[(p1, sym)]:
-                for m2, q2 in by_state_sym[(p2, sym)]:
+            for m1, q1 in moves.get((p1, sym), ()):
+                for m2, q2 in moves.get((p2, sym), ()):
                     yield (m1, m2), (q1, q2)
-        for m2, q2 in eps_from[p2]:
+        for m2, q2 in moves.get((p2, None), ()):
             yield (unit, m2), (p1, q2)
-        for m1, q1 in eps_from[p1]:
+        for m1, q1 in moves.get((p1, None), ()):
             yield (m1, unit), (q1, p2)
 
     starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]

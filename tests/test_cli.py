@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,7 @@ from bimc.cli import (
 )
 from bimc.compiler import compile as build
 from bimc.fsa import make_transducer
-from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value
 from helpers import all_words, random_bimachine, random_transducer
 
 FREE = FreeWords(("x", "y"))
@@ -91,6 +96,14 @@ def test_transducer_round_trip():
     )
     again = parse_transducer(format_transducer(t))
     assert again == t
+    # a left-nested product puts a parenthesized component before the top-level comma
+    left_nested = parse_transducer(
+        "monoid product(product(nnrat,intgrp),free:x)\nalphabet a\nstates 1\n"
+        'initial 0\nfinal 0\nt 0 a ((1/2,-3),"x") 0\n'
+    )
+    assert left_nested.monoid == PairOf(PairOf(NonNegRationals(), Integers()), FreeWords(("x",)))
+    assert left_nested.transitions[0].out.payload == ((Fraction(1, 2), -3), "x")
+    assert parse_transducer(format_transducer(left_nested)) == left_nested
     text = format_transducer(make_tn(2))
     assert parse_transducer(text) == make_tn(2)
     rng = random.Random(84)
@@ -189,11 +202,21 @@ def test_bimachine_from_text_rejects_garbage():
         ("BIM v1 free:x\nLEFT\nwhat 3\n", "unexpected row"),
         ("BIM v1 free:x\nLEFT\nstart \u00b2\n", "line 3: unexpected row"),
         ("", "empty input"),
+        ("BIM v1 free:x\nLEFT\nstart 0\nstart 3\nRIGHT\nstart 0\n",
+         "line 4: LEFT start already declared on line 3"),
+        ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nEPS \"\"\nEPS \"x\"\n",
+         "line 7: EPS already declared on line 6"),
+        ("BIM v1 free:xy\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 \"x\"\no 0 a 0 \"y\"\n",
+         "line 8: conflicting outputs for (0, 'a', 0)"),
     ]
     for text, needle in cases:
         with pytest.raises(BimachineFormatError) as info:
             bimachine_from_text(text)
         assert needle in str(info.value)
+    repeated = bimachine_from_text(
+        'BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 "x"\no 0 a 0 "x"\n'
+    )
+    assert format_value(repeated.psi[(0, "a", 0)]) == '"x"'
 
 
 def test_tokenize_multi_character_symbols():
@@ -351,3 +374,24 @@ def test_cli_compare(tmp_path, capsys):
     assert cli_main(["compare", str(eps), "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "classical skipped" in out
+    ints = tmp_path / "ints.fst"
+    ints.write_text(
+        "monoid intgrp\nalphabet a\nstates 2\ninitial 0\nfinal 1\nt 0 a -2 1\nt 1 a 3 1\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["compare", str(ints), "--max-len", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "classical skipped" in out and "mge agree" in out
+
+
+@pytest.mark.parametrize("entry", (["bimc"], ["bimc.cli"]), ids=" ".join)
+def test_module_entry_points(tmp_path, entry):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", *entry, "check", tn_file(tmp_path, 2)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "functional"
