@@ -13,13 +13,6 @@ command line (cli).
 from .bimachine import AlphabetError, Bimachine, domain_contains, evaluate
 from .benchmark import BenchReport, BenchRow, make_tn, run_bench
 from .classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
-from .cli import (
-    bimachine_from_text,
-    bimachine_to_text,
-    cli_main,
-    format_transducer,
-    parse_transducer,
-)
 from .compiler import CompileError, NotFunctionalError, compile
 from .fsa import (
     StateLimitExceeded,
@@ -48,6 +41,18 @@ from .monoid import (
     parse_value,
     solve_right,
 )
+
+_CLI_NAMES = {"bimachine_from_text", "bimachine_to_text", "cli_main", "format_transducer",
+              "parse_transducer"}
+
+
+def __getattr__(name):
+    # bimc.cli loads on first use, so that python -m bimc.cli runs it fresh
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+    return globals().setdefault(name, getattr(cli, name))
+
 
 __all__ = [
     "AccumulationFailure",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bimachine import Bimachine
 from .fsa import (
-    MaskStates, Transducer, Transition, determinize, explore, move_index, output_cells, trim,
+    Transducer, Transition, determinize, explore, members, move_index, output_map, trim,
 )
 from .monoid import DescriptorMismatch, FreeWords
 
@@ -96,17 +96,17 @@ def classical_compile(t: Transducer) -> Bimachine:
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
     moves = move_index(tt.transitions)
-    states = MaskStates()
-    psi = {}
-    for li, a, ri, s, l2, r in output_cells(left, right):
-        s2 = l2 & r
+
+    def entry(cell, s, s2):
         v = None
-        for p in states[s]:
-            for out, dst in moves.get((p, a), ()):
+        for p in members(s):
+            for out, dst in moves.get((p, cell[1]), ()):
                 if s2 >> dst & 1:
                     assert v is None or v == out, "expansion left two choices"
                     v = out
         assert v is not None, "no transition between intersection sets"
-        psi[(li, a, ri)] = v
+        return v
+
+    psi = output_map(left, right, entry)
     eps_out = tt.monoid.unit if (tt.initial & tt.final) else None
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

@@ -6,14 +6,15 @@ fills the positional output map: for every subset of states that is
 simultaneously reachable and co-reachable, a most general equalizer
 chain assigns each member state its accumulated delay, and each output
 entry is the unique value balancing those delays across one
-transition.  Everything downstream of the functionality
-verdict is deterministic, so equal inputs give identical bimachines.
+transition, solved once for all the cells that share its intersection
+triple.  Everything downstream of the functionality verdict is
+deterministic, so equal inputs give identical bimachines.
 """
 
 from __future__ import annotations
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, members, move_index, output_cells
+from .fsa import Transducer, determinize, members, move_index, output_map
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -139,9 +140,9 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             if s and s not in phi:
                 phi[s] = set_mge(members(s), nu, tt.monoid)
     steps = move_index(generalized_transitions(tt, verdict.eps_paths))
-    psi = {}
-    for li, a, ri, s, l2, r in output_cells(left, right):
-        cell = (li, a, ri)
-        psi[cell] = output_value(cell, phi[s], phi[l2 & r], steps, verify=verify)
+    psi = output_map(
+        left, right,
+        lambda cell, s, s2: output_value(cell, phi[s], phi[s2], steps, verify=verify),
+    )
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

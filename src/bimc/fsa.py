@@ -1,10 +1,10 @@
 """Finite-state transducers with monoid outputs and the constructions
 on their state sets: trimming, epsilon closure, the forward and backward
 power-set automata (subsets are bitmasks over the states), and the walk
-over output cells.  Every construction that discovers its states from a
-start (the power-set automata, the squared automaton, the classical
-expansion) numbers them with explore, which also enforces the one state
-budget, BIMC_MAX_STATES."""
+over output cells with the output map it fills.  Every construction that
+discovers its states from a start (the power-set automata, the squared
+automaton, the classical expansion) numbers them with explore, which
+also enforces the one state budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
@@ -147,14 +147,6 @@ def members(mask):
     return tuple(states)
 
 
-class MaskStates(dict):
-    """Memo from a bitmask-encoded state set to its members."""
-
-    def __missing__(self, mask):
-        states = self[mask] = members(mask)
-        return states
-
-
 def output_cells(left: Dfa, right: Dfa):
     """Every bimachine output cell (li, a, ri) at which some state is
     both reachable along li and co-reachable along ri after a.
@@ -162,9 +154,9 @@ def output_cells(left: Dfa, right: Dfa):
     left and right are the two subset automata of one transducer, as
     determinize returns them.  Yields (li, a, ri, s, l2, r) where the
     intersection sets are bitmasks over source states: s before the
-    a-step and l2 & r after it.  The second is left to the callers that need it: on the
-    classical construction's large masks, intersecting them for every
-    cell adds about a third to the cost of counting the cells.
+    a-step and l2 & r after it.  The second is left to output_map: the bare
+    cell count in benchmark skips it, as on the classical construction's
+    large masks it would add about a third to the cost of the count.
     A state in s has an a-successor, so the left a-step always exists.
     """
     masks_l, masks_r = left.subsets, right.subsets
@@ -184,6 +176,22 @@ def output_cells(left: Dfa, right: Dfa):
                 s = lm & rm2
                 if s:
                     yield li, a, ri, s, lm2, rm
+
+
+def output_map(left: Dfa, right: Dfa, entry) -> dict:
+    """The output map psi over output_cells(left, right), where
+    entry(cell, s, s2) gives cell (li, a, ri) its value from the
+    intersection sets s before the a-step and s2 after it.  entry must
+    depend on (s, a, s2) alone: it runs at the first cell of each
+    distinct triple in walk order, and later cells share that value."""
+    psi, solved = {}, {}
+    for li, a, ri, s, l2, r in output_cells(left, right):
+        key = (s, a, l2 & r)
+        value = solved.get(key)
+        if value is None:
+            value = solved[key] = entry((li, a, ri), s, key[2])
+        psi[li, a, ri] = value
+    return psi
 
 
 def move_index(transitions) -> dict:

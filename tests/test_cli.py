@@ -395,3 +395,4 @@ def test_module_entry_points(tmp_path, entry):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "functional"
+    assert "RuntimeWarning" not in done.stderr  # runpy warns if bimc imported the module early

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from bimc import compiler
+from bimc.benchmark import make_tn
 from bimc.bimachine import domain_contains, evaluate
 from bimc.compiler import (
     CompileError,
     NotFunctionalError,
     compile as build,
     generalized_transitions,
+    output_value,
     set_mge,
 )
-from bimc.fsa import make_transducer
+from bimc.fsa import make_transducer, move_index
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue
 from helpers import all_words, eps_paths, output_table, random_transducer
@@ -60,6 +63,51 @@ def test_set_mge_singleton_and_chain():
 def test_set_mge_missing_pair_fails():
     with pytest.raises(CompileError):
         set_mge({1, 2}, {}, FREE)
+
+
+def test_output_value_unsolvable_delay_equation():
+    # delay y cannot be a prefix of x·(empty delay)
+    steps = move_index([(0, "a", fw("x"), 1)])
+    with pytest.raises(CompileError, match=r"transition \(0, 'a', 1\) has no solution"):
+        output_value((0, "a", 0), {0: fw("y")}, {1: fw("")}, steps)
+
+
+def test_output_value_ill_defined_entry_fails_verification():
+    steps = move_index([(0, "a", fw("x"), 2), (1, "a", fw("y"), 2)])
+    phi_s, phi_s2 = {0: fw(""), 1: fw("")}, {2: fw("")}
+    assert output_value((3, "a", 4), phi_s, phi_s2, steps) == fw("x")
+    with pytest.raises(
+        CompileError,
+        match=r"output entry \(3, 'a', 4\) is not well defined: transition \(1, 'a', 2\) "
+        r'solves to MonoidValue\("y"\), expected MonoidValue\("x"\)',
+    ):
+        output_value((3, "a", 4), phi_s, phi_s2, steps, verify=True)
+
+
+def test_output_value_unconnected_sets():
+    # the only a-move from the set before leads outside the set after
+    steps = move_index([(0, "a", fw("x"), 1), (0, "b", fw("x"), 2)])
+    for verify in (False, True):
+        with pytest.raises(CompileError, match=r"no transition connects \(0,\) to \(2,\) on 'a'"):
+            output_value((0, "a", 0), {0: fw("")}, {2: fw("")}, steps, verify=verify)
+
+
+def test_each_intersection_triple_is_solved_once(monkeypatch):
+    # a compile that solved every cell again would call output_value
+    # len(psi) times, 14,058 rather than 9,207 at T_9
+    solves = []
+    real = compiler.output_value
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "output_value", counting)
+    for n, triples, cells in ((5, 315, 550), (6, 762, 1254), (7, 1785, 2828),
+                              (8, 4088, 6328), (9, 9207, 14058)):
+        solves.clear()
+        b = build(make_tn(n), verify=True)
+        assert (len(solves), len(b.psi)) == (triples, cells)
 
 
 def test_generalized_transitions_real_time_is_delta_order():

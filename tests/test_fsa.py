@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from bimc import classical, compiler
 from bimc.classical import classical_compile
 from bimc.compiler import compile
 from bimc.fsa import (
@@ -15,6 +16,7 @@ from bimc.fsa import (
     make_transducer,
     members,
     output_cells,
+    output_map,
     trim,
 )
 from bimc.functionality import test_functionality as functionality
@@ -280,6 +282,63 @@ def test_output_cells_are_the_compiled_output_maps():
         b = classical_compile(random_pseudo_det(rng))
         assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
         assert naive_count(b.left, b.right) == len(b.psi)
+
+
+def naive_output_map(left, right, entry):
+    """The output map with entry called on every cell."""
+    return {
+        (li, a, ri): entry((li, a, ri), s, l2 & r)
+        for li, a, ri, s, l2, r in output_cells(left, right)
+    }
+
+
+def test_output_map_solves_each_triple_once(monkeypatch):
+    def check(b, module, rebuild):
+        calls = Counter()
+
+        def entry(cell, s, s2):
+            calls[s, cell[1], s2] += 1
+            return s, cell[1], s2
+
+        triples = {(s, a, l2 & r) for _, a, _, s, l2, r in output_cells(b.left, b.right)}
+        psi = output_map(b.left, b.right, entry)
+        assert set(calls) == triples and set(calls.values()) <= {1}
+        assert psi == naive_output_map(b.left, b.right, lambda cell, s, s2: (s, cell[1], s2))
+        # the compiler's own entries give the same map when every cell is solved
+        with monkeypatch.context() as patched:
+            patched.setattr(module, "output_map", naive_output_map)
+            assert rebuild().psi == b.psi
+        return len(triples)
+
+    rng = random.Random(6161)
+    kinds = (FREE, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
+    shared = Counter()
+    for k in range(160):
+        t = random_transducer(rng, allow_eps=k % 8 < 4, monoid=kinds[k % 4])
+        verdict = functionality(t)
+        if verdict.functional:
+            b = compile(t, verdict=verdict)
+            shared[k % 4] += len(b.psi) - check(b, compiler, lambda: compile(t, verdict=verdict))
+    for _ in range(40):
+        t = random_pseudo_det(rng)
+        b = classical_compile(t)
+        shared["classical"] += len(b.psi) - check(b, classical, lambda: classical_compile(t))
+    assert len(shared) == 5 and min(shared.values()) > 0, shared  # some cells share a triple
+
+
+def test_output_map_propagates_entry_errors():
+    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
+    left, right = determinize(t)
+    first = next(output_cells(left, right))
+    seen = []
+
+    def entry(cell, s, s2):
+        seen.append(cell)
+        raise ArithmeticError(f"no entry at {cell}")
+
+    with pytest.raises(ArithmeticError, match="no entry at"):
+        output_map(left, right, entry)
+    assert seen == [first[:3]]
 
 
 # --- enumerate_outputs -------------------------------------------------------
