@@ -374,9 +374,11 @@ def _cmd_compile(args):
         handle.write(bimachine_to_text(b))
     if args.stats:
         eps = "none" if b.eps_output is None else format_value(b.eps_output)
+        sets = {lm & rm for lm in b.left.subsets for rm in b.right.subsets} - {0}
         print(
             f"left={b.left.n_states} right={b.right.n_states} "
-            f"psi={len(b.psi)} eps={eps}"
+            f"psi={len(b.psi)} eps={eps} squared={len(verdict.squared.pairs)} "
+            f"useful={len(verdict.valuation.rho)} sets={len(sets)} cells={len(b.psi)}"
         )
     return 0
 

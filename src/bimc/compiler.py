@@ -7,8 +7,10 @@ simultaneously reachable and co-reachable, a most general equalizer
 chain assigns each member state its accumulated delay, and each output
 entry is the unique value balancing those delays across one
 transition, solved once for all the cells that share its intersection
-triple.  Everything downstream of the functionality verdict is
-deterministic, so equal inputs give identical bimachines.
+triple.  Verification divides once per entry and checks every further
+transition joining the two sets by one payload product, which left
+cancellation makes exact.  Everything downstream of the functionality
+verdict is deterministic, so equal inputs give identical bimachines.
 """
 
 from __future__ import annotations
@@ -89,29 +91,35 @@ def output_value(cell, phi_s, phi_s2, steps, verify=False):
 
     steps is the move_index of the generalized transitions.  Solves
     delay(p) ∘ c = value ∘ delay(p') on the first transition connecting
-    the two intersection sets; with verify every such transition is
-    checked to give the same c.
+    the two intersection sets; with verify every further such
+    transition is checked by multiplying raw payloads, which by left
+    cancellation holds exactly when c solves it too.  Only a failing
+    transition is solved, to name its error.
     """
     li, a, ri = cell
-    c = None
+    c = mon = None
     for p, delay in phi_s.items():
         for m, q in steps.get((p, a), ()):
-            if q not in phi_s2:
+            d2 = phi_s2.get(q)
+            if d2 is None:
                 continue
-            cand = solve_right(delay, m * phi_s2[q])
+            if c is not None and (
+                mon.op_payload(delay.payload, c.payload) == mon.op_payload(m.payload, d2.payload)
+            ):
+                continue
+            cand = solve_right(delay, m * d2)
             if cand is None:
                 raise CompileError(
                     f"delay equation for transition ({p}, {a!r}, {q}) has no solution"
                 )
-            if c is None:
-                if not verify:
-                    return cand
-                c = cand
-            elif cand != c:
+            if c is not None:
                 raise CompileError(
                     f"output entry ({li}, {a!r}, {ri}) is not well defined: "
                     f"transition ({p}, {a!r}, {q}) solves to {cand!r}, expected {c!r}"
                 )
+            if not verify:
+                return cand
+            c, mon = cand, cand.monoid
     if c is None:
         raise CompileError(f"no transition connects {tuple(phi_s)} to {tuple(phi_s2)} on {a!r}")
     return c

@@ -3,11 +3,14 @@
 A pair (m1, m2) is equalizable when some (x1, x2) satisfies
 m1*x1 == m2*x2; a most general equalizer (mge) is an equalizer that
 every other equalizer factors through on the right.  Every monoid here
-is right cancellative and provides eta(m1, m2) returning an mge, or
-None when the pair has no equalizer at all, and solve_right(m, n),
-the unique c with m*c == n, or None.  An instance supplies only its
-product, right division and literals: the unit is the empty product,
-and eta follows from right division except in products.
+is cancellative on both sides and provides eta(m1, m2) returning an
+mge, or None when the pair has no equalizer at all, and
+solve_right(m, n), the c with m*c == n, or None.  That c is unique
+because every instance is left cancellative (m*x == m*y implies
+x == y), so one product checking m*c == n confirms a candidate c as
+well as dividing again would.  An instance supplies only its product,
+right division and literals: the unit is the empty product, and eta
+follows from right division except in products.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and

@@ -275,6 +275,7 @@ def test_cli_compile_and_run(tmp_path, capsys):
     assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--stats"]) == 0
     stats = capsys.readouterr().out
     assert "left=3" in stats and "right=6" in stats
+    assert stats.strip().endswith("squared=10 useful=6 sets=5 cells=34")
     assert cli_main(["run", out, "--input", "a1a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
     assert cli_main(["run", out, "--input", "a1"]) == 2
@@ -304,7 +305,13 @@ def test_cli_run_rejects_ambiguous_input(tmp_path, capsys):
 
 def test_cli_compile_classical_method(tmp_path, capsys):
     out = str(tmp_path / "tn2c.bim")
-    assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--method", "classical"]) == 0
+    assert cli_main(
+        ["compile", tn_file(tmp_path, 2), "-o", out, "--method", "classical", "--stats"]
+    ) == 0
+    # the squared automaton is the input's; sets are over the expansion
+    assert capsys.readouterr().out.strip() == (
+        "left=5 right=6 psi=58 eps=none squared=10 useful=6 sets=10 cells=58"
+    )
     assert cli_main(["run", out, "--input", "a2a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
 

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from bimc import compiler
 from bimc.benchmark import make_tn
 from bimc.bimachine import domain_contains, evaluate
+from bimc.cli import bimachine_to_text
 from bimc.compiler import (
     CompileError,
     NotFunctionalError,
@@ -15,7 +17,7 @@ from bimc.compiler import (
 )
 from bimc.fsa import make_transducer, move_index
 from bimc.functionality import test_functionality as functionality
-from bimc.monoid import FreeWords, MonoidValue
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import all_words, eps_paths, output_table, random_transducer
 
 FREE = FreeWords(("x", "y"))
@@ -23,6 +25,10 @@ FREE = FreeWords(("x", "y"))
 
 def fw(s):
     return MonoidValue(FREE, s)
+
+
+def nn(q):
+    return MonoidValue(NonNegRationals(), q)
 
 
 def test_single_transition_gives_single_entry():
@@ -84,6 +90,36 @@ def test_output_value_ill_defined_entry_fails_verification():
         output_value((3, "a", 4), phi_s, phi_s2, steps, verify=True)
 
 
+@pytest.mark.parametrize("v, delays, outs, solved", [
+    (fw, ("", "y"), ("x", "x"), "x"),
+    (nn, (0, 2), (1, 1), 1),
+], ids=["free", "nnrat"])
+def test_output_value_later_transition_has_no_solution(v, delays, outs, solved):
+    # the first transition solves; the second one's delay is too large
+    steps = move_index([(0, "a", v(outs[0]), 3), (1, "a", v(outs[1]), 3)])
+    phi_s, phi_s2 = {0: v(delays[0]), 1: v(delays[1])}, {3: v(delays[0])}
+    assert output_value((0, "a", 0), phi_s, phi_s2, steps) == v(solved)
+    with pytest.raises(CompileError) as info:
+        output_value((0, "a", 0), phi_s, phi_s2, steps, verify=True)
+    assert str(info.value) == "delay equation for transition (1, 'a', 3) has no solution"
+
+
+@pytest.mark.parametrize("v, outs, message", [
+    (fw, ("x", "xy"), 'solves to MonoidValue("xy"), expected MonoidValue("x")'),
+    (nn, (1, 2), "solves to MonoidValue(2), expected MonoidValue(1)"),
+], ids=["free", "nnrat"])
+def test_output_value_later_transition_solves_differently(v, outs, message):
+    steps = move_index([(0, "a", v(outs[0]), 3), (1, "a", v(outs[1]), 3)])
+    zero = v(outs[0]).monoid.unit
+    phi_s, phi_s2 = {0: zero, 1: zero}, {3: zero}
+    assert output_value((5, "a", 6), phi_s, phi_s2, steps) == v(outs[0])
+    with pytest.raises(CompileError) as info:
+        output_value((5, "a", 6), phi_s, phi_s2, steps, verify=True)
+    assert str(info.value) == (
+        f"output entry (5, 'a', 6) is not well defined: transition (1, 'a', 3) {message}"
+    )
+
+
 def test_output_value_unconnected_sets():
     # the only a-move from the set before leads outside the set after
     steps = move_index([(0, "a", fw("x"), 1), (0, "b", fw("x"), 2)])
@@ -108,6 +144,25 @@ def test_each_intersection_triple_is_solved_once(monkeypatch):
         solves.clear()
         b = build(make_tn(n), verify=True)
         assert (len(solves), len(b.psi)) == (triples, cells)
+
+
+def test_each_output_entry_divides_once(monkeypatch):
+    # verification multiplies payloads on the further transitions; a
+    # division per connecting transition would call solve_right 41,517
+    # times at T_9
+    divisions = 0
+    real = compiler.solve_right
+
+    def counting(m, n):
+        nonlocal divisions
+        divisions += 1
+        return real(m, n)
+
+    monkeypatch.setattr(compiler, "solve_right", counting)
+    for n, triples in ((5, 315), (6, 762), (7, 1785), (8, 4088), (9, 9207)):
+        divisions = 0
+        build(make_tn(n), verify=True)
+        assert divisions == triples
 
 
 def test_generalized_transitions_real_time_is_delta_order():
@@ -187,16 +242,21 @@ def test_compile_accepts_precomputed_verdict():
 
 
 def test_verify_and_fast_paths_agree_on_random_functional():
-    rng = random.Random(404)
-    checked = 0
-    for k in range(150):
-        t = random_transducer(rng, allow_eps=(k % 2 == 0))
+    rng = random.Random(1010)
+    monoids = (None, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
+    checked = Counter()
+    for k in range(1000):
+        monoid, eps = monoids[k % 8 // 2], k % 2 == 0
+        t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
         v = functionality(t)
-        if not v.functional:
+        if not (v.functional and v.trimmed.transitions):
             continue
-        checked += 1
-        assert build(t, verdict=v, verify=True) == build(t, verdict=v, verify=False)
-    assert checked > 40
+        checked[monoid, v.trimmed.real_time] += 1
+        verified, trusted = build(t, verdict=v, verify=True), build(t, verdict=v, verify=False)
+        assert verified == trusted  # psi included
+        assert bimachine_to_text(verified) == bimachine_to_text(trusted)
+    assert sum(checked.values()) >= 200
+    assert len(checked) == 8  # every monoid, with and without ε moves
 
 
 def test_compiled_machine_matches_path_oracle():
