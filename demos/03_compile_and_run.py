@@ -4,7 +4,6 @@ from bimc import (
     FreeWords,
     bimachine_to_text,
     compile,
-    domain_contains,
     evaluate,
     make_transducer,
 )
@@ -24,7 +23,5 @@ print("serialized machine:")
 print(bimachine_to_text(b))
 
 for word in (("a", "b"), ("a",), ("b", "a")):
-    if domain_contains(b, word):
-        print("".join(word), "->", evaluate(b, word))
-    else:
-        print("".join(word), "-> undefined")
+    out = evaluate(b, word)
+    print("".join(word), "->", "undefined" if out is None else out)

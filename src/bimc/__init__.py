@@ -10,7 +10,7 @@ the T_n comparison experiment (benchmark), and text formats plus the
 command line (cli).
 """
 
-from .bimachine import AlphabetError, Bimachine, domain_contains, evaluate
+from .bimachine import AlphabetError, Bimachine, evaluate
 from .benchmark import BenchReport, BenchRow, make_tn, run_bench
 from .classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
 from .compiler import CompileError, NotFunctionalError, compile
@@ -80,7 +80,6 @@ __all__ = [
     "classical_compile",
     "cli_main",
     "compile",
-    "domain_contains",
     "enumerate_outputs",
     "eta",
     "evaluate",

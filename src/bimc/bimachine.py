@@ -93,11 +93,3 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
             if l is None:
                 return None
     return fold(outputs, b.monoid)
-
-
-def domain_contains(b: Bimachine, word) -> bool:
-    """True when evaluate produces a value for word."""
-    try:
-        return evaluate(b, word) is not None
-    except AlphabetError:
-        return False

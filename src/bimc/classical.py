@@ -1,12 +1,12 @@
-"""The baseline bimachine construction for word-output transducers.
+"""The baseline bimachine construction, over any output monoid.
 
 Starting from a transducer that is deterministic over the paired
-alphabet of (input symbol, output word), the input is first expanded
+alphabet of (input symbol, output value), the input is first expanded
 into an unambiguous transducer: each expanded state carries one guessed
 state of the successful path plus the set of alternative states that
 must all fail for the guess to be right.  Determinizing the expansion
 forward and backward then yields a bimachine whose output map reads the
-unique surviving transition's word directly.
+unique surviving transition's output directly; no output algebra is used.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ from .bimachine import Bimachine
 from .fsa import (
     Transducer, Transition, determinize, explore, members, move_index, output_map, trim,
 )
-from .monoid import DescriptorMismatch, FreeWords
 
 
 def check_pseudo_deterministic(t: Transducer) -> bool:
-    """True when t is a deterministic automaton over (symbol, output word)
+    """True when t is a deterministic automaton over (symbol, output)
     pairs: a single initial state and at most one target per labeled move.
-    Output-nondeterminism (same source and symbol, different words) is
+    Output-nondeterminism (same source and symbol, different outputs) is
     allowed; that is what the expansion resolves."""
-    if not isinstance(t.monoid, FreeWords):
-        raise DescriptorMismatch("the baseline construction needs free word outputs")
     if not t.real_time or len(t.initial) != 1:
         return False
     target = {}
@@ -56,14 +53,14 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     """Resolve output-nondeterminism by guessing the successful path.
 
     From (p, N) every transition (p, a, v, p') spawns (p', N') where N'
-    collects the a-successors of N plus the targets of lexicographically
-    smaller outputs from p; the move is dropped when the target itself
-    lands in N'.  Finals are guesses that reached a final state while
-    every alternative missed.  The result is trimmed.
+    collects the a-successors of N plus the targets of the a-moves from p
+    whose output payload is smaller than v's by <, the payload order of
+    the monoid; the move is dropped when the target itself lands in N'.
+    Finals are guesses that reached a final state while every
+    alternative missed.  The result is trimmed.
     """
     if not check_pseudo_deterministic(t):
-        raise ValueError("input must be deterministic over (symbol, output word) pairs")
-    lex = t.monoid.lex_key
+        raise ValueError("input must be deterministic over (symbol, output) pairs")
     by_src = defaultdict(list)
     for tr in t.transitions:
         by_src[tr.src].append(tr)
@@ -73,8 +70,8 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
         p, neg_set = node
         for tr in by_src[p]:
             neg = {dst for q in neg_set for _, dst in moves.get((q, tr.inp), ())}
-            key = lex(tr.out.payload)
-            neg.update(dst for out, dst in moves[(p, tr.inp)] if lex(out.payload) < key)
+            key = tr.out.payload
+            neg.update(dst for out, dst in moves[(p, tr.inp)] if out.payload < key)
             if tr.dst not in neg:
                 yield tr, (tr.dst, frozenset(neg))
 
@@ -92,7 +89,7 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
 def classical_compile(t: Transducer) -> Bimachine:
     """Expand, determinize both directions, and read the output map off
     the expansion: by unambiguity exactly one transition survives between
-    any reachable set and co-reachable set, and its word is the entry."""
+    any reachable set and co-reachable set, and its output is the entry."""
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
     moves = move_index(tt.transitions)

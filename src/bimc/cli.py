@@ -378,7 +378,7 @@ def _cmd_compile(args):
         print(
             f"left={b.left.n_states} right={b.right.n_states} "
             f"psi={len(b.psi)} eps={eps} squared={len(verdict.squared.pairs)} "
-            f"useful={len(verdict.valuation.rho)} sets={len(sets)} cells={len(b.psi)}"
+            f"useful={len(verdict.valuation.rho)} sets={len(sets)}"
         )
     return 0
 
@@ -407,11 +407,7 @@ def _cmd_compare(args):
     if not verdict.functional:
         return 1
     machines = [("mge", mge_compile(t, verdict=verdict))]
-    try:
-        pseudo = check_pseudo_deterministic(t)
-    except DescriptorMismatch:
-        pseudo = False
-    if pseudo:
+    if check_pseudo_deterministic(t):
         machines.append(("classical", classical_compile(t)))
     else:
         print("classical skipped: not deterministic over (symbol, output) pairs")

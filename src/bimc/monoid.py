@@ -37,6 +37,8 @@ class AccumulationFailure(ValueError):
 class Monoid:
     """Base descriptor.  Subclasses supply the product, right division
     and literals on raw payloads; the unit and eta are derived from them.
+    The stored payloads of one instance are totally ordered by <, which
+    the classical expansion uses to rank alternative moves.
     Callers normally go through the module-level functions on MonoidValue."""
 
     def op_payload(self, a, b):
@@ -129,12 +131,6 @@ class FreeWords(Monoid):
         if len(text) < 2 or text[0] != '"' or text[-1] != '"':
             raise ValueError(f"free word literal must be quoted, got {text!r}")
         return self.check_payload(text[1:-1])
-
-    def lex_key(self, a):
-        """Sort key realizing lexicographic order with proper prefixes first,
-        using the declared symbol order."""
-        rank = {c: i for i, c in enumerate(self.alphabet)}
-        return tuple(rank[c] for c in a)
 
 
 _RAT_RE = re.compile(r"\d+(/\d+)?")

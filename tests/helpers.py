@@ -25,6 +25,15 @@ from bimc.monoid import (
 )
 
 
+# random_transducer's own free words first, then the other output monoids
+TRANSDUCER_MONOIDS = (
+    None,
+    NonNegRationals(),
+    Integers(),
+    PairOf(FreeWords(("x", "y")), PairOf(NonNegRationals(), Integers())),
+)
+
+
 def all_words(alphabet, max_len):
     """Every input word over alphabet up to max_len, shortest first."""
     for n in range(max_len + 1):
@@ -265,18 +274,28 @@ def random_transducer(
     return make_transducer(sigma, monoid, n, initial, final, arcs)
 
 
-def random_pseudo_det(rng, max_states=4, max_symbols=2, out_symbols=("x", "y"), max_out_len=2):
-    """Random transducer that is deterministic over (symbol, output word)
-    pairs: single initial state, distinct outputs per (state, symbol)."""
+def random_pseudo_det(
+    rng, max_states=4, max_symbols=2, out_symbols=("x", "y"), max_out_len=2, monoid=None
+):
+    """Random transducer that is deterministic over (symbol, output)
+    pairs: single initial state, distinct outputs per (state, symbol).
+    Free words over out_symbols, unless another monoid is given."""
     n = rng.randint(1, max_states)
     sigma = ("a", "b", "c")[: rng.randint(1, max_symbols)]
-    monoid = FreeWords(tuple(out_symbols))
+    free = monoid is None
+    if free:
+        monoid = FreeWords(tuple(out_symbols))
     arcs = []
     for src in range(n):
         for sym in sigma:
             outs = set()
             for _ in range(rng.choice((0, 1, 1, 2))):
-                out = "".join(rng.choice(out_symbols) for _ in range(rng.randint(0, max_out_len)))
+                if free:
+                    out = "".join(
+                        rng.choice(out_symbols) for _ in range(rng.randint(0, max_out_len))
+                    )
+                else:
+                    out = random_value(rng, monoid, max_out_len).payload
                 if out in outs:
                     continue
                 outs.add(out)

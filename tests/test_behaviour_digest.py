@@ -33,7 +33,7 @@ def inputs():
     for k in range(200):
         eps = k // 4 % 2 == 1
         t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=KINDS[k % 4])
-        yield f"random_{k}", t, k % 4 == 0 and check_pseudo_deterministic(t)
+        yield f"random_{k}", t, check_pseudo_deterministic(t)
 
 
 def machine_hash(b):

@@ -7,8 +7,8 @@ from bimc.classical import check_pseudo_deterministic, classical_compile, unambi
 from bimc.compiler import compile as build
 from bimc.fsa import enumerate_outputs, make_transducer
 from bimc.functionality import test_functionality as functionality
-from bimc.monoid import DescriptorMismatch, FreeWords, Integers, MonoidValue
-from helpers import all_words, count_paths, random_pseudo_det
+from bimc.monoid import FreeWords, Integers, MonoidValue
+from helpers import TRANSDUCER_MONOIDS, all_words, count_paths, random_pseudo_det
 
 FREE = FreeWords(("x", "y"))
 
@@ -38,10 +38,18 @@ def test_check_pseudo_deterministic():
     assert not check_pseudo_deterministic(t)
 
 
-def test_check_pseudo_deterministic_needs_word_outputs():
-    t = make_transducer(("a",), Integers(), 2, {0}, {1}, [(0, "a", 3, 1)])
-    with pytest.raises(DescriptorMismatch):
-        check_pseudo_deterministic(t)
+def test_classical_compiles_integer_outputs():
+    # "aa" outputs 3 + 1 or -2 + 6; the payload order keeps the -2 path
+    Z = Integers()
+    t = make_transducer(
+        ("a",), Z, 4, {0}, {3},
+        [(0, "a", 3, 1), (0, "a", -2, 2), (1, "a", 1, 3), (2, "a", 6, 3)],
+    )
+    assert check_pseudo_deterministic(t)
+    assert unambiguous_expand(t).pairs == ((0, frozenset()), (2, frozenset()), (3, frozenset()))
+    b = classical_compile(t)
+    assert evaluate(b, ("a", "a")) == MonoidValue(Z, 4)
+    assert evaluate(b, ("a",)) is None
 
 
 def test_expand_rejects_other_shapes():
@@ -111,16 +119,17 @@ def test_classical_eps_output_when_initial_is_final():
 
 
 def test_classical_matches_equalizer_on_functional_inputs():
-    rng = random.Random(2468)
-    checked = 0
-    for _ in range(150):
-        t = random_pseudo_det(rng)
-        verdict = functionality(t)
-        if not verdict.functional:
-            continue
-        checked += 1
-        cb = classical_compile(t)
-        eb = build(t, verdict=verdict)
-        for w in all_words(t.alphabet, 4):
-            assert evaluate(cb, w) == evaluate(eb, w)
-    assert checked > 40
+    for monoid in TRANSDUCER_MONOIDS:
+        rng = random.Random(2468)
+        checked = 0
+        for _ in range(150):
+            t = random_pseudo_det(rng, monoid=monoid)
+            verdict = functionality(t)
+            if not verdict.functional:
+                continue
+            checked += 1
+            cb = classical_compile(t)
+            eb = build(t, verdict=verdict)
+            for w in all_words(t.alphabet, 4):
+                assert evaluate(cb, w) == evaluate(eb, w), (monoid, w)
+        assert checked > 40, monoid

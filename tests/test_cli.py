@@ -275,7 +275,7 @@ def test_cli_compile_and_run(tmp_path, capsys):
     assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--stats"]) == 0
     stats = capsys.readouterr().out
     assert "left=3" in stats and "right=6" in stats
-    assert stats.strip().endswith("squared=10 useful=6 sets=5 cells=34")
+    assert stats.strip().endswith("squared=10 useful=6 sets=5")
     assert cli_main(["run", out, "--input", "a1a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
     assert cli_main(["run", out, "--input", "a1"]) == 2
@@ -310,10 +310,21 @@ def test_cli_compile_classical_method(tmp_path, capsys):
     ) == 0
     # the squared automaton is the input's; sets are over the expansion
     assert capsys.readouterr().out.strip() == (
-        "left=5 right=6 psi=58 eps=none squared=10 useful=6 sets=10 cells=58"
+        "left=5 right=6 psi=58 eps=none squared=10 useful=6 sets=10"
     )
     assert cli_main(["run", out, "--input", "a2a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
+    # the baseline runs over every output monoid, not only free words
+    ints = tmp_path / "ints.fst"
+    ints.write_text(
+        "monoid intgrp\nalphabet a\nstates 3\ninitial 0\nfinal 2\n"
+        "t 0 a -2 1\nt 0 a 3 2\nt 1 a 5 2\n",
+        encoding="utf-8",
+    )
+    ints_out = str(tmp_path / "ints.bim")
+    assert cli_main(["compile", str(ints), "-o", ints_out, "--method", "classical"]) == 0
+    assert cli_main(["run", ints_out, "--input", "aa"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 def test_cli_compile_rejects_nonfunctional(tmp_path, capsys):
@@ -388,7 +399,7 @@ def test_cli_compare(tmp_path, capsys):
     )
     assert cli_main(["compare", str(ints), "--max-len", "3"]) == 0
     out = capsys.readouterr().out
-    assert "classical skipped" in out and "mge agree" in out
+    assert "mge and classical agree" in out
 
 
 @pytest.mark.parametrize("entry", (["bimc"], ["bimc.cli"]), ids=" ".join)
