@@ -1,22 +1,22 @@
 """Compiles functional transducers into bimachines.
 
-The construction builds the two subset automata of the transducer
-(forward from the initial states, backward from the final ones), then
-fills the positional output map: for every subset of states that is
-simultaneously reachable and co-reachable, a most general equalizer
+The construction determinizes the generalized transitions, the ε*·a·ε*
+steps of the transducer, forward from the initial states and backward
+from the final ones, then fills the positional output map: for every set
+of states both reachable and co-reachable, a most general equalizer
 chain assigns each member state its accumulated delay, and each output
-entry is the unique value balancing those delays across one
-transition, solved once for all the cells that share its intersection
-triple.  Verification divides once per entry and checks every further
-transition joining the two sets by one payload product, which left
-cancellation makes exact.  Everything downstream of the functionality
-verdict is deterministic, so equal inputs give identical bimachines.
+entry is the unique value balancing those delays across one transition,
+solved once for all the cells that share its intersection triple.
+Verification divides once per entry and checks every further transition
+joining the two sets by one payload product, which left cancellation
+makes exact.  Everything downstream of the functionality verdict is
+deterministic, so equal inputs give identical bimachines.
 """
 
 from __future__ import annotations
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, members, move_index, output_map
+from .fsa import Transducer, determinize, make_transducer, members, move_index, output_map
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
 
@@ -138,7 +138,9 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     if not verdict.functional:
         raise NotFunctionalError(verdict)
     tt = verdict.trimmed
-    left, right = determinize(tt)
+    gen = generalized_transitions(tt, verdict.eps_paths)
+    real_time = make_transducer(tt.alphabet, tt.monoid, tt.n_states, tt.initial, tt.final, gen)
+    left, right = determinize(real_time)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
     phi = {}  # keyed by the intersection set's bitmask
@@ -147,7 +149,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
             s = lm & rm
             if s and s not in phi:
                 phi[s] = set_mge(members(s), nu, tt.monoid)
-    steps = move_index(generalized_transitions(tt, verdict.eps_paths))
+    steps = move_index(gen)
     psi = output_map(
         left, right,
         lambda cell, s, s2: output_value(cell, phi[s], phi[s2], steps, verify=verify),

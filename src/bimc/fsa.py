@@ -1,10 +1,10 @@
-"""Finite-state transducers with monoid outputs and the constructions
-on their state sets: trimming, epsilon closure, the forward and backward
-power-set automata (subsets are bitmasks over the states), and the walk
-over output cells with the output map it fills.  Every construction that
-discovers its states from a start (the power-set automata, the squared
-automaton, the classical expansion) numbers them with explore, which
-also enforces the one state budget, BIMC_MAX_STATES."""
+"""Finite-state transducers with monoid outputs and the constructions on
+their state sets: trimming, epsilon closure, the forward and backward
+power-set automata of a real-time transducer (subsets are bitmasks), and
+the walk over output cells with the output map it fills.  Every
+construction that discovers its states from a start (the power-set
+automata, the squared automaton, the classical expansion) numbers them
+with explore, which also enforces the one state budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
@@ -280,24 +280,18 @@ def eps_closure(n_states, eps_arcs, unit):
 
 
 def determinize(t: Transducer) -> tuple[Dfa, Dfa]:
-    """The accessible power-set automata of t's input projection, (left,
-    right): left reads forward from the initial states, right reads
-    backward from the final states.  One input symbol may ride along
-    any number of epsilon moves on either side: delta(S, a) collects
-    every state that a path with input projection exactly a leads to
-    from S (into S, for right).  Start subsets are the raw initial and
-    final sets, not their closures."""
-    arcs = ((tr.src, 1, tr.dst) for tr in t.transitions if tr.inp is None)
-    outof, into = eps_closure(t.n_states, arcs, 1)
-    # per state and symbol, the epsilon-symbol-epsilon successors as a mask
+    """The accessible power-set automata of real-time t's input
+    projection, (left, right): left reads forward from the initial
+    states, right reads backward from the final ones, each starting at
+    the raw set.  Raises ValueError on an epsilon move."""
+    if not t.real_time:
+        raise ValueError("determinize needs a real-time transducer")
+    # per state and symbol, the successors (predecessors, for right) as a mask
     fwd = [{} for _ in range(t.n_states)]
     bwd = [{} for _ in range(t.n_states)]
     for tr in t.transitions:
-        if tr.inp is not None:
-            for q, _ in into[tr.src]:
-                for p, _ in outof[tr.dst]:
-                    fwd[q][tr.inp] = fwd[q].get(tr.inp, 0) | 1 << p
-                    bwd[p][tr.inp] = bwd[p].get(tr.inp, 0) | 1 << q
+        fwd[tr.src][tr.inp] = fwd[tr.src].get(tr.inp, 0) | 1 << tr.dst
+        bwd[tr.dst][tr.inp] = bwd[tr.dst].get(tr.inp, 0) | 1 << tr.src
     dfas = []
     for start, step in ((t.initial, fwd), (t.final, bwd)):
         def images(subset):

@@ -15,10 +15,17 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import make_transducer, move_index
+from bimc.fsa import determinize, make_transducer, move_index
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
-from helpers import all_words, eps_paths, output_table, random_transducer
+from helpers import (
+    TRANSDUCER_MONOIDS,
+    all_words,
+    eps_paths,
+    output_table,
+    random_transducer,
+    remove_eps_edges,
+)
 
 FREE = FreeWords(("x", "y"))
 
@@ -181,6 +188,36 @@ def test_generalized_transitions_fold_eps_outputs():
     )
     gen = set(generalized_transitions(t, eps_paths(t)))
     assert gen == {(1, "a", fw("y"), 2), (0, "a", fw("xy"), 2)}
+
+
+def test_compile_determinizes_the_eps_free_steps():
+    # the subset automata of an epsilon transducer are those of its
+    # naive epsilon removal; determinize itself refuses epsilon moves
+    cycle = make_transducer(
+        ("a",), FREE, 3, {0}, {2}, [(0, None, "", 1), (1, None, "", 0), (0, "a", "x", 2)],
+    )
+    b = build(cycle)
+    assert (b.left.subsets, b.right.subsets) == ((0b001, 0b100), (0b100, 0b011))
+    assert evaluate(b, ("a",)) == fw("x")
+    rng = random.Random(8080)
+    eps_left = 0  # trimmed transducers that keep an epsilon move
+    for monoid in TRANSDUCER_MONOIDS:
+        functional = 0
+        while functional < 50:
+            t = random_transducer(rng, allow_eps=True, require_eps=True, monoid=monoid)
+            verdict = functionality(t)
+            if not verdict.functional:
+                continue
+            functional += 1
+            tt = verdict.trimmed
+            b = build(t, verdict=verdict)
+            for got, want in zip((b.left, b.right), determinize(remove_eps_edges(tt))):
+                assert (got.subsets, got.delta) == (want.subsets, want.delta)
+            if not tt.real_time:
+                eps_left += 1
+                with pytest.raises(ValueError, match="real-time"):
+                    determinize(tt)
+    assert eps_left >= 10, eps_left
 
 
 def test_leading_eps_before_first_symbol():
