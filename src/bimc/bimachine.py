@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fsa import Dfa
+from .fsa import Dfa, check_symbols
 from .monoid import Monoid, MonoidValue, fold
 
 
@@ -37,7 +37,7 @@ class Bimachine:
     eps_output: MonoidValue | None = None
 
     def __post_init__(self):
-        syms = set(self.alphabet)
+        syms = set(check_symbols(self.alphabet))
         m = self.monoid
 
         def foreign(v):

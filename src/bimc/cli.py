@@ -4,9 +4,9 @@ The transducer format is line based: `monoid <descriptor>`, `alphabet
 <sym>...`, `states <count>`, `initial <idx>...`, `final <idx>...`, and
 one `t <src> <sym> <value> <dst>` row per transition, where the input
 symbol `-` stands for the empty input.  Full-line `#` comments and blank
-lines are ignored.  Bimachines serialize to a `BIM v1` block whose rows
-are written in sorted order, so equal machines produce identical text;
-reading one back rejects a second start or EPS row and conflicting rows.
+lines are ignored.  Bimachines serialize to a `BIM v1` block of sorted
+rows after an alphabet row, so equal machines give identical text; the
+reader rejects repeated declarations, conflicts and undeclared symbols.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .benchmark import run_bench
 from .bimachine import Bimachine, evaluate
 from .classical import check_pseudo_deterministic, classical_compile
 from .compiler import CompileError, compile as mge_compile
-from .fsa import Dfa, StateLimitExceeded, Transducer, Transition, enumerate_outputs
+from .fsa import Dfa, StateLimitExceeded, Transducer, Transition, check_symbols, enumerate_outputs
 from .functionality import test_functionality
 from .monoid import (
     DescriptorMismatch,
@@ -87,14 +87,7 @@ def parse_transducer(text: str) -> Transducer:
         if kind == "monoid":
             monoid = _parsed(TransducerFormatError, lineno, parse_descriptor, " ".join(rest))
         elif kind == "alphabet":
-            if "-" in rest:
-                raise TransducerFormatError(
-                    f"line {lineno}: the symbol - is reserved for the empty input"
-                )
-            for i, sym in enumerate(rest):
-                if sym in rest[:i]:
-                    raise TransducerFormatError(f"line {lineno}: duplicate input symbol {sym!r}")
-            alphabet = tuple(rest)
+            alphabet = _parsed(TransducerFormatError, lineno, check_symbols, rest)
         elif kind == "states":
             if len(rest) != 1 or not rest[0].isdecimal():
                 raise TransducerFormatError(f"line {lineno}: states needs one count")
@@ -155,10 +148,9 @@ def format_transducer(t: Transducer) -> str:
 
 
 def bimachine_to_text(b: Bimachine) -> str:
-    """Serialize with sorted rows; the alphabet and state counts are
-    implicit in the rows, so machines that agree on behaviour agree on
-    text."""
-    lines = [f"BIM v1 {format_descriptor(b.monoid)}"]
+    """Serialize with the alphabet and the rows sorted, and the state counts
+    implicit, so machines that agree on behaviour agree on text."""
+    lines = [f"BIM v1 {format_descriptor(b.monoid)}", " ".join(("alphabet", *sorted(b.alphabet)))]
     for name, dfa in (("LEFT", b.left), ("RIGHT", b.right)):
         lines.append(name)
         lines.append(f"start {dfa.start}")
@@ -173,14 +165,24 @@ def bimachine_to_text(b: Bimachine) -> str:
 
 
 def bimachine_from_text(text: str) -> Bimachine:
-    monoid = None
+    """Read a BIM v1 block.  An older text without the alphabet row gets
+    the symbols of its rows as its alphabet."""
+    monoid = alphabet = None
     section = None
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
     highest = {"LEFT": 0, "RIGHT": 0}
     psi = {}
     eps_output = None
-    declared = {}  # line number of each start and EPS row
+    declared = {}  # line number of each alphabet, start and EPS row
+    row_symbols = set()  # the alphabet of an older text
+
+    def symbol(sym, lineno):
+        if alphabet is None:
+            row_symbols.add(_parsed(BimachineFormatError, lineno, check_symbols, (sym,))[0])
+        elif sym not in alphabet:
+            raise BimachineFormatError(f"line {lineno}: undeclared symbol {sym!r}")
+        return sym
     for lineno, tokens in _content_lines(text):
         if monoid is None:
             if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
@@ -190,6 +192,9 @@ def bimachine_from_text(text: str) -> Bimachine:
         kind = tokens[0]
         if kind in ("LEFT", "RIGHT", "PSI"):
             section = kind
+        elif kind == "alphabet" and section is None:
+            _declare(BimachineFormatError, declared, "alphabet", lineno)
+            alphabet = _parsed(BimachineFormatError, lineno, check_symbols, tokens[1:])
         elif kind == "EPS":
             _declare(BimachineFormatError, declared, "EPS", lineno)
             literal = " ".join(tokens[1:])
@@ -201,7 +206,7 @@ def bimachine_from_text(text: str) -> Bimachine:
             section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
-            p, sym, q = int(tokens[1]), tokens[2], int(tokens[3])
+            p, sym, q = int(tokens[1]), symbol(tokens[2], lineno), int(tokens[3])
             move = deltas[section].setdefault((p, sym), q)
             if move != q:
                 raise BimachineFormatError(f"line {lineno}: conflicting moves for {p} on {sym!r}")
@@ -210,7 +215,7 @@ def bimachine_from_text(text: str) -> Bimachine:
             section == "PSI" and kind == "o" and len(tokens) >= 5
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
-            cell = (int(tokens[1]), tokens[2], int(tokens[3]))
+            cell = (int(tokens[1]), symbol(tokens[2], lineno), int(tokens[3]))
             value = _parsed(BimachineFormatError, lineno, parse_value, monoid, " ".join(tokens[4:]))
             if psi.setdefault(cell, value) != value:
                 raise BimachineFormatError(f"line {lineno}: conflicting outputs for {cell}")
@@ -224,11 +229,8 @@ def bimachine_from_text(text: str) -> Bimachine:
         if side not in starts:
             raise BimachineFormatError(f"missing start declaration in {side}")
         highest[side] = max(highest[side], starts[side])
-    alphabet = tuple(sorted(
-        {sym for _, sym in deltas["LEFT"]}
-        | {sym for _, sym in deltas["RIGHT"]}
-        | {sym for _, sym, _ in psi}
-    ))
+    if alphabet is None:
+        alphabet = tuple(sorted(row_symbols))
     left = Dfa(alphabet, highest["LEFT"] + 1, starts["LEFT"], deltas["LEFT"])
     right = Dfa(alphabet, highest["RIGHT"] + 1, starts["RIGHT"], deltas["RIGHT"])
     return Bimachine(monoid, alphabet, left, right, psi, eps_output)

@@ -53,6 +53,21 @@ def explore(starts, successors, what):
     return order, arcs
 
 
+def check_symbols(alphabet) -> tuple:
+    """alphabet as a tuple; raises ValueError unless its symbols are
+    distinct non-empty strings without whitespace, none of them - (ε)."""
+    seen = set()
+    for sym in alphabet:
+        if not sym or not isinstance(sym, str) or any(c.isspace() for c in sym):
+            raise ValueError(f"bad input symbol {sym!r}")
+        if sym == "-":
+            raise ValueError("the symbol - is reserved for the empty input")
+        if sym in seen:
+            raise ValueError(f"duplicate input symbol {sym!r}")
+        seen.add(sym)
+    return tuple(alphabet)
+
+
 class Transition(NamedTuple):
     src: int
     inp: str | None  # None is an epsilon input move
@@ -74,15 +89,7 @@ class Transducer:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        seen = set()
-        for sym in self.alphabet:
-            if not sym or not isinstance(sym, str) or any(c.isspace() for c in sym):
-                raise ValueError(f"bad input symbol {sym!r}")
-            if sym == "-":
-                raise ValueError("the symbol - is reserved for the empty input")
-            if sym in seen:
-                raise ValueError(f"duplicate input symbol {sym!r}")
-            seen.add(sym)
+        seen = set(check_symbols(self.alphabet))
         for q in self.initial | self.final:
             if not 0 <= q < self.n_states:
                 raise ValueError(f"state {q} out of range")

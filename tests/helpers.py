@@ -304,13 +304,17 @@ def random_pseudo_det(
     return make_transducer(sigma, monoid, n, {rng.randrange(n)}, final, arcs)
 
 
-def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y")):
-    """A structurally valid bimachine with random partial tables."""
+def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y"), monoid=None):
+    """A structurally valid bimachine with random partial tables, with
+    free words over out_symbols unless another monoid is given.  One
+    draw in four declares a symbol, z, that no row uses."""
     from bimc.bimachine import Bimachine
     from bimc.fsa import Dfa
 
     sigma = ("a", "b", "c")[: rng.randint(1, max_symbols)]
-    monoid = FreeWords(tuple(out_symbols))
+    alphabet = sigma + ("z",) if rng.random() < 0.25 else sigma
+    if monoid is None:
+        monoid = FreeWords(tuple(out_symbols))
 
     def rand_dfa():
         n = rng.randint(1, max_states)
@@ -319,7 +323,7 @@ def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y")):
             for s in sigma:
                 if rng.random() < 0.8:
                     delta[(q, s)] = rng.randrange(n)
-        return Dfa(sigma, n, rng.randrange(n), delta)
+        return Dfa(alphabet, n, rng.randrange(n), delta)
 
     left, right = rand_dfa(), rand_dfa()
     psi = {}
@@ -329,7 +333,7 @@ def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y")):
                 if rng.random() < 0.7:
                     psi[(l, s, r)] = random_value(rng, monoid, 2)
     eps = random_value(rng, monoid, 2) if rng.random() < 0.5 else None
-    return Bimachine(monoid, sigma, left, right, psi, eps)
+    return Bimachine(monoid, alphabet, left, right, psi, eps)
 
 
 def output_table(t, max_len, max_steps=None, node_cap=None, stop_on_conflict=False):

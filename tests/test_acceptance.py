@@ -121,30 +121,34 @@ def test_criterion_3_compiled_machines_match_path_oracle():
 
 def test_criterion_4_functionality_verdict_vs_bounded_oracle():
     rng = random.Random(424242)
-    n_functional = n_rejected = n_conflicts = disagreements = 0
-    for k in range(500):
-        t = random_transducer(rng, allow_eps=(k % 2 == 0))
-        verdict = functionality(t)
-        table, truncated = output_table(
-            t, 6,
-            node_cap=None if verdict.functional else 300_000,
-            stop_on_conflict=not verdict.functional,
-        )
-        conflict = any(len(outs) > 1 for outs in table.values())
-        if verdict.functional:
-            n_functional += 1
-            if conflict or truncated:
-                disagreements += 1
-        else:
-            n_rejected += 1
-            n_conflicts += conflict
-    mixed = n_functional > 100 and n_rejected > 100 and n_conflicts > 50
+    counts = []  # (functional, rejected, rejected with a conflict) per monoid
+    disagreements = 0
+    for monoid in TRANSDUCER_MONOIDS:
+        n_functional = n_rejected = n_conflicts = 0
+        for k in range(500):
+            t = random_transducer(rng, allow_eps=(k % 2 == 0), monoid=monoid)
+            verdict = functionality(t)
+            table, truncated = output_table(
+                t, 6,
+                node_cap=None if verdict.functional else 300_000,
+                stop_on_conflict=not verdict.functional,
+            )
+            conflict = any(len(outs) > 1 for outs in table.values())
+            if verdict.functional:
+                n_functional += 1
+                if conflict or truncated:
+                    disagreements += 1
+            else:
+                n_rejected += 1
+                n_conflicts += conflict
+        counts.append((n_functional, n_rejected, n_conflicts))
+    mixed = all(f > 100 and r > 100 and c > 50 for f, r, c in counts)
     ok = disagreements == 0 and mixed
     _line(
         4, ok,
-        f"500 random transducers vs path outputs on words <= 6: "
-        f"{n_functional} functional (no conflict found in any), {n_rejected} rejected "
-        f"({n_conflicts} with a conflict inside the bound), {disagreements} disagreements",
+        f"500 random transducers per output monoid vs path outputs on words <= 6: "
+        f"functional / rejected / rejected with a conflict inside the bound "
+        f"{'; '.join(f'{f}/{r}/{c}' for f, r, c in counts)}, {disagreements} disagreements",
     )
 
 

@@ -5,10 +5,14 @@ it is; after a deliberate change of behaviour, regenerate the golden
 file with
 
     PYTHONPATH=src python tests/test_behaviour_digest.py
+
+which first prints how many lines differ from the committed file in
+each field, as a failing test does.
 """
 
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 from bimc.benchmark import make_tn
@@ -23,6 +27,7 @@ from helpers import random_transducer
 GOLDEN = Path(__file__).with_name("golden") / "behaviour.txt"
 FREE = FreeWords(("x", "y"))
 KINDS = (FREE, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
+FIELDS = ("name", "verdict", "detail", "mge", "classical", "outputs")
 
 
 def inputs():
@@ -64,14 +69,48 @@ def digest():
     return [digest_line(*item) for item in inputs()]
 
 
+def fields(line):
+    """The FIELDS of one digest line; only the detail is free text."""
+    name, verdict, rest = line.split(" | ", 2)
+    return (name, verdict, *rest.rsplit(" | ", 3))
+
+
+def field_report(want, got):
+    """How many of the got lines differ from the want lines, in all and
+    per field."""
+    diff = Counter()
+    for w, g in zip(want, got):
+        diff["lines"] += w != g
+        for field, a, b in zip(FIELDS, fields(w), fields(g)):
+            diff[field] += a != b
+    per_field = ", ".join(f"{field} {diff[field]}" for field in FIELDS)
+    return f"{diff['lines']} of {len(got)} lines differ ({len(want)} committed): {per_field}"
+
+
+def test_field_report_counts_each_field():
+    want = [
+        'T_1 | functional | - | mge=a | classical=b | "x"',
+        "r | eps-cycle | a | b | mge=- | classical=- | -",
+    ]
+    got = ['T_1 | functional | - | mge=c | classical=b | "y"', want[1]]
+    assert fields(want[1]) == ("r", "eps-cycle", "a | b", "mge=-", "classical=-", "-")
+    assert field_report(want, got) == (
+        "1 of 2 lines differ (2 committed): "
+        "name 0, verdict 0, detail 0, mge 1, classical 0, outputs 1"
+    )
+
+
 def test_behaviour_digest_is_unchanged():
     want = GOLDEN.read_text(encoding="utf-8").splitlines()
     got = digest()
     changed = [(w, g) for w, g in zip(want, got) if w != g]
-    assert len(got) == len(want)
-    assert not changed, f"{len(changed)} lines differ, first: {changed[:3]}"
+    report = field_report(want, got)
+    assert len(got) == len(want) and not changed, f"{report}, first: {changed[:3]}"
 
 
 if __name__ == "__main__":
+    lines = digest()
+    if GOLDEN.exists():
+        print(field_report(GOLDEN.read_text(encoding="utf-8").splitlines(), lines))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(digest()) + "\n", encoding="utf-8")
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")

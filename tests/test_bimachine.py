@@ -88,6 +88,14 @@ def test_constructor_rejects_bad_entries():
         Bimachine(FREE, ("a",), left, right, {}, eps_output=other)
     with pytest.raises(ValueError):
         Bimachine(FREE, ("a",), left, right, {}, eps_output="x")
+    for alphabet, needle in (
+        (("a b",), "bad input symbol"),
+        (("",), "bad input symbol"),
+        (("a", "a"), "duplicate input symbol 'a'"),
+        (("-",), "reserved"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            Bimachine(FREE, alphabet, left, right, {})
 
 
 def psi_star(b, l, syms, r):

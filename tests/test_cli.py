@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bimc.benchmark import make_tn
-from bimc.bimachine import evaluate
+from bimc.bimachine import AlphabetError, evaluate
 from bimc.cli import (
     AmbiguousInputError,
     BimachineFormatError,
@@ -24,7 +24,7 @@ from bimc.cli import (
 from bimc.compiler import compile as build
 from bimc.fsa import make_transducer
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value
-from helpers import all_words, random_bimachine, random_transducer
+from helpers import TRANSDUCER_MONOIDS, all_words, random_bimachine, random_transducer
 
 FREE = FreeWords(("x", "y"))
 
@@ -144,7 +144,8 @@ def _mutated_lines(rng, text, pool):
 def test_parsers_raise_only_format_errors():
     rng = random.Random(2024)
     pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
-            "o", "d", "t", "start", "PSI", "EPS", "LEFT", "free:", "nnrat", "product(", ""]
+            "o", "d", "t", "start", "PSI", "EPS", "LEFT", "alphabet", "free:", "nnrat", "product(",
+            ""]
     transducers = [make_tn(2)] + [
         random_transducer(rng, allow_eps=True, monoid=m)
         for m in (None, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
@@ -182,15 +183,35 @@ def test_bimachine_round_trip_is_canonical():
 
 def test_random_bimachines_round_trip():
     rng = random.Random(99)
-    for _ in range(50):
-        b = random_bimachine(rng)
-        text = bimachine_to_text(b)
-        b2 = bimachine_from_text(text)
-        assert bimachine_to_text(b2) == text
-        assert b2.psi == b.psi and b2.eps_output == b.eps_output
-        for _ in range(10):
-            w = tuple(rng.choice(b2.alphabet) for _ in range(rng.randint(0, 3))) if b2.alphabet else ()
-            assert evaluate(b2, w) == evaluate(b, w)
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(50):
+            b = random_bimachine(rng, monoid=monoid)
+            text = bimachine_to_text(b)
+            b2 = bimachine_from_text(text)
+            assert bimachine_to_text(b2) == text
+            assert b2.psi == b.psi and b2.eps_output == b.eps_output
+            for _ in range(10):
+                w = tuple(rng.choice(b.alphabet) for _ in range(rng.randint(0, 3)))
+                assert evaluate(b2, w) == evaluate(b, w)
+
+
+def test_bimachine_text_keeps_the_alphabet():
+    b = build(make_transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
+    text = bimachine_to_text(b)
+    assert text.splitlines()[1] == "alphabet a b c"
+    b2 = bimachine_from_text(text)
+    assert b2.alphabet == ("a", "b", "c")
+    assert evaluate(b, ("c",)) is None and evaluate(b2, ("c",)) is None
+    assert format_value(evaluate(b2, ("a",))) == '"x"'
+    # a text written before the alphabet row: the symbols of its rows
+    old = bimachine_from_text(
+        'BIM v1 free:x\nLEFT\nstart 0\nd 0 b 0\nRIGHT\nstart 0\nd 0 a 0\n'
+        'PSI\no 0 a 0 "x"\n'
+    )
+    assert old.alphabet == old.left.alphabet == ("a", "b")
+    assert format_value(evaluate(old, ("a",))) == '"x"'
+    with pytest.raises(AlphabetError):
+        evaluate(old, ("c",))
 
 
 def test_bimachine_from_text_rejects_garbage():
@@ -208,6 +229,13 @@ def test_bimachine_from_text_rejects_garbage():
          "line 7: EPS already declared on line 6"),
         ("BIM v1 free:xy\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 \"x\"\no 0 a 0 \"y\"\n",
          "line 8: conflicting outputs for (0, 'a', 0)"),
+        ("BIM v1 free:x\nalphabet a a\n", "line 2: duplicate input symbol 'a'"),
+        ("BIM v1 free:x\nalphabet a\nalphabet a\n", "line 3: alphabet already declared on line 2"),
+        ("BIM v1 free:x\nLEFT\nalphabet a\n", "line 3: unexpected row"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nd 0 b 0\n", "line 5: undeclared symbol 'b'"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 b 0 \"x\"\n",
+         "line 8: undeclared symbol 'b'"),
+        ("BIM v1 free:x\nLEFT\nstart 0\nd 0 - 0\n", "line 4: the symbol - is reserved"),
     ]
     for text, needle in cases:
         with pytest.raises(BimachineFormatError) as info:
