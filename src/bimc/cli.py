@@ -148,8 +148,8 @@ def format_transducer(t: Transducer) -> str:
 
 
 def bimachine_to_text(b: Bimachine) -> str:
-    """Serialize with the alphabet and the rows sorted, and the state counts
-    implicit, so machines that agree on behaviour agree on text."""
+    """Serialize with the alphabet and the rows sorted and the state counts
+    implicit in the rows, so equal machines give identical text."""
     lines = [f"BIM v1 {format_descriptor(b.monoid)}", " ".join(("alphabet", *sorted(b.alphabet)))]
     for name, dfa in (("LEFT", b.left), ("RIGHT", b.right)):
         lines.append(name)
@@ -175,11 +175,11 @@ def bimachine_from_text(text: str) -> Bimachine:
     psi = {}
     eps_output = None
     declared = {}  # line number of each alphabet, start and EPS row
-    row_symbols = set()  # the alphabet of an older text
+    row_symbols = set()  # the alphabet of a text without an alphabet row
 
     def symbol(sym, lineno):
         if alphabet is None:
-            row_symbols.add(_parsed(BimachineFormatError, lineno, check_symbols, (sym,))[0])
+            row_symbols.update(_parsed(BimachineFormatError, lineno, check_symbols, (sym,)))
         elif sym not in alphabet:
             raise BimachineFormatError(f"line {lineno}: undeclared symbol {sym!r}")
         return sym
