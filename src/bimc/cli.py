@@ -435,6 +435,9 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for option, low in (("max_n", 1), ("max_len", 0)):
+            if getattr(args, option, low) < low:
+                raise _UsageError(f"--{option.replace('_', '-')} must be at least {low}")
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EX_USAGE

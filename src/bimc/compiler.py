@@ -3,10 +3,10 @@
 The construction determinizes the generalized transitions, the ε*·a·ε*
 steps of the transducer, forward from the initial states and backward
 from the final ones, then fills the positional output map: for every set
-of states both reachable and co-reachable, a most general equalizer
-chain assigns each member state its accumulated delay, and each output
-entry is the unique value balancing those delays across one transition,
-solved once for all the cells that share its intersection triple.
+the cell walk meets, a most general equalizer chain assigns each member
+state its accumulated delay, once per set, and each output entry is the
+unique value balancing those delays across one transition, solved once
+for all the cells that share its intersection triple.
 Verification divides once per entry and checks every further transition
 joining the two sets by one payload product, which left cancellation
 makes exact.  Everything downstream of the functionality verdict is
@@ -14,6 +14,8 @@ deterministic, so equal inputs give identical bimachines.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .bimachine import Bimachine
 from .fsa import Transducer, determinize, make_transducer, members, move_index, output_map
@@ -63,26 +65,21 @@ def generalized_transitions(t: Transducer, eps_paths):
     given t's output-labelled eps_closure.
 
     Returns (src, sym, value, dst) tuples, one per path shaped
-    ε*·sym·ε* with the ε outputs folded into the value; on a real-time
-    transducer that is its transition list.  Enumeration order is
-    declaration order of the symbol transition, then the ε extensions
-    by start state and discovery order.  Requires every ε-cycle to be
-    output-free (which the functionality test guarantees), otherwise
-    the expansion would not be finite.
+    ε*·sym·ε* with the ε outputs folded into the value, so two paths
+    may repeat a step (a Transducer built from the list keeps the
+    first); on a real-time transducer that is its transition list.
+    Enumeration order is declaration order of the symbol transition,
+    then the ε extensions by start state and discovery order.  Requires
+    every ε-cycle to be output-free (which the functionality test
+    guarantees), otherwise the expansion would not be finite.
     """
     outof, into = eps_paths
-    gen = []
-    seen = set()
-    for tr in t.transitions:
-        if tr.inp is None:
-            continue
-        for p, v1 in into[tr.src]:
-            for q, v2 in outof[tr.dst]:
-                g = (p, tr.inp, v1 * tr.out * v2, q)
-                if g not in seen:
-                    seen.add(g)
-                    gen.append(g)
-    return gen
+    return [
+        (p, tr.inp, v1 * tr.out * v2, q)
+        for tr in t.transitions if tr.inp is not None
+        for p, v1 in into[tr.src]
+        for q, v2 in outof[tr.dst]
+    ]
 
 
 def output_value(cell, phi_s, phi_s2, steps, verify=False):
@@ -143,16 +140,11 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     left, right = determinize(real_time)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
-    phi = {}  # keyed by the intersection set's bitmask
-    for lm in left.subsets:
-        for rm in right.subsets:
-            s = lm & rm
-            if s and s not in phi:
-                phi[s] = set_mge(members(s), nu, tt.monoid)
-    steps = move_index(gen)
+    steps = move_index(real_time.transitions)
+    phi = cache(lambda s: set_mge(members(s), nu, tt.monoid))  # delays of a set, by bitmask
     psi = output_map(
         left, right,
-        lambda cell, s, s2: output_value(cell, phi[s], phi[s2], steps, verify=verify),
+        lambda cell, s, s2: output_value(cell, phi(s), phi(s2), steps, verify=verify),
     )
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

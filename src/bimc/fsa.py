@@ -93,8 +93,6 @@ class Transducer:
         for q in self.initial | self.final:
             if not 0 <= q < self.n_states:
                 raise ValueError(f"state {q} out of range")
-        deduped = []
-        have = set()
         for tr in self.transitions:
             if not (0 <= tr.src < self.n_states and 0 <= tr.dst < self.n_states):
                 raise ValueError(f"transition endpoint out of range: {tr}")
@@ -102,10 +100,7 @@ class Transducer:
                 raise ValueError(f"undeclared input symbol {tr.inp!r}")
             if tr.out.monoid is not self.monoid and tr.out.monoid != self.monoid:
                 raise ValueError(f"output from a different monoid: {tr}")
-            if tr not in have:
-                have.add(tr)
-                deduped.append(tr)
-        object.__setattr__(self, "transitions", tuple(deduped))
+        object.__setattr__(self, "transitions", tuple(dict.fromkeys(self.transitions)))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
 

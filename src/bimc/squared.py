@@ -19,7 +19,8 @@ from .monoid import Monoid, MonoidValue, eta
 @dataclass
 class SquaredAutomaton:
     """Pairs are stored in breadth-first discovery order with the initial
-    pairs first; valuation correctness depends on that order."""
+    pairs first, and transitions grouped by source in that order, so the
+    first arc into a pair is the one that discovered it."""
 
     monoid: Monoid
     pairs: tuple[tuple[int, int], ...]
@@ -78,23 +79,14 @@ class Valuation:
 
 
 def valuation(sq: SquaredAutomaton, useful: frozenset[int]) -> Valuation:
-    out_edges = defaultdict(list)
-    for src, m1, m2, dst in sq.transitions:
-        out_edges[src].append((m1, m2, dst))
+    """One scan of sq's arcs: a useful initial pair has rho (e, e), any
+    other useful pair takes rho along the arc that discovered it."""
     unit = sq.monoid.unit
-    rho = {}
-    # processing pairs in discovery order guarantees rho(p) is known
-    # before any useful p hands its value on
-    for i in range(len(sq.pairs)):
-        if i not in useful:
-            continue
-        if i in sq.initial:
-            rho[i] = (unit, unit)
-        assert i in rho, "useful pair reached before its predecessors"
-        x1, x2 = rho[i]
-        for m1, m2, dst in out_edges[i]:
-            if dst in useful and dst not in rho:
-                rho[dst] = (x1 * m1, x2 * m2)
+    rho = {i: (unit, unit) for i in sq.initial if i in useful}
+    for src, m1, m2, dst in sq.transitions:
+        if dst in useful and dst not in rho:
+            x1, x2 = rho[src]
+            rho[dst] = (x1 * m1, x2 * m2)
     nu = {}
     for i, (x1, x2) in rho.items():
         if x1 == x2:

@@ -213,6 +213,34 @@ def dump_valuation(sq, val) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def valuation_reference(sq, useful):
+    """rho and nu as dicts, by the per-pair rule: visit the useful pairs
+    in discovery order, an initial one set to (e, e), and hand each
+    pair's rho on along its arcs to the useful pairs not yet set.  The
+    oracle for squared.valuation's single scan of the arcs."""
+    out_edges = defaultdict(list)
+    for src, m1, m2, dst in sq.transitions:
+        out_edges[src].append((m1, m2, dst))
+    unit = sq.monoid.unit
+    rho = {}
+    for i in range(len(sq.pairs)):
+        if i not in useful:
+            continue
+        if i in sq.initial:
+            rho[i] = (unit, unit)
+        assert i in rho, "useful pair reached before its predecessors"
+        x1, x2 = rho[i]
+        for m1, m2, dst in out_edges[i]:
+            if dst in useful and dst not in rho:
+                rho[dst] = (x1 * m1, x2 * m2)
+    nu = {}
+    for i, (x1, x2) in rho.items():
+        nu_i = (unit, unit) if x1 == x2 else eta(x1, x2)
+        if nu_i is not None:
+            nu[i] = nu_i
+    return rho, nu
+
+
 def run_dfa(dfa, word):
     """The state dfa reaches reading word from its start, or None when
     a move is undefined."""
@@ -272,6 +300,49 @@ def random_transducer(
     n_final = rng.choice([0, 1, 1, 1, 2])
     final = set(rng.sample(range(n), min(n_final, n)))
     return make_transducer(sigma, monoid, n, initial, final, arcs)
+
+
+def split_value(rng, v):
+    """A random (u, w) with u * w == v, u not the unit where v allows
+    it: a prefix of a word, a share of a rational, any integer but 0,
+    componentwise in a product."""
+
+    def payloads(m, a):
+        if isinstance(m, FreeWords):
+            k = rng.randint(1, len(a)) if a else 0
+            return a[:k], a[k:]
+        if isinstance(m, NonNegRationals):
+            u = a * Fraction(rng.randint(1, 3), 3)
+            return u, a - u
+        if isinstance(m, Integers):
+            u = rng.choice((-2, -1, 1, 2))
+            return u, a - u
+        if isinstance(m, PairOf):
+            (ul, wl), (ur, wr) = payloads(m.left, a[0]), payloads(m.right, a[1])
+            return (ul, ur), (wl, wr)
+        raise TypeError(m)
+
+    u, w = payloads(v.monoid, v.payload)
+    return MonoidValue(v.monoid, u), MonoidValue(v.monoid, w)
+
+
+def with_eps_detours(rng, t, share=0.5):
+    """t with each symbol transition p -a/v-> q, with probability p,
+    replaced by p -ε/u-> r -a/w-> q through a fresh state r, where
+    u * w == v (split_value).  r has no other move and is neither
+    initial nor final, so the relation is unchanged; the ε moves sit on
+    the paths of the transition they split, so trimming keeps them
+    wherever it keeps that transition."""
+    arcs = []
+    n = t.n_states
+    for tr in t.transitions:
+        if tr.inp is None or rng.random() >= share:
+            arcs.append(tr)
+            continue
+        u, w = split_value(rng, tr.out)
+        arcs += [(tr.src, None, u, n), (n, tr.inp, w, tr.dst)]
+        n += 1
+    return make_transducer(t.alphabet, t.monoid, n, t.initial, t.final, arcs)
 
 
 def random_pseudo_det(

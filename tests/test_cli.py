@@ -407,6 +407,22 @@ def test_cli_bench_csv_and_table(capsys):
     assert all(row.endswith("skipped: over the safety limit (0)") for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["bench-tn", "--max-n", "0"], "--max-n"),
+        (["bench-tn", "--max-n", "-2", "--method", "mge"], "--max-n"),
+        (["compare", "T2.fst", "--max-len", "-1"], "--max-len"),
+    ],
+)
+def test_cli_rejects_counts_that_check_nothing(tmp_path, capsys, argv, option):
+    argv = [tn_file(tmp_path, 2) if arg == "T2.fst" else arg for arg in argv]
+    assert cli_main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: {option} must be at least" in captured.err
+
+
 def test_cli_compare(tmp_path, capsys):
     assert cli_main(["compare", tn_file(tmp_path, 2), "--max-len", "3"]) == 0
     out = capsys.readouterr().out

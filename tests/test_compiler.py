@@ -1,12 +1,14 @@
+import importlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bimc import compiler
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
-from bimc.cli import bimachine_to_text
+from bimc.cli import bimachine_to_text, parse_transducer
 from bimc.compiler import (
     CompileError,
     NotFunctionalError,
@@ -15,7 +17,7 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import determinize, make_transducer, move_index
+from bimc.fsa import determinize, make_transducer, members, move_index, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
@@ -25,6 +27,7 @@ from helpers import (
     output_table,
     random_transducer,
     remove_eps_edges,
+    with_eps_detours,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -282,18 +285,77 @@ def test_verify_and_fast_paths_agree_on_random_functional():
     rng = random.Random(1010)
     monoids = (None, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
     checked = Counter()
-    for k in range(1000):
-        monoid, eps = monoids[k % 8 // 2], k % 2 == 0
-        t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
+    for monoid in monoids:
+        for eps in (False, True):
+            found = 0
+            while found < 80:
+                t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
+                if eps:
+                    t = with_eps_detours(rng, t)
+                v = functionality(t)
+                if not (v.functional and v.trimmed.transitions):
+                    continue
+                found += 1
+                checked[monoid, v.trimmed.real_time] += 1
+                verified = build(t, verdict=v, verify=True)
+                trusted = build(t, verdict=v, verify=False)
+                assert verified == trusted  # psi included
+                assert bimachine_to_text(verified) == bimachine_to_text(trusted)
+    # trimmed machines that keep an ε move, per monoid
+    assert all(checked[m, False] >= 40 for m in monoids), checked
+
+
+def test_eps_detours_keep_the_relation():
+    rng = random.Random(6060)
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(40):
+            t = random_transducer(rng, max_states=3, max_symbols=2, monoid=monoid)
+            detoured = with_eps_detours(rng, t)
+            assert not detoured.real_time or detoured.transitions == t.transitions
+            table, truncated = output_table(detoured, 3)
+            assert not truncated and table == output_table(t, 3)[0]
+
+
+def _walk_sets(b):
+    """The intersection sets the cell walk meets, before and after each step."""
+    sets = set()
+    for _, _, _, s, l2, r in output_cells(b.left, b.right):
+        sets |= {s, l2 & r}
+    return sets
+
+
+def _benchmark_corpus(monkeypatch, size):
+    """The benchmark's fixed random corpus, as transducer texts."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return [member.text() for member in importlib.import_module("gen").corpus(size)]
+
+
+def test_delays_once_per_set_the_walk_meets(monkeypatch):
+    calls = []
+    real = compiler.set_mge
+
+    def counting(S, *args):
+        calls.append(S)
+        return real(S, *args)
+
+    monkeypatch.setattr(compiler, "set_mge", counting)
+    total = 0
+    for n in range(5, 10):
+        calls.clear()
+        b = build(make_tn(n))
+        assert sorted(calls) == sorted(members(s) for s in _walk_sets(b))
+        total += len(calls)
+    assert total == 997
+    total = 0
+    for text in _benchmark_corpus(monkeypatch, 1000):
+        t = parse_transducer(text)
         v = functionality(t)
-        if not (v.functional and v.trimmed.transitions):
-            continue
-        checked[monoid, v.trimmed.real_time] += 1
-        verified, trusted = build(t, verdict=v, verify=True), build(t, verdict=v, verify=False)
-        assert verified == trusted  # psi included
-        assert bimachine_to_text(verified) == bimachine_to_text(trusted)
-    assert sum(checked.values()) >= 200
-    assert len(checked) == 8  # every monoid, with and without ε moves
+        if v.functional:
+            calls.clear()
+            b = build(t, verdict=v)
+            assert sorted(calls) == sorted(members(s) for s in _walk_sets(b))
+            total += len(calls)
+    assert total == 874  # the 933 sets of all left and right subset pairs, less the unmet
 
 
 def test_compiled_machine_matches_path_oracle():

@@ -7,12 +7,14 @@ from bimc.fsa import make_transducer
 from bimc.monoid import FreeWords, MonoidValue, eta
 from bimc.squared import coaccessible, squared, valuation
 from helpers import (
+    TRANSDUCER_MONOIDS,
     brute_equalizers,
     candidate_values,
     dump_valuation,
     is_instance_of,
     pair_index,
     random_transducer,
+    valuation_reference,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -172,6 +174,30 @@ def test_valuation_tracks_first_discovery():
     assert val.nu[idx] == (fw("x"), fw(""))
     assert val.rho[index[(1, 1)]] == (fw("x"), fw("x"))
     assert val.nu[index[(1, 1)]] == (FREE.unit, FREE.unit)
+
+
+def test_valuation_keeps_unit_on_an_initial_pair_reached_by_an_arc():
+    # (0, 0) discovers (1, 1) by its a-arc, but (1, 1) is an initial pair
+    t = make_transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
+    sq = squared(t)
+    index = pair_index(sq)
+    src, dst = index[(0, 0)], index[(1, 1)]
+    assert dst in sq.initial and (src, fw("x"), fw("x"), dst) in sq.transitions
+    val = valuation(sq, coaccessible(sq))
+    assert val.rho[dst] == (FREE.unit, FREE.unit)
+    assert val.rho[index[(0, 1)]] == (FREE.unit, FREE.unit)
+
+
+def test_valuation_matches_the_per_pair_reference():
+    rng = random.Random(9090)
+    for monoid in TRANSDUCER_MONOIDS:
+        for eps in (False, True):
+            for _ in range(250):
+                t = random_transducer(rng, allow_eps=eps, monoid=monoid)
+                sq = squared(t)
+                useful = coaccessible(sq)
+                val = valuation(sq, useful)
+                assert (val.rho, val.nu) == valuation_reference(sq, useful)
 
 
 def test_valuation_defined_exactly_on_useful_pairs():
