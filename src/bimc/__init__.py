@@ -24,7 +24,6 @@ from .fsa import (
 )
 from .functionality import FunctionalityVerdict, Witness, test_functionality
 from .monoid import (
-    AccumulationFailure,
     DescriptorMismatch,
     FreeWords,
     Integers,
@@ -55,7 +54,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AccumulationFailure",
     "AlphabetError",
     "BenchReport",
     "BenchRow",

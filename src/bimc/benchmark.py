@@ -87,11 +87,6 @@ def _cells(r: BenchRow, missing: str) -> list[str]:
 class BenchReport:
     rows: tuple[BenchRow, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(sorted(self.rows, key=lambda r: (r.n, r.method)))
-        )
-
     def to_csv(self) -> str:
         lines = [CSV_COLUMNS] + [",".join(_cells(r, "")) for r in self.rows]
         return "\n".join(lines)
@@ -126,25 +121,23 @@ def _measure(n: int, method: str) -> BenchRow:
     return BenchRow(n, "classical", left.n_states, right.n_states, tt.n_states, entries, ms)
 
 
-def run_bench(max_n: int, methods=("classical", "mge"), limits=None) -> BenchReport:
-    """Measure both constructions on T_1..T_max_n.
+def run_bench(max_n: int, methods=("classical", "mge"), limit=None) -> BenchReport:
+    """Measure the given constructions on T_1..T_max_n, rows in (n, method) order.
 
     Rows beyond a method's safety limit (or aborted by BIMC_MAX_STATES)
-    are kept in the report but marked skipped; pass limits={"classical":
-    9} or similar to override the defaults.
+    are kept in the report but marked skipped; limit=9 or similar
+    replaces the safety limit of every method.
     """
     methods = sorted(set(methods))
     for m in methods:
         if m not in SAFETY_LIMITS:
             raise ValueError(f"unknown method {m!r}")
-    caps = dict(SAFETY_LIMITS)
-    if limits:
-        caps.update(limits)
     rows = []
     for n in range(1, max_n + 1):
         for method in methods:
-            if n > caps[method]:
-                rows.append(BenchRow(n, method, skipped=f"over the safety limit ({caps[method]})"))
+            cap = SAFETY_LIMITS[method] if limit is None else limit
+            if n > cap:
+                rows.append(BenchRow(n, method, skipped=f"over the safety limit ({cap})"))
                 continue
             try:
                 rows.append(_measure(n, method))

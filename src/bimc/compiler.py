@@ -20,7 +20,7 @@ from functools import cache
 from .bimachine import Bimachine
 from .fsa import Transducer, determinize, make_transducer, members, move_index, output_map
 from .functionality import FunctionalityVerdict, test_functionality
-from .monoid import AccumulationFailure, Monoid, gamma_n, solve_right
+from .monoid import Monoid, gamma_n, solve_right
 
 
 class CompileError(Exception):
@@ -53,10 +53,9 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
         if v is None:
             raise CompileError(f"no equalizer recorded for the simultaneous pair ({p}, {q})")
         chain.append(v)
-    try:
-        values = gamma_n(chain, monoid)
-    except AccumulationFailure as exc:
-        raise CompileError(f"equalizer chain for {states} does not accumulate") from exc
+    values = gamma_n(chain, monoid)
+    if values is None:
+        raise CompileError(f"equalizer chain for {states} does not accumulate")
     return dict(zip(states, values))
 
 

@@ -4,13 +4,14 @@ A pair (m1, m2) is equalizable when some (x1, x2) satisfies
 m1*x1 == m2*x2; a most general equalizer (mge) is an equalizer that
 every other equalizer factors through on the right.  Every monoid here
 is cancellative on both sides and provides eta(m1, m2) returning an
-mge, or None when the pair has no equalizer at all, and
-solve_right(m, n), the c with m*c == n, or None.  That c is unique
-because every instance is left cancellative (m*x == m*y implies
+mge and solve_right(m, n) returning the c with m*c == n; that c is
+unique because every instance is left cancellative (m*x == m*y implies
 x == y), so one product checking m*c == n confirms a candidate c as
-well as dividing again would.  An instance supplies only its product,
-right division and literals: the unit is the empty product, and eta
-follows from right division except in products.
+well as dividing again would.  Every "no solution" answer is None: eta's
+on a pair with no equalizer, solve_right's when no c exists, gamma_n's
+on a chain of mges that does not accumulate.  An instance supplies only
+its product, right division and literals: the unit is the empty
+product, and eta follows from right division except in products.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and
@@ -28,10 +29,6 @@ from fractions import Fraction
 
 class DescriptorMismatch(TypeError):
     """Combined values belong to different monoids."""
-
-
-class AccumulationFailure(ValueError):
-    """Equalizer accumulation hit a non-equalizable intermediate pair."""
 
 
 class Monoid:
@@ -341,25 +338,23 @@ def solve_right(m: MonoidValue, n: MonoidValue):
     return None if c is None else _trusted(monoid, c)
 
 
-def gamma_n(pairs, monoid: Monoid | None = None):
-    """Accumulate a chain of pairwise mges into a tuple mge.
+def gamma_n(pairs, monoid: Monoid):
+    """Accumulate a chain of pairwise mges into a tuple mge, or None.
 
     pairs[i] must be an mge of some (n_i, n_i+1); the result then is the
     mge of the tuple (n_1..n_k), the componentwise-minimal (x_1..x_k)
     with all n_i*x_i equal, without ever touching the n_i themselves.
-    The empty chain needs an explicit monoid and yields (e,).  Raises
-    AccumulationFailure if an intermediate pair is not equalizable.
+    The empty chain yields (e,) of monoid.  None, like eta, when an
+    intermediate pair is not equalizable.
     """
     pairs = tuple(pairs)
     if not pairs:
-        if monoid is None:
-            raise ValueError("empty chain needs an explicit monoid")
         return (monoid.unit,)
     acc = list(pairs[0])
     for x1, x2 in pairs[1:]:
         h = eta(acc[-1], x1)
         if h is None:
-            raise AccumulationFailure(f"cannot align {acc[-1]!r} with {x1!r}")
+            return None
         h1, h2 = h
         acc = [z * h1 for z in acc] + [x2 * h2]
     return tuple(acc)

@@ -95,10 +95,10 @@ def test_report_is_sorted_and_csv_shaped():
 
 
 def test_rows_over_the_limit_are_skipped():
-    rep = run_bench(4, methods=("classical",), limits={"classical": 2})
+    rep = run_bench(4, methods=("classical",), limit=2)
     by_n = {r.n: r for r in rep.rows}
     assert by_n[2].skipped is None
-    assert by_n[3].skipped and "safety limit" in by_n[3].skipped
+    assert by_n[3].skipped == by_n[4].skipped == "over the safety limit (2)"
     assert "3,classical,,,,," in rep.to_csv().splitlines()
     assert "skipped" in rep.to_table()
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bimc import cli
 from bimc.benchmark import make_tn
 from bimc.bimachine import AlphabetError, evaluate
 from bimc.cli import (
@@ -444,6 +445,13 @@ def test_cli_compare(tmp_path, capsys):
     assert cli_main(["compare", str(ints), "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "mge and classical agree" in out
+
+
+def test_cli_compare_reports_two_walk_outputs(tmp_path, capsys, monkeypatch):
+    # the path walk's check is no assert: it holds under python -O too
+    monkeypatch.setattr(cli, "enumerate_outputs", lambda t, word: {"x", "y"})
+    assert cli_main(["compare", tn_file(tmp_path, 2), "--max-len", "1"]) == 1
+    assert capsys.readouterr().out == "the path walk finds 2 outputs on ()\n"
 
 
 @pytest.mark.parametrize("entry", (["bimc"], ["bimc.cli"]), ids=" ".join)

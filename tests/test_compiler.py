@@ -8,7 +8,7 @@ import pytest
 from bimc import compiler
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
-from bimc.cli import bimachine_to_text, parse_transducer
+from bimc.cli import bimachine_to_text, cli_main, parse_transducer
 from bimc.compiler import (
     CompileError,
     NotFunctionalError,
@@ -79,6 +79,16 @@ def test_set_mge_singleton_and_chain():
 def test_set_mge_missing_pair_fails():
     with pytest.raises(CompileError):
         set_mge({1, 2}, {}, FREE)
+
+
+def test_set_mge_chain_that_does_not_accumulate_fails(monkeypatch):
+    # x then y: the second link cannot align with the first
+    nu = {(1, 2): (fw(""), fw("x")), (2, 3): (fw("y"), fw(""))}
+    with pytest.raises(CompileError, match=r"chain for \[1, 2, 3\] does not accumulate"):
+        set_mge({1, 2, 3}, nu, FREE)
+    monkeypatch.setattr(compiler, "gamma_n", lambda chain, monoid: None)
+    with pytest.raises(CompileError, match="does not accumulate"):
+        set_mge({3, 7}, {(3, 7): (fw("x"), fw(""))}, FREE)
 
 
 def test_output_value_unsolvable_delay_equation():
@@ -203,13 +213,14 @@ def test_compile_determinizes_the_eps_free_steps():
     assert (b.left.subsets, b.right.subsets) == ((0b001, 0b100), (0b100, 0b011))
     assert evaluate(b, ("a",)) == fw("x")
     rng = random.Random(8080)
-    eps_left = 0  # trimmed transducers that keep an epsilon move
+    eps_left = Counter()  # per monoid, trimmed transducers that keep an epsilon move
     for monoid in TRANSDUCER_MONOIDS:
         functional = 0
         while functional < 50:
             t = random_transducer(rng, allow_eps=True, require_eps=True, monoid=monoid)
+            t = with_eps_detours(rng, t)
             verdict = functionality(t)
-            if not verdict.functional:
+            if not (verdict.functional and verdict.trimmed.transitions):
                 continue
             functional += 1
             tt = verdict.trimmed
@@ -217,10 +228,10 @@ def test_compile_determinizes_the_eps_free_steps():
             for got, want in zip((b.left, b.right), determinize(remove_eps_edges(tt))):
                 assert (got.subsets, got.delta) == (want.subsets, want.delta)
             if not tt.real_time:
-                eps_left += 1
+                eps_left[monoid] += 1
                 with pytest.raises(ValueError, match="real-time"):
                     determinize(tt)
-    assert eps_left >= 10, eps_left
+    assert all(eps_left[m] >= 30 for m in TRANSDUCER_MONOIDS), eps_left
 
 
 def test_leading_eps_before_first_symbol():
@@ -356,6 +367,30 @@ def test_delays_once_per_set_the_walk_meets(monkeypatch):
             assert sorted(calls) == sorted(members(s) for s in _walk_sets(b))
             total += len(calls)
     assert total == 874  # the 933 sets of all left and right subset pairs, less the unmet
+
+
+def test_stats_counts_the_sets_a_compile_meets(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = compiler.set_mge
+
+    def counting(S, *args):
+        calls.append(S)
+        return real(S, *args)
+
+    monkeypatch.setattr(compiler, "set_mge", counting)
+    src, out = tmp_path / "member.fst", str(tmp_path / "member.bim")
+    stats = {}
+    for i, text in enumerate(_benchmark_corpus(monkeypatch, 200)):
+        if not functionality(parse_transducer(text)).functional:
+            continue
+        src.write_text(text, encoding="utf-8")
+        calls.clear()
+        assert cli_main(["compile", str(src), "-o", out, "--stats"]) == 0
+        stats[i] = capsys.readouterr().out.split()[-1]
+        assert stats[i] == f"sets={len(calls)}"
+    assert len(stats) == 64
+    # the product of all left and right subsets has a third, unmet set
+    assert stats[10] == "sets=2"
 
 
 def test_compiled_machine_matches_path_oracle():

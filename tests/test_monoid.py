@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bimc.monoid import (
-    AccumulationFailure,
     DescriptorMismatch,
     FreeWords,
     Integers,
@@ -300,25 +299,33 @@ def test_mu_result_equalizes_and_is_minimal():
 
 def test_gamma_empty_chain_needs_monoid():
     assert gamma_n((), FREE) == (FREE.unit,)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the monoid is not optional
         gamma_n(())
 
 
 def test_gamma_single_pair_is_identity():
     pair = (fw("b"), fw(""))
-    assert gamma_n([pair]) == pair
+    assert gamma_n([pair], FREE) == pair
 
 
 def test_gamma_unit_chain_stays_unit():
     for m in ALL_MONOIDS:
         e = m.unit
         for k in range(1, 5):
-            assert gamma_n([(e, e)] * k) == tuple([e] * (k + 1))
+            assert gamma_n([(e, e)] * k, m) == tuple([e] * (k + 1))
 
 
 def test_gamma_accumulation_failure():
-    with pytest.raises(AccumulationFailure):
-        gamma_n([(fw(""), fw("a")), (fw("b"), fw(""))])
+    # like eta, a chain that does not accumulate answers None
+    assert gamma_n([(fw(""), fw("a")), (fw("b"), fw(""))], FREE) is None
+
+    def pair(word, q):
+        return MonoidValue(PROD, (word, Fraction(q)))
+
+    # the rational components always align, the free ones do not
+    chain = [(pair("", 0), pair("a", 1)), (pair("b", 2), pair("", 0))]
+    assert gamma_n(chain, PROD) is None
+    assert gamma_n(chain[:1], PROD) == chain[0]
 
 
 def test_gamma_over_eta_chain_matches_mu():
@@ -339,7 +346,7 @@ def test_gamma_over_eta_chain_matches_mu():
             if not ok or mu is None:
                 assert not ok or mu is None
                 continue
-            assert gamma_n(chain) == mu
+            assert gamma_n(chain, m) == mu
 
 
 # --- literals --------------------------------------------------------------
