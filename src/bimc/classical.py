@@ -4,9 +4,9 @@ Starting from a transducer that is deterministic over the paired
 alphabet of (input symbol, output value), the input is first expanded
 into an unambiguous transducer: each expanded state carries one guessed
 state of the successful path plus the set of alternative states that
-must all fail for the guess to be right.  Determinizing the expansion
-forward and backward then yields a bimachine whose output map reads the
-unique surviving transition's output directly; no output algebra is used.
+must all fail for the guess to be right.  Its two subset automata form
+the bimachine; each intersection set holds one state, and that state's
+one move into the next set gives the output entry: no output algebra.
 """
 
 from __future__ import annotations
@@ -88,20 +88,15 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
 
 def classical_compile(t: Transducer) -> Bimachine:
     """Expand, determinize both directions, and read the output map off
-    the expansion: by unambiguity exactly one transition survives between
-    any reachable set and co-reachable set, and its output is the entry."""
+    the expansion: a set holding two states would give one word two
+    successful paths, and the expansion is unambiguous."""
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
     moves = move_index(tt.transitions)
 
     def entry(cell, s, s2):
-        v = None
-        for p in members(s):
-            for out, dst in moves.get((p, cell[1]), ()):
-                if s2 >> dst & 1:
-                    assert v is None or v == out, "expansion left two choices"
-                    v = out
-        assert v is not None, "no transition between intersection sets"
+        (p,) = members(s)
+        (v,) = [out for out, dst in moves[p, cell[1]] if s2 >> dst & 1]
         return v
 
     psi = output_map(left, right, entry)

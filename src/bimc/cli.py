@@ -169,13 +169,18 @@ def bimachine_to_text(b: Bimachine) -> str:
 def bimachine_from_text(text: str) -> Bimachine:
     """Read a BIM v1 block.  An older text without the alphabet row gets
     the symbols of its rows as its alphabet."""
-    monoid = alphabet = None
-    section = None
+    lines = _content_lines(text)
+    lineno, tokens = next(lines, (None, None))
+    if tokens is None:
+        raise BimachineFormatError("empty input, expected a BIM v1 header")
+    if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
+        raise BimachineFormatError(f"line {lineno}: expected a BIM v1 header")
+    monoid = _parsed(BimachineFormatError, lineno, parse_descriptor, " ".join(tokens[2:]))
+    alphabet = section = eps_output = None
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
     highest = {"LEFT": 0, "RIGHT": 0}
     psi = {}
-    eps_output = None
     declared = {}  # line number of each alphabet, start and EPS row
     row_symbols = set()  # the alphabet of a text without an alphabet row
 
@@ -185,12 +190,7 @@ def bimachine_from_text(text: str) -> Bimachine:
         elif sym not in alphabet:
             raise BimachineFormatError(f"line {lineno}: undeclared symbol {sym!r}")
         return sym
-    for lineno, tokens in _content_lines(text):
-        if monoid is None:
-            if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
-                raise BimachineFormatError(f"line {lineno}: expected a BIM v1 header")
-            monoid = _parsed(BimachineFormatError, lineno, parse_descriptor, " ".join(tokens[2:]))
-            continue
+    for lineno, tokens in lines:
         kind = tokens[0]
         if kind in ("LEFT", "RIGHT", "PSI"):
             section = kind
@@ -225,8 +225,6 @@ def bimachine_from_text(text: str) -> Bimachine:
             highest["RIGHT"] = max(highest["RIGHT"], cell[2])
         else:
             raise BimachineFormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
-    if monoid is None:
-        raise BimachineFormatError("empty input, expected a BIM v1 header")
     for side in ("LEFT", "RIGHT"):
         if side not in starts:
             raise BimachineFormatError(f"missing start declaration in {side}")
@@ -438,8 +436,8 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for option, low in (("max_n", 1), ("max_len", 0)):
-            if getattr(args, option, low) < low:
+        for option, low in (("max_n", 1), ("max_len", 0), ("limit", 0)):
+            if (value := getattr(args, option, None)) is not None and value < low:
                 raise _UsageError(f"--{option.replace('_', '-')} must be at least {low}")
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

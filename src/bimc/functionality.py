@@ -31,7 +31,6 @@ class FunctionalityVerdict:
     functional: bool
     witness: Witness | None
     trimmed: Transducer
-    kept: list[int]
     squared: SquaredAutomaton | None = None
     valuation: Valuation | None = None
     eps_outputs: frozenset[MonoidValue] = frozenset()
@@ -94,7 +93,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     trimmed, kept = trim(t)
 
     def reject(kind, detail, **extras):
-        return FunctionalityVerdict(False, Witness(kind, detail), trimmed, kept, **extras)
+        return FunctionalityVerdict(False, Witness(kind, detail), trimmed, **extras)
 
     bad = eps_cycle_check(trimmed)
     if bad is not None:
@@ -152,4 +151,4 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
                 f"({format_value(x1)},{format_value(x2)})",
                 **extras,
             )
-    return FunctionalityVerdict(True, None, trimmed, kept, **extras)
+    return FunctionalityVerdict(True, None, trimmed, **extras)

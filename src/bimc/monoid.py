@@ -260,10 +260,10 @@ class PairOf(Monoid):
 class MonoidValue:
     """An element of a concrete monoid: descriptor plus raw payload.
 
-    Constructing one validates the payload; the parsers and
-    make_transducer go through here.  Values computed from valid values
-    (products, folds, equalizers, quotients, units) are built by _trusted
-    instead, so validation happens once, where a payload enters.
+    Constructing one validates the payload; make_transducer does so.
+    Literals, which parse_payload validates, and values computed from
+    valid values (products, folds, equalizers, quotients, units) are built
+    by _trusted instead, so validation happens once, where data enters.
     """
 
     monoid: Monoid
@@ -285,7 +285,7 @@ _set_payload = MonoidValue.payload.__set__
 
 def _trusted(m: Monoid, payload) -> MonoidValue:
     """A MonoidValue whose payload is known to be in stored form; skips
-    check_payload.  Only for payloads computed from validated ones."""
+    check_payload.  Only for parsed literals and payloads computed from valid ones."""
     v = object.__new__(MonoidValue)
     _set_monoid(v, m)
     _set_payload(v, payload)
@@ -408,7 +408,7 @@ def format_descriptor(m: Monoid) -> str:
 
 
 def parse_value(m: Monoid, text: str) -> MonoidValue:
-    return MonoidValue(m, m.parse_payload(text.strip()))
+    return _trusted(m, m.parse_payload(text.strip()))
 
 
 def format_value(v: MonoidValue) -> str:

@@ -2,7 +2,8 @@
 
 Everything here works directly on raw transitions or raw payload
 enumeration, independent of the determinization, squaring, and compile
-machinery under test.
+machinery under test; only functional_draws runs the functionality
+test, as a filter on random draws.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 
 from bimc.fsa import eps_closure, make_transducer
+from bimc.functionality import test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
     FreeWords,
@@ -343,6 +345,22 @@ def with_eps_detours(rng, t, share=0.5):
         arcs += [(tr.src, None, u, n), (n, tr.inp, w, tr.dst)]
         n += 1
     return make_transducer(t.alphabet, t.monoid, n, t.initial, t.final, arcs)
+
+
+def functional_draws(rng, count, monoid=None, eps=False):
+    """count (t, verdict) pairs of random_transducer draws over monoid
+    that the functionality test accepts and whose trimmed transducer
+    keeps a transition.  With eps, each draw requires an ε move and goes
+    through with_eps_detours; without, it has no ε move."""
+    draws = []
+    while len(draws) < count:
+        t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
+        if eps:
+            t = with_eps_detours(rng, t)
+        verdict = test_functionality(t)
+        if verdict.functional and verdict.trimmed.transitions:
+            draws.append((t, verdict))
+    return draws
 
 
 def random_pseudo_det(

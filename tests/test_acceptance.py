@@ -24,12 +24,12 @@ from bimc.squared import squared
 from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
+    functional_draws,
     is_instance_of,
     mu_n,
     output_table,
     random_transducer,
     random_value,
-    with_eps_detours,
 )
 
 STATS = {"criterion1_compiles": 0, "criterion3_compiles": 0}
@@ -91,16 +91,9 @@ def test_criterion_3_compiled_machines_match_path_oracle():
     eps_kept = Counter()  # samples whose trimmed machine keeps an ε move, per monoid
     for monoid in TRANSDUCER_MONOIDS:
         for with_eps in (False, True):
-            found = 0
-            while found < 100:
-                t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
-                if with_eps:
-                    t = with_eps_detours(rng, t)
-                verdict = functionality(t)
-                if verdict.functional and verdict.trimmed.transitions:
-                    samples.append((t, verdict))
-                    found += 1
-                    eps_kept[monoid] += not verdict.trimmed.real_time
+            for t, verdict in functional_draws(rng, 100, monoid, eps=with_eps):
+                samples.append((t, verdict))
+                eps_kept[monoid] += not verdict.trimmed.real_time
     mismatches = 0
     words_checked = 0
     for t, verdict in samples:
@@ -232,22 +225,14 @@ def test_criterion_7_output_entries_well_defined():
         build(make_tn(n), verify=True)
         compiles += 1
     for monoid in TRANSDUCER_MONOIDS:
-        done = 0
-        while done < 50:
-            with_eps = compiles % 2 == 0
-            t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
-            if with_eps:
-                t = with_eps_detours(rng, t)
-            verdict = functionality(t)
-            if not (verdict.functional and verdict.trimmed.transitions):
-                continue
-            try:
-                build(t, verdict=verdict, verify=True)
-            except CompileError:
-                violations += 1
-            eps_kept[monoid] += not verdict.trimmed.real_time
-            compiles += 1
-            done += 1
+        for with_eps in (False, True):
+            for t, verdict in functional_draws(rng, 25, monoid, eps=with_eps):
+                try:
+                    build(t, verdict=verdict, verify=True)
+                except CompileError:
+                    violations += 1
+                eps_kept[monoid] += not verdict.trimmed.real_time
+                compiles += 1
     ok = violations == 0 and min(eps_kept[m] for m in TRANSDUCER_MONOIDS) >= 10
     _line(
         7, ok,
@@ -280,20 +265,13 @@ def test_criterion_8_dfa_size_bound():
             cb = classical_compile(t)
             note(cb.left, expanded.n_states)
             note(cb.right, expanded.n_states)
-    done = eps_kept = 0
-    while done < 150:
-        with_eps = done % 2 == 0
-        t = random_transducer(rng, allow_eps=with_eps)
-        if with_eps:
-            t = with_eps_detours(rng, t)
-        verdict = functionality(t)
-        if not (verdict.functional and verdict.trimmed.transitions):
-            continue
-        b = build(t, verdict=verdict)
-        note(b.left, verdict.trimmed.n_states)
-        note(b.right, verdict.trimmed.n_states)
-        eps_kept += not verdict.trimmed.real_time
-        done += 1
+    eps_kept = 0
+    for with_eps in (False, True):
+        for t, verdict in functional_draws(rng, 75, eps=with_eps):
+            b = build(t, verdict=verdict)
+            note(b.left, verdict.trimmed.n_states)
+            note(b.right, verdict.trimmed.n_states)
+            eps_kept += not verdict.trimmed.real_time
     ok = violations == 0 and eps_kept >= 40
     _line(
         8, ok,

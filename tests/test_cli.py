@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,9 @@ from bimc.cli import (
 )
 from bimc.compiler import compile as build
 from bimc.fsa import make_transducer
-from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value
+from bimc.monoid import (
+    FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_value,
+)
 from helpers import TRANSDUCER_MONOIDS, all_words, random_bimachine, random_transducer
 
 FREE = FreeWords(("x", "y"))
@@ -80,6 +83,31 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(TransducerFormatError) as info:
             parse_transducer(text)
         assert needle in str(info.value)
+
+
+def test_each_free_word_literal_is_checked_once(monkeypatch):
+    text = (
+        "monoid free:ab\nalphabet a b\nstates 2\ninitial 0\nfinal 1\n"
+        't 0 a "ab" 1\nt 0 b "" 1\nt 1 a "b" 1\n'
+    )
+    machine_text = bimachine_to_text(build(parse_transducer(text)))
+    checked = []
+    real = FreeWords.check_payload
+
+    def counting(self, a):
+        checked.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FreeWords, "check_payload", counting)
+    pair = PairOf(FreeWords(("a", "b")), NonNegRationals())
+    assert parse_value(pair, '("ab",3)').payload == ("ab", 3)
+    assert checked == ["ab"]
+    checked.clear()
+    parse_transducer(text)
+    assert checked == ["ab", "", "b"]
+    checked.clear()
+    b = bimachine_from_text(machine_text)
+    assert len(checked) == len(b.psi) == machine_text.count("\no ")
 
 
 def test_duplicate_transition_collapses_with_warning():
@@ -414,6 +442,7 @@ def test_cli_bench_csv_and_table(capsys):
         (["bench-tn", "--max-n", "0"], "--max-n"),
         (["bench-tn", "--max-n", "-2", "--method", "mge"], "--max-n"),
         (["compare", "T2.fst", "--max-len", "-1"], "--max-len"),
+        (["bench-tn", "--max-n", "2", "--limit", "-1"], "--limit"),
     ],
 )
 def test_cli_rejects_counts_that_check_nothing(tmp_path, capsys, argv, option):
@@ -445,6 +474,12 @@ def test_cli_compare(tmp_path, capsys):
     assert cli_main(["compare", str(ints), "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "mge and classical agree" in out
+    bad = tmp_path / "bad.fst"
+    bad.write_text(MINIMAL + 't 0 a "y" 1\n', encoding="utf-8")
+    assert cli_main(["compare", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("not functional (transition-mismatch: ")
 
 
 def test_cli_compare_reports_two_walk_outputs(tmp_path, capsys, monkeypatch):
@@ -452,6 +487,51 @@ def test_cli_compare_reports_two_walk_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_outputs", lambda t, word: {"x", "y"})
     assert cli_main(["compare", tn_file(tmp_path, 2), "--max-len", "1"]) == 1
     assert capsys.readouterr().out == "the path walk finds 2 outputs on ()\n"
+
+
+def test_cli_compare_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate", lambda b, word: None)
+    assert cli_main(["compare", tn_file(tmp_path, 2), "--max-len", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "mge disagrees on ('a1', 'a1'): None vs MonoidValue(\"1111\")\n"
+    )
+
+
+def _readme_examples():
+    """README.md's double.fst and its `$ bimc ...` commands, each with
+    the lines it prints."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", text, re.S | re.M)
+    double = next(b for b in blocks if b.startswith("monoid product(free:xy,nnrat)\n"))
+    examples = []
+    for block in blocks:
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *printed = chunk.splitlines()
+            examples.append((command.split(), printed))
+    return double, examples
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    double, examples = _readme_examples()
+    monkeypatch.chdir(tmp_path)
+    Path("double.fst").write_text(double, encoding="utf-8")
+    ran = []
+    for argv, printed in examples:
+        assert argv[0] == "bimc"
+        argv = argv[1:]
+        code = cli_main(argv)
+        out = capsys.readouterr().out.splitlines()
+        if argv[0] == "bench-tn":  # timings vary: leave out the ms column
+            out, printed = (
+                [re.sub(r"\d+\.\d+", "", line).split() for line in lines]
+                for lines in (out, printed)
+            )
+        assert (code, out) == (2 if printed == ["UNDEFINED"] else 0, printed), argv
+        if argv[0] == "compile":  # the classical machine has the same sizes
+            assert cli_main([*argv, "--method", "classical", "-o", "classical.bim"]) == 0
+            assert capsys.readouterr().out.splitlines() == printed
+        ran.append(argv[0])
+    assert ran == ["check", "compile", "run", "run", "bench-tn", "compare"]
 
 
 @pytest.mark.parametrize("entry", (["bimc"], ["bimc.cli"]), ids=" ".join)

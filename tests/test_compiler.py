@@ -24,6 +24,7 @@ from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
     eps_paths,
+    functional_draws,
     output_table,
     random_transducer,
     remove_eps_edges,
@@ -215,14 +216,7 @@ def test_compile_determinizes_the_eps_free_steps():
     rng = random.Random(8080)
     eps_left = Counter()  # per monoid, trimmed transducers that keep an epsilon move
     for monoid in TRANSDUCER_MONOIDS:
-        functional = 0
-        while functional < 50:
-            t = random_transducer(rng, allow_eps=True, require_eps=True, monoid=monoid)
-            t = with_eps_detours(rng, t)
-            verdict = functionality(t)
-            if not (verdict.functional and verdict.trimmed.transitions):
-                continue
-            functional += 1
+        for t, verdict in functional_draws(rng, 50, monoid, eps=True):
             tt = verdict.trimmed
             b = build(t, verdict=verdict)
             for got, want in zip((b.left, b.right), determinize(remove_eps_edges(tt))):
@@ -298,15 +292,7 @@ def test_verify_and_fast_paths_agree_on_random_functional():
     checked = Counter()
     for monoid in monoids:
         for eps in (False, True):
-            found = 0
-            while found < 80:
-                t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
-                if eps:
-                    t = with_eps_detours(rng, t)
-                v = functionality(t)
-                if not (v.functional and v.trimmed.transitions):
-                    continue
-                found += 1
+            for t, v in functional_draws(rng, 80, monoid, eps=eps):
                 checked[monoid, v.trimmed.real_time] += 1
                 verified = build(t, verdict=v, verify=True)
                 trusted = build(t, verdict=v, verify=False)
@@ -396,13 +382,9 @@ def test_stats_counts_the_sets_a_compile_meets(monkeypatch, tmp_path, capsys):
 def test_compiled_machine_matches_path_oracle():
     rng = random.Random(20240)
     checked = 0
-    for k in range(150):
-        t = random_transducer(rng, allow_eps=(k % 2 == 0))
-        v = functionality(t)
-        if not v.functional:
-            continue
-        checked += 1
+    for t, v in functional_draws(rng, 25) + functional_draws(rng, 25, eps=True):
         b = build(t, verdict=v)
+        checked += bool(b.psi)  # a machine with output cells, not just an empty-word output
         table, truncated = output_table(t, 5)
         assert not truncated
         for w in all_words(t.alphabet, 5):

@@ -89,6 +89,8 @@ def test_transducer_validation():
         make_transducer(("a",), FREE, 1, {0}, {2}, [])
     with pytest.raises(ValueError):
         make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "b", "x", 0)])
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 1)])
     with pytest.raises(ValueError):
         make_transducer(("a", "a"), FREE, 1, {0}, {0}, [])
     with pytest.raises(ValueError, match="reserved"):

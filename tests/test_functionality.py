@@ -137,6 +137,14 @@ def test_witness_unequalizable_pair():
     v = functionality(t)
     assert not v.functional
     assert v.witness.kind == "unequalizable-pair"
+    # in a product whose left outputs agree, the right component alone
+    t = make_transducer(
+        ("a",), PairOf(FREE, FREE), 3, {0}, {1, 2},
+        [(0, "a", ("x", "x"), 1), (0, "a", ("x", "y"), 2)],
+    )
+    v = functionality(t)
+    assert not v.functional
+    assert v.witness.kind == "unequalizable-pair"
 
 
 def test_witness_eps_cycle():

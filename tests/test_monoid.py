@@ -10,6 +10,7 @@ from bimc.monoid import (
     DescriptorMismatch,
     FreeWords,
     Integers,
+    Monoid,
     MonoidValue,
     NonNegRationals,
     PairOf,
@@ -161,9 +162,11 @@ def test_eta_product_componentwise():
         MonoidValue(PROD, ("b", Fraction(3))),
         MonoidValue(PROD, ("", Fraction(0))),
     )
-    # one dead component kills the pair
+    # one dead component kills the pair, the left one or the right one alone
     c = MonoidValue(PROD, ("ba", Fraction(5)))
     assert eta(a, c) is None
+    words = PairOf(FreeWords(("x", "y")), FreeWords(("x", "y")))
+    assert eta(MonoidValue(words, ("x", "x")), MonoidValue(words, ("x", "y"))) is None
 
 
 @given(st.data())
@@ -370,6 +373,8 @@ def test_descriptor_rejects_garbage():
     for text in ["free:", "rat", "product(nnrat)", "product(nnrat,nnrat,nnrat)", ""]:
         with pytest.raises(ValueError):
             parse_descriptor(text)
+    with pytest.raises(ValueError, match="unknown descriptor"):
+        format_descriptor(Monoid())
 
 
 def test_value_literal_round_trip():
@@ -434,6 +439,12 @@ def test_payload_validation():
         FreeWords(("ab",))
     with pytest.raises(ValueError):
         FreeWords(("a", "a"))
+    with pytest.raises(ValueError, match="not allowed in literals"):
+        FreeWords(("a", "("))
+    with pytest.raises(ValueError, match="must be str"):
+        MonoidValue(FREE, 3)
+    with pytest.raises(ValueError, match="2-tuple"):
+        MonoidValue(PROD, "ab")
 
 
 def test_values_are_hashable_and_comparable():
