@@ -12,7 +12,7 @@ one move into the next set gives the output entry: no output algebra.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bimachine import Bimachine
 from .fsa import (
@@ -35,18 +35,12 @@ def check_pseudo_deterministic(t: Transducer) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ExpandedTransducer:
+class ExpandedTransducer(NamedTuple):
     """The unambiguous expansion: state i of transducer stands for the
     (guessed state, failing alternatives) pair pairs[i]."""
 
     transducer: Transducer
     pairs: tuple[tuple[int, frozenset[int]], ...]
-
-    def __post_init__(self):
-        assert len(self.pairs) == self.transducer.n_states
-        for p, neg in self.pairs:
-            assert p not in neg, "a guess must not be its own alternative"
 
 
 def unambiguous_expand(t: Transducer) -> ExpandedTransducer:

@@ -6,7 +6,8 @@ one `t <src> <sym> <value> <dst>` row per transition, where the input
 symbol `-` stands for the empty input.  Full-line `#` comments and blank
 lines are ignored.  Bimachines serialize to a `BIM v1` block of sorted
 rows after an alphabet row, so equal machines give identical text; the
-reader rejects repeated declarations, conflicts and undeclared symbols.
+reader requires that layout, and rejects repeated declarations,
+conflicts and undeclared symbols.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def bimachine_to_text(b: Bimachine) -> str:
 
 
 def bimachine_from_text(text: str) -> Bimachine:
-    """Read a BIM v1 block.  An older text without the alphabet row gets
-    the symbols of its rows as its alphabet."""
+    """Read a BIM v1 block: the header, the alphabet row, then the sections.
+    A side's states are those that its start, moves and psi column name."""
     lines = _content_lines(text)
     lineno, tokens = next(lines, (None, None))
     if tokens is None:
@@ -176,27 +177,21 @@ def bimachine_from_text(text: str) -> Bimachine:
     if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
         raise BimachineFormatError(f"line {lineno}: expected a BIM v1 header")
     monoid = _parsed(BimachineFormatError, lineno, parse_descriptor, " ".join(tokens[2:]))
-    alphabet = section = eps_output = None
+    lineno, tokens = next(lines, (lineno, None))
+    if not tokens or tokens[0] != "alphabet":
+        raise BimachineFormatError(f"line {lineno}: expected the alphabet row after the header")
+    alphabet = _parsed(BimachineFormatError, lineno, check_symbols, tokens[1:])
+    section = eps_output = None
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
-    highest = {"LEFT": 0, "RIGHT": 0}
     psi = {}
-    declared = {}  # line number of each alphabet, start and EPS row
-    row_symbols = set()  # the alphabet of a text without an alphabet row
-
-    def symbol(sym, lineno):
-        if alphabet is None:
-            row_symbols.update(_parsed(BimachineFormatError, lineno, check_symbols, (sym,)))
-        elif sym not in alphabet:
-            raise BimachineFormatError(f"line {lineno}: undeclared symbol {sym!r}")
-        return sym
+    declared = {}  # line number of each start and EPS row
     for lineno, tokens in lines:
         kind = tokens[0]
+        if kind in ("d", "o") and len(tokens) >= 4 and tokens[2] not in alphabet:
+            raise BimachineFormatError(f"line {lineno}: undeclared symbol {tokens[2]!r}")
         if kind in ("LEFT", "RIGHT", "PSI"):
             section = kind
-        elif kind == "alphabet" and section is None:
-            _declare(BimachineFormatError, declared, "alphabet", lineno)
-            alphabet = _parsed(BimachineFormatError, lineno, check_symbols, tokens[1:])
         elif kind == "EPS":
             _declare(BimachineFormatError, declared, "EPS", lineno)
             literal = " ".join(tokens[1:])
@@ -208,32 +203,28 @@ def bimachine_from_text(text: str) -> Bimachine:
             section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
-            p, sym, q = int(tokens[1]), symbol(tokens[2], lineno), int(tokens[3])
+            p, sym, q = int(tokens[1]), tokens[2], int(tokens[3])
             move = deltas[section].setdefault((p, sym), q)
             if move != q:
                 raise BimachineFormatError(f"line {lineno}: conflicting moves for {p} on {sym!r}")
-            highest[section] = max(highest[section], p, q)
         elif (
             section == "PSI" and kind == "o" and len(tokens) >= 5
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
-            cell = (int(tokens[1]), symbol(tokens[2], lineno), int(tokens[3]))
+            cell = (int(tokens[1]), tokens[2], int(tokens[3]))
             value = _parsed(BimachineFormatError, lineno, parse_value, monoid, " ".join(tokens[4:]))
             if psi.setdefault(cell, value) != value:
                 raise BimachineFormatError(f"line {lineno}: conflicting outputs for {cell}")
-            highest["LEFT"] = max(highest["LEFT"], cell[0])
-            highest["RIGHT"] = max(highest["RIGHT"], cell[2])
         else:
             raise BimachineFormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
-    for side in ("LEFT", "RIGHT"):
+    dfas = []
+    for side, column in (("LEFT", 0), ("RIGHT", 2)):
         if side not in starts:
             raise BimachineFormatError(f"missing start declaration in {side}")
-        highest[side] = max(highest[side], starts[side])
-    if alphabet is None:
-        alphabet = tuple(sorted(row_symbols))
-    left = Dfa(alphabet, highest["LEFT"] + 1, starts["LEFT"], deltas["LEFT"])
-    right = Dfa(alphabet, highest["RIGHT"] + 1, starts["RIGHT"], deltas["RIGHT"])
-    return Bimachine(monoid, alphabet, left, right, psi, eps_output)
+        delta = deltas[side]
+        named = [starts[side], *(p for p, _ in delta), *delta.values(), *(c[column] for c in psi)]
+        dfas.append(Dfa(max(named) + 1, starts[side], delta))
+    return Bimachine(monoid, alphabet, *dfas, psi, eps_output)
 
 
 class AmbiguousInputError(ValueError):

@@ -129,10 +129,9 @@ class Dfa:
     subsets record which source states each index stands for, as a
     bitmask with bit q for state q, or None for machines read back from
     text.  delta is partial: missing keys mean the transition is
-    undefined, there is no sink state.
+    undefined, there is no sink state.  The alphabet is the bimachine's.
     """
 
-    alphabet: tuple[str, ...]
     n_states: int
     start: int
     delta: dict
@@ -162,12 +161,9 @@ def output_cells(left: Dfa, right: Dfa):
     A state in s has an a-successor, so the left a-step always exists.
     """
     masks_l, masks_r = left.subsets, right.subsets
-    steps_r = {a: [] for a in left.alphabet}
-    for ri in range(right.n_states):
-        for a, moves in steps_r.items():
-            ri2 = right.delta.get((ri, a))
-            if ri2 is not None:
-                moves.append((ri, masks_r[ri2], masks_r[ri]))
+    steps_r = defaultdict(list)
+    for (ri, a), ri2 in right.delta.items():
+        steps_r[a].append((ri, masks_r[ri2], masks_r[ri]))
     for li, lm in enumerate(masks_l):
         for a, moves in steps_r.items():
             li2 = left.delta.get((li, a))
@@ -306,7 +302,7 @@ def determinize(t: Transducer) -> tuple[Dfa, Dfa]:
         order, arcs = explore([sum(1 << q for q in start)], images, "determinize")
         assert len(order) <= 2 ** t.n_states
         delta = {(src, sym): dst for src, sym, dst in arcs}
-        dfas.append(Dfa(t.alphabet, len(order), 0, delta, tuple(order)))
+        dfas.append(Dfa(len(order), 0, delta, tuple(order)))
     return tuple(dfas)
 
 

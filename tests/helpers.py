@@ -412,7 +412,7 @@ def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y"), m
             for s in sigma:
                 if rng.random() < 0.8:
                     delta[(q, s)] = rng.randrange(n)
-        return Dfa(alphabet, n, rng.randrange(n), delta)
+        return Dfa(n, rng.randrange(n), delta)
 
     left, right = rand_dfa(), rand_dfa()
     psi = {}

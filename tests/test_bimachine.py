@@ -20,8 +20,8 @@ def fw(s):
 def fixture():
     """Two states on each side, outputs chosen so every lookup is
     distinguishable by hand."""
-    left = Dfa(("a", "b"), 2, 0, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 0})
-    right = Dfa(("a", "b"), 2, 0, {(0, "a"): 1, (0, "b"): 1, (1, "a"): 0, (1, "b"): 1})
+    left = Dfa(2, 0, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 0})
+    right = Dfa(2, 0, {(0, "a"): 1, (0, "b"): 1, (1, "a"): 0, (1, "b"): 1})
     psi = {(0, "a", 1): fw("x"), (1, "b", 0): fw("yy"), (0, "a", 0): fw("y")}
     return Bimachine(FREE, ("a", "b"), left, right, psi)
 
@@ -43,8 +43,8 @@ def test_missing_output_entry_is_undefined():
 
 
 def test_missing_right_step_is_undefined():
-    left = Dfa(("a",), 1, 0, {(0, "a"): 0})
-    right = Dfa(("a",), 1, 0, {})
+    left = Dfa(1, 0, {(0, "a"): 0})
+    right = Dfa(1, 0, {})
     b = Bimachine(FREE, ("a",), left, right, {(0, "a", 0): fw("x")})
     assert evaluate(b, ("a",)) is None
 
@@ -52,16 +52,16 @@ def test_missing_right_step_is_undefined():
 def test_left_advance_skipped_after_last_symbol():
     # the left machine has no moves at all, yet length-1 words still
     # evaluate; length-2 words need the advance and come out undefined
-    left = Dfa(("a",), 1, 0, {})
-    right = Dfa(("a",), 1, 0, {(0, "a"): 0})
+    left = Dfa(1, 0, {})
+    right = Dfa(1, 0, {(0, "a"): 0})
     b = Bimachine(FREE, ("a",), left, right, {(0, "a", 0): fw("x")})
     assert evaluate(b, ("a",)) == fw("x")
     assert evaluate(b, ("a", "a")) is None
 
 
 def test_empty_word_returns_stored_output():
-    left = Dfa(("a",), 1, 0, {})
-    right = Dfa(("a",), 1, 0, {})
+    left = Dfa(1, 0, {})
+    right = Dfa(1, 0, {})
     b = Bimachine(FREE, ("a",), left, right, {}, eps_output=fw("xy"))
     assert evaluate(b, ()) == fw("xy")
     b2 = Bimachine(FREE, ("a",), left, right, {})
@@ -75,8 +75,8 @@ def test_symbol_outside_alphabet():
 
 
 def test_constructor_rejects_bad_entries():
-    left = Dfa(("a",), 1, 0, {})
-    right = Dfa(("a",), 1, 0, {})
+    left = Dfa(1, 0, {})
+    right = Dfa(1, 0, {})
     with pytest.raises(ValueError):
         Bimachine(FREE, ("a",), left, right, {(5, "a", 0): fw("x")})
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
 from bimc.classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
 from bimc.compiler import compile as build
@@ -74,6 +75,22 @@ def test_expand_diamond_keeps_one_path():
     assert tt.n_states == 3
     assert count_paths(tt, ("a", "b")) == 1
     assert enumerate_outputs(tt, ("a", "b")) == {fw("xxy")}
+
+
+def test_expansion_pairs_name_the_states_and_exclude_their_guess():
+    # one pair per state of the trimmed expansion, and no guess among its
+    # own alternatives: the start has none, and a move is dropped when
+    # its target lands among them
+    rng = random.Random(1616)
+    cases = [make_tn(n) for n in range(1, 6)]
+    cases += [random_pseudo_det(rng, monoid=m) for m in TRANSDUCER_MONOIDS for _ in range(100)]
+    alternatives = 0
+    for t in cases:
+        exp = unambiguous_expand(t)
+        assert len(exp.pairs) == exp.transducer.n_states
+        assert all(p not in neg for p, neg in exp.pairs)
+        alternatives += any(neg for _, neg in exp.pairs)
+    assert alternatives > 50  # 61 of the 405 have a guess with alternatives
 
 
 def test_expand_nonfunctional_keeps_least_output():

@@ -11,7 +11,7 @@ import pytest
 
 from bimc import cli
 from bimc.benchmark import make_tn
-from bimc.bimachine import AlphabetError, evaluate
+from bimc.bimachine import evaluate
 from bimc.cli import (
     AmbiguousInputError,
     BimachineFormatError,
@@ -224,7 +224,7 @@ def test_random_bimachines_round_trip():
                 assert evaluate(b2, w) == evaluate(b, w)
 
 
-def test_bimachine_text_keeps_the_alphabet():
+def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
     b = build(make_transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
     text = bimachine_to_text(b)
     assert text.splitlines()[1] == "alphabet a b c"
@@ -232,46 +232,50 @@ def test_bimachine_text_keeps_the_alphabet():
     assert b2.alphabet == ("a", "b", "c")
     assert evaluate(b, ("c",)) is None and evaluate(b2, ("c",)) is None
     assert format_value(evaluate(b2, ("a",))) == '"x"'
-    # a text written before the alphabet row: the symbols of its rows
-    old = bimachine_from_text(
-        'BIM v1 free:x\nLEFT\nstart 0\nd 0 b 0\nRIGHT\nstart 0\nd 0 a 0\n'
-        'PSI\no 0 a 0 "x"\n'
+    # the alphabet row must be the second content line; comments do not count
+    old = tmp_path / "old.bim"
+    old.write_text(
+        '# no alphabet row\nBIM v1 free:x\nLEFT\nstart 0\nd 0 b 0\nRIGHT\nstart 0\n'
+        'd 0 a 0\nPSI\no 0 a 0 "x"\n',
+        encoding="utf-8",
     )
-    assert old.alphabet == old.left.alphabet == ("a", "b")
-    assert format_value(evaluate(old, ("a",))) == '"x"'
-    with pytest.raises(AlphabetError):
-        evaluate(old, ("c",))
+    with pytest.raises(BimachineFormatError, match="line 3: expected the alphabet row"):
+        bimachine_from_text(old.read_text(encoding="utf-8"))
+    assert cli_main(["run", str(old), "--input", "a"]) == 65
+    assert "line 3: expected the alphabet row" in capsys.readouterr().err
 
 
 def test_bimachine_from_text_rejects_garbage():
     cases = [
         ("BIM v2 free:x\nLEFT\nstart 0\n", "header"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nd 0 a 1\nd 0 a 2\n", "conflicting"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\n", "missing start"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 zzz\n", "line 7"),
-        ("BIM v1 free:x\nLEFT\nwhat 3\n", "unexpected row"),
-        ("BIM v1 free:x\nLEFT\nstart \u00b2\n", "line 3: unexpected row"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nd 0 a 1\nd 0 a 2\n", "conflicting"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\n", "missing start"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 zzz\n", "line 8"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nwhat 3\n", "unexpected row"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart \u00b2\n", "line 4: unexpected row"),
         ("", "empty input"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nstart 3\nRIGHT\nstart 0\n",
-         "line 4: LEFT start already declared on line 3"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nEPS \"\"\nEPS \"x\"\n",
-         "line 7: EPS already declared on line 6"),
-        ("BIM v1 free:xy\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 \"x\"\no 0 a 0 \"y\"\n",
-         "line 8: conflicting outputs for (0, 'a', 0)"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nstart 3\nRIGHT\nstart 0\n",
+         "line 5: LEFT start already declared on line 4"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nEPS \"\"\nEPS \"x\"\n",
+         "line 8: EPS already declared on line 7"),
+        ("BIM v1 free:xy\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 \"x\"\n"
+         "o 0 a 0 \"y\"\n", "line 9: conflicting outputs for (0, 'a', 0)"),
         ("BIM v1 free:x\nalphabet a a\n", "line 2: duplicate input symbol 'a'"),
-        ("BIM v1 free:x\nalphabet a\nalphabet a\n", "line 3: alphabet already declared on line 2"),
-        ("BIM v1 free:x\nLEFT\nalphabet a\n", "line 3: unexpected row"),
+        ("BIM v1 free:x\nalphabet a\nalphabet a\n", "line 3: unexpected row"),
+        ("BIM v1 free:x\nLEFT\nalphabet a\n", "line 2: expected the alphabet row"),
+        ("BIM v1 free:x\n", "line 1: expected the alphabet row after the header"),
         ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nd 0 b 0\n", "line 5: undeclared symbol 'b'"),
         ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 b 0 \"x\"\n",
          "line 8: undeclared symbol 'b'"),
-        ("BIM v1 free:x\nLEFT\nstart 0\nd 0 - 0\n", "line 4: the symbol - is reserved"),
+        ("BIM v1 free:x\nalphabet a -\n", "line 2: the symbol - is reserved"),
     ]
     for text, needle in cases:
         with pytest.raises(BimachineFormatError) as info:
             bimachine_from_text(text)
         assert needle in str(info.value)
     repeated = bimachine_from_text(
-        'BIM v1 free:x\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 "x"\no 0 a 0 "x"\n'
+        'BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 "x"\n'
+        'o 0 a 0 "x"\n'
     )
     assert format_value(repeated.psi[(0, "a", 0)]) == '"x"'
 
@@ -532,6 +536,27 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
             assert capsys.readouterr().out.splitlines() == printed
         ran.append(argv[0])
     assert ran == ["check", "compile", "run", "run", "bench-tn", "compare"]
+
+
+def test_package_loads_the_cli_names_on_first_use():
+    import bimc
+
+    for name in bimc._CLI_NAMES:
+        assert bimc.__getattr__(name) is getattr(bimc, name) is getattr(cli, name)
+        assert name in bimc.__all__
+    with pytest.raises(AttributeError, match="module 'bimc' has no attribute 'no_such_name'"):
+        bimc.no_such_name
+
+
+def test_readme_python_quick_start(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 2
+    for line, comment in zip(printed, comments):
+        assert comment.startswith(line), (line, comment)
 
 
 @pytest.mark.parametrize("entry", (["bimc"], ["bimc.cli"]), ids=" ".join)

@@ -220,12 +220,13 @@ def test_determinize_empty_initial_set():
 
 
 def test_output_cells_are_the_compiled_output_maps():
-    def naive_count(left, right):
+    def naive_count(b):
         # the cell (l, a, r) is defined when L(l) meets R(delta_R(r, a))
+        left, right = b.left, b.right
         return sum(
             1
             for li, L in enumerate(left.subsets)
-            for a in left.alphabet
+            for a in b.alphabet
             for ri in range(right.n_states)
             if (ri, a) in right.delta and L & right.subsets[right.delta[(ri, a)]]
         )
@@ -239,13 +240,13 @@ def test_output_cells_are_the_compiled_output_maps():
         if verdict.functional:
             b = compile(t, verdict=verdict)
             assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
-            assert naive_count(b.left, b.right) == len(b.psi)
+            assert naive_count(b) == len(b.psi)
             compiled[k % 4] += 1
     assert min(compiled.values()) > 10
     for _ in range(60):
         b = classical_compile(random_pseudo_det(rng))
         assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
-        assert naive_count(b.left, b.right) == len(b.psi)
+        assert naive_count(b) == len(b.psi)
 
 
 def naive_output_map(left, right, entry):

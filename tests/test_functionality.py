@@ -120,6 +120,14 @@ def test_witness_transition_mismatch():
     assert v.witness.kind == "transition-mismatch"
 
 
+def test_verdict_is_true_exactly_when_functional():
+    good = functionality(make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
+    bad = functionality(
+        make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)])
+    )
+    assert bool(good) is True and bool(bad) is False
+
+
 def test_witness_final_imbalance():
     t = make_transducer(
         ("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "x", 1), (0, "a", "xx", 2)]
