@@ -7,12 +7,16 @@ its valuation (squared), the functionality decision (functionality),
 deterministic two-pass machines (bimachine), the equalizer-based
 compiler (compiler), the unambiguous-expansion baseline (classical),
 the T_n comparison experiment (benchmark), and text formats plus the
-command line (cli).
+command line (cli, a subpackage, so that python -m bimc.cli runs its
+__main__ although this module imports cli).
 """
 
 from .bimachine import AlphabetError, Bimachine, evaluate
 from .benchmark import BenchReport, BenchRow, make_tn, run_bench
 from .classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
+from .cli import (
+    bimachine_from_text, bimachine_to_text, cli_main, format_transducer, parse_transducer
+)
 from .compiler import CompileError, NotFunctionalError, compile
 from .fsa import (
     StateLimitExceeded,
@@ -40,18 +44,6 @@ from .monoid import (
     parse_value,
     solve_right,
 )
-
-_CLI_NAMES = {"bimachine_from_text", "bimachine_to_text", "cli_main", "format_transducer",
-              "parse_transducer"}
-
-
-def __getattr__(name):
-    # bimc.cli loads on first use, so that python -m bimc.cli runs it fresh
-    if name not in _CLI_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cli
-    return globals().setdefault(name, getattr(cli, name))
-
 
 __all__ = [
     "AlphabetError",

@@ -18,15 +18,15 @@ import sys
 import warnings
 from collections import defaultdict
 
-from .benchmark import run_bench
-from .bimachine import Bimachine, evaluate
-from .classical import check_pseudo_deterministic, classical_compile
-from .compiler import CompileError, compile as mge_compile
-from .fsa import (
+from ..benchmark import run_bench
+from ..bimachine import Bimachine, evaluate
+from ..classical import check_pseudo_deterministic, classical_compile
+from ..compiler import CompileError, compile as mge_compile
+from ..fsa import (
     Dfa, StateLimitExceeded, Transducer, Transition, check_symbols, enumerate_outputs, output_cells
 )
-from .functionality import test_functionality
-from .monoid import (
+from ..functionality import test_functionality
+from ..monoid import (
     DescriptorMismatch,
     format_descriptor,
     format_value,
@@ -450,7 +450,3 @@ def cli_main(argv=None) -> int:
 
 def main():
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

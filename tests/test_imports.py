@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports.  No linter
-runs on the sources, so this walks their syntax trees instead;
-__init__.py re-exports on purpose and __future__ imports are
-directives, so both are exempt."""
+runs on the sources, so this walks their syntax trees instead; the
+package's top-level __init__.py re-exports on purpose and __future__
+imports are directives, so both are exempt."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in SRC.rglob("*.py") if p != SRC / "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +31,6 @@ def test_unused_imports_are_found():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_module_uses_its_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
