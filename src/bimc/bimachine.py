@@ -26,7 +26,7 @@ class Bimachine:
     psi is partial: a missing entry means no defined behaviour, which
     evaluate reports as an undefined result rather than an error.  The
     eps_output field is the value for the empty word, or None when the
-    empty word has no output.
+    empty word has no output.  The alphabet is stored sorted.
     """
 
     monoid: Monoid
@@ -37,7 +37,16 @@ class Bimachine:
     eps_output: MonoidValue | None = None
 
     def __post_init__(self):
-        syms = set(check_symbols(self.alphabet))
+        object.__setattr__(self, "alphabet", tuple(sorted(check_symbols(self.alphabet))))
+        syms = set(self.alphabet)
+        for side, dfa in (("left", self.left), ("right", self.right)):
+            if not 0 <= dfa.start < dfa.n_states:
+                raise ValueError(f"{side} start {dfa.start} is not among its {dfa.n_states} states")
+            for (p, a), q in dfa.delta.items():
+                if not (0 <= p < dfa.n_states and 0 <= q < dfa.n_states):
+                    raise ValueError(f"{side} move ({p}, {a!r}) -> {q} references a missing state")
+                if a not in syms:
+                    raise ValueError(f"{side} move uses undeclared symbol {a!r}")
         m = self.monoid
 
         def foreign(v):

@@ -151,9 +151,9 @@ def format_transducer(t: Transducer) -> str:
 
 
 def bimachine_to_text(b: Bimachine) -> str:
-    """Serialize with the alphabet and the rows sorted and the state counts
-    implicit in the rows, so equal machines give identical text."""
-    lines = [f"BIM v1 {format_descriptor(b.monoid)}", " ".join(("alphabet", *sorted(b.alphabet)))]
+    """Serialize with the rows sorted, like the machine's alphabet, and the
+    state counts implicit in the rows, so equal machines give identical text."""
+    lines = [f"BIM v1 {format_descriptor(b.monoid)}", " ".join(("alphabet", *b.alphabet))]
     for name, dfa in (("LEFT", b.left), ("RIGHT", b.right)):
         lines.append(name)
         lines.append(f"start {dfa.start}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .monoid import Monoid, MonoidValue
@@ -128,14 +128,14 @@ class Dfa:
     States are indices into subsets (discovery order, start first); the
     subsets record which source states each index stands for, as a
     bitmask with bit q for state q, or None for machines read back from
-    text.  delta is partial: missing keys mean the transition is
+    text; equality ignores them.  delta is partial: missing keys mean the transition is
     undefined, there is no sink state.  The alphabet is the bimachine's.
     """
 
     n_states: int
     start: int
     delta: dict
-    subsets: tuple[int, ...] | None = None
+    subsets: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 def members(mask):

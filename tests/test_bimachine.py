@@ -96,6 +96,20 @@ def test_constructor_rejects_bad_entries():
     ):
         with pytest.raises(ValueError, match=needle):
             Bimachine(FREE, alphabet, left, right, {})
+    # the automata: starts and move endpoints among their states, move
+    # symbols in the alphabet
+    with pytest.raises(ValueError, match="references a missing state"):
+        Bimachine(FREE, ("a",), Dfa(1, 0, {(0, "a"): 7, (0, "q"): 0}), Dfa(1, 3, {}), {})
+    for sides, needle in (
+        ((Dfa(1, 1, {}), right), "left start 1 is not among its 1 states"),
+        ((left, Dfa(1, 3, {})), "right start 3 is not among its 1 states"),
+        ((left, Dfa(2, -1, {})), "right start -1"),
+        ((Dfa(1, 0, {(2, "a"): 0}), right), r"left move \(2, 'a'\) -> 0 references a missing"),
+        ((left, Dfa(1, 0, {(0, "a"): 7})), r"right move \(0, 'a'\) -> 7 references a missing"),
+        ((Dfa(1, 0, {(0, "q"): 0}), right), "left move uses undeclared symbol 'q'"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            Bimachine(FREE, ("a",), *sides, {})
 
 
 def psi_star(b, l, syms, r):

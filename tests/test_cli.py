@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from bimc import cli
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
+from bimc.classical import classical_compile
 from bimc.cli import (
     AmbiguousInputError,
     BimachineFormatError,
@@ -28,7 +30,9 @@ from bimc.fsa import make_transducer
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_value,
 )
-from helpers import TRANSDUCER_MONOIDS, all_words, random_bimachine, random_transducer
+from helpers import (
+    TRANSDUCER_MONOIDS, all_words, functional_draws, random_bimachine, random_transducer,
+)
 
 FREE = FreeWords(("x", "y"))
 
@@ -224,6 +228,27 @@ def test_random_bimachines_round_trip():
                 assert evaluate(b2, w) == evaluate(b, w)
 
 
+def compiled_machines():
+    """The mge and classical machines of T_1..T_6, then mge machines of
+    40 functional draws per monoid, with and without ε moves."""
+    for n in range(1, 7):
+        yield build(make_tn(n))
+        yield classical_compile(make_tn(n))
+    rng = random.Random(1717)
+    for monoid in TRANSDUCER_MONOIDS:
+        for eps in (False, True):
+            for t, verdict in functional_draws(rng, 40, monoid=monoid, eps=eps):
+                yield build(t, verdict=verdict)
+
+
+def test_compiled_bimachines_round_trip_to_an_equal_machine():
+    checked = 0
+    for b in compiled_machines():
+        assert bimachine_from_text(bimachine_to_text(b)) == b
+        checked += 1
+    assert checked == 12 + 4 * 2 * 40
+
+
 def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
     b = build(make_transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
     text = bimachine_to_text(b)
@@ -298,6 +323,23 @@ def test_tokenize_rejects_ambiguous_splits():
     first, second = info.value.splits
     assert first != second and "".join(first) == "".join(second) == "aaaa"
     assert tokenize("ba", ("a", "b", "ab")) == ("b", "a")
+
+
+def test_tokenize_is_linear_in_the_input_length():
+    # 10^5 characters each: a split that does Python-level work over the
+    # whole input at every position, or lists every segmentation of the
+    # a-only input, needs minutes here
+    alphabet = make_tn(9).alphabet
+    word = tuple(random.Random(5).choice(alphabet) for _ in range(10**5))
+    start = time.perf_counter()
+    assert tokenize("".join(word), alphabet) == word
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"splitting 10^5 symbols took {elapsed:.1f} s"
+    start = time.perf_counter()
+    with pytest.raises(AmbiguousInputError):
+        tokenize("a" * 10**5, ("a", "aa"))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"rejecting 10^5 ambiguous characters took {elapsed:.1f} s"
 
 
 def tn_file(tmp_path, n):
