@@ -128,8 +128,9 @@ class Dfa:
     States are indices into subsets (discovery order, start first); the
     subsets record which source states each index stands for, as a
     bitmask with bit q for state q, or None for machines read back from
-    text; equality ignores them.  delta is partial: missing keys mean the transition is
-    undefined, there is no sink state.  The alphabet is the bimachine's.
+    text; equality ignores them.  delta is partial: missing keys mean
+    the transition is undefined, there is no sink state.  The alphabet
+    is the bimachine's.
     """
 
     n_states: int

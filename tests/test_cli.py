@@ -232,8 +232,9 @@ def compiled_machines():
     """The mge and classical machines of T_1..T_6, then mge machines of
     40 functional draws per monoid, with and without ε moves."""
     for n in range(1, 7):
-        yield build(make_tn(n))
-        yield classical_compile(make_tn(n))
+        t = make_tn(n)
+        yield build(t)
+        yield classical_compile(t)
     rng = random.Random(1717)
     for monoid in TRANSDUCER_MONOIDS:
         for eps in (False, True):
