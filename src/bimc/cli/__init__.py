@@ -17,6 +17,7 @@ import itertools
 import sys
 import warnings
 from collections import defaultdict
+from pathlib import Path
 
 from ..benchmark import run_bench
 from ..bimachine import Bimachine, evaluate
@@ -39,12 +40,8 @@ EX_DATAERR = 65  # well-formed command, malformed or unusable input data
 EX_IOERR = 74   # file system trouble
 
 
-class TransducerFormatError(ValueError):
-    """Malformed transducer text; messages carry 1-based line numbers."""
-
-
-class BimachineFormatError(ValueError):
-    """Malformed bimachine text; messages carry 1-based line numbers."""
+class FormatError(ValueError):
+    """Malformed transducer or bimachine text; messages carry 1-based line numbers."""
 
 
 def _content_lines(text):
@@ -54,18 +51,18 @@ def _content_lines(text):
             yield lineno, line.split()
 
 
-def _parsed(error, lineno, parse, *args):
-    """parse(*args), with a ValueError reraised as error at lineno."""
+def _parsed(lineno, parse, *args):
+    """parse(*args), with a ValueError reraised as a FormatError at lineno."""
     try:
         return parse(*args)
     except ValueError as err:
-        raise error(f"line {lineno}: {err}") from None
+        raise FormatError(f"line {lineno}: {err}") from None
 
 
-def _declare(error, declared, name, lineno):
+def _declare(declared, name, lineno):
     """Record name as declared at lineno; a name may be declared once."""
     if name in declared:
-        raise error(f"line {lineno}: {name} already declared on line {declared[name]}")
+        raise FormatError(f"line {lineno}: {name} already declared on line {declared[name]}")
     declared[name] = lineno
 
 
@@ -86,46 +83,42 @@ def parse_transducer(text: str) -> Transducer:
     for lineno, tokens in _content_lines(text):
         kind, rest = tokens[0], tokens[1:]
         if kind in ("monoid", "alphabet", "states", "initial", "final"):
-            _declare(TransducerFormatError, declared, kind, lineno)
+            _declare(declared, kind, lineno)
         if kind == "monoid":
-            monoid = _parsed(TransducerFormatError, lineno, parse_descriptor, " ".join(rest))
+            monoid = _parsed(lineno, parse_descriptor, " ".join(rest))
         elif kind == "alphabet":
-            alphabet = _parsed(TransducerFormatError, lineno, check_symbols, rest)
+            alphabet = _parsed(lineno, check_symbols, rest)
         elif kind == "states":
             if len(rest) != 1 or not rest[0].isdecimal():
-                raise TransducerFormatError(f"line {lineno}: states needs one count")
+                raise FormatError(f"line {lineno}: states needs one count")
             n_states = int(rest[0])
         elif kind in ("initial", "final"):
             if not all(x.isdecimal() for x in rest):
-                raise TransducerFormatError(f"line {lineno}: {kind} takes state indices")
+                raise FormatError(f"line {lineno}: {kind} takes state indices")
             state_lists[kind] = frozenset(int(x) for x in rest)
         elif kind == "t":
             if len(rest) < 4 or not rest[0].isdecimal() or not rest[-1].isdecimal():
-                raise TransducerFormatError(
-                    f"line {lineno}: expected t <src> <sym> <value> <dst>"
-                )
+                raise FormatError(f"line {lineno}: expected t <src> <sym> <value> <dst>")
             rows.append((lineno, int(rest[0]), rest[1], " ".join(rest[2:-1]), int(rest[-1])))
         else:
-            raise TransducerFormatError(f"line {lineno}: unknown directive {kind!r}")
+            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     for name, value in (("monoid", monoid), ("alphabet", alphabet), ("states", n_states)):
         if value is None:
-            raise TransducerFormatError(f"missing {name} declaration")
+            raise FormatError(f"missing {name} declaration")
     for kind, states in state_lists.items():
         for q in states:
             if q >= n_states:
-                raise TransducerFormatError(
+                raise FormatError(
                     f"line {declared[kind]}: {kind} state {q} not among the {n_states} states"
                 )
     transitions = []
     seen = set()
     for lineno, src, sym, literal, dst in rows:
         if src >= n_states or dst >= n_states:
-            raise TransducerFormatError(
-                f"line {lineno}: transition endpoint not among the {n_states} states"
-            )
+            raise FormatError(f"line {lineno}: transition endpoint not among the {n_states} states")
         if sym != "-" and sym not in alphabet:
-            raise TransducerFormatError(f"line {lineno}: undeclared symbol {sym!r}")
-        value = _parsed(TransducerFormatError, lineno, parse_value, monoid, literal)
+            raise FormatError(f"line {lineno}: undeclared symbol {sym!r}")
+        value = _parsed(lineno, parse_value, monoid, literal)
         tr = Transition(src, None if sym == "-" else sym, value, dst)
         if tr in seen:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")
@@ -173,14 +166,14 @@ def bimachine_from_text(text: str) -> Bimachine:
     lines = _content_lines(text)
     lineno, tokens = next(lines, (None, None))
     if tokens is None:
-        raise BimachineFormatError("empty input, expected a BIM v1 header")
+        raise FormatError("empty input, expected a BIM v1 header")
     if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
-        raise BimachineFormatError(f"line {lineno}: expected a BIM v1 header")
-    monoid = _parsed(BimachineFormatError, lineno, parse_descriptor, " ".join(tokens[2:]))
+        raise FormatError(f"line {lineno}: expected a BIM v1 header")
+    monoid = _parsed(lineno, parse_descriptor, " ".join(tokens[2:]))
     lineno, tokens = next(lines, (lineno, None))
     if not tokens or tokens[0] != "alphabet":
-        raise BimachineFormatError(f"line {lineno}: expected the alphabet row after the header")
-    alphabet = _parsed(BimachineFormatError, lineno, check_symbols, tokens[1:])
+        raise FormatError(f"line {lineno}: expected the alphabet row after the header")
+    alphabet = _parsed(lineno, check_symbols, tokens[1:])
     section = eps_output = None
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
@@ -189,15 +182,15 @@ def bimachine_from_text(text: str) -> Bimachine:
     for lineno, tokens in lines:
         kind = tokens[0]
         if kind in ("d", "o") and len(tokens) >= 4 and tokens[2] not in alphabet:
-            raise BimachineFormatError(f"line {lineno}: undeclared symbol {tokens[2]!r}")
+            raise FormatError(f"line {lineno}: undeclared symbol {tokens[2]!r}")
         if kind in ("LEFT", "RIGHT", "PSI"):
             section = kind
         elif kind == "EPS":
-            _declare(BimachineFormatError, declared, "EPS", lineno)
+            _declare(declared, "EPS", lineno)
             literal = " ".join(tokens[1:])
-            eps_output = _parsed(BimachineFormatError, lineno, parse_value, monoid, literal)
+            eps_output = _parsed(lineno, parse_value, monoid, literal)
         elif section in ("LEFT", "RIGHT") and kind == "start" and len(tokens) == 2 and tokens[1].isdecimal():
-            _declare(BimachineFormatError, declared, f"{section} start", lineno)
+            _declare(declared, f"{section} start", lineno)
             starts[section] = int(tokens[1])
         elif (
             section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
@@ -206,21 +199,21 @@ def bimachine_from_text(text: str) -> Bimachine:
             p, sym, q = int(tokens[1]), tokens[2], int(tokens[3])
             move = deltas[section].setdefault((p, sym), q)
             if move != q:
-                raise BimachineFormatError(f"line {lineno}: conflicting moves for {p} on {sym!r}")
+                raise FormatError(f"line {lineno}: conflicting moves for {p} on {sym!r}")
         elif (
             section == "PSI" and kind == "o" and len(tokens) >= 5
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
             cell = (int(tokens[1]), tokens[2], int(tokens[3]))
-            value = _parsed(BimachineFormatError, lineno, parse_value, monoid, " ".join(tokens[4:]))
+            value = _parsed(lineno, parse_value, monoid, " ".join(tokens[4:]))
             if psi.setdefault(cell, value) != value:
-                raise BimachineFormatError(f"line {lineno}: conflicting outputs for {cell}")
+                raise FormatError(f"line {lineno}: conflicting outputs for {cell}")
         else:
-            raise BimachineFormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
+            raise FormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
     dfas = []
     for side, column in (("LEFT", 0), ("RIGHT", 2)):
         if side not in starts:
-            raise BimachineFormatError(f"missing start declaration in {side}")
+            raise FormatError(f"missing start declaration in {side}")
         delta = deltas[side]
         named = [starts[side], *(p for p, _ in delta), *delta.values(), *(c[column] for c in psi)]
         dfas.append(Dfa(max(named) + 1, starts[side], delta))
@@ -331,15 +324,10 @@ def _build_parser():
     return parser
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _read_verdict(path, rejections):
     """Parse the transducer file at path and test it; a rejection is
     printed to the rejections stream.  Returns (transducer, verdict)."""
-    t = parse_transducer(_read(path))
+    t = parse_transducer(Path(path).read_text(encoding="utf-8"))
     verdict = test_functionality(t)
     if not verdict.functional:
         w = verdict.witness
@@ -377,7 +365,7 @@ def _cmd_compile(args):
 
 
 def _cmd_run(args):
-    b = bimachine_from_text(_read(args.file))
+    b = bimachine_from_text(Path(args.file).read_text(encoding="utf-8"))
     word = tokenize(args.input, b.alphabet)
     out = evaluate(b, word) if word is not None else None
     if out is None:
@@ -440,7 +428,7 @@ def cli_main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EX_IOERR
-    except (TransducerFormatError, BimachineFormatError) as err:
+    except FormatError as err:
         print(f"format error: {err}", file=sys.stderr)
         return EX_DATAERR
     except (DescriptorMismatch, StateLimitExceeded, CompileError, ValueError) as err:

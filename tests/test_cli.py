@@ -16,8 +16,7 @@ from bimc.bimachine import evaluate
 from bimc.classical import classical_compile
 from bimc.cli import (
     AmbiguousInputError,
-    BimachineFormatError,
-    TransducerFormatError,
+    FormatError,
     bimachine_from_text,
     bimachine_to_text,
     cli_main,
@@ -84,7 +83,7 @@ def test_parse_errors_carry_line_numbers():
         ),
     ]
     for text, needle in cases:
-        with pytest.raises(TransducerFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_transducer(text)
         assert needle in str(info.value)
 
@@ -191,11 +190,11 @@ def test_parsers_raise_only_format_errors():
         for _ in range(2000):
             try:
                 parse_transducer(_mutated_lines(rng, rng.choice(texts), pool))
-            except TransducerFormatError:
+            except FormatError:
                 pass
             try:
                 bimachine_from_text(_mutated_lines(rng, rng.choice(machines), pool))
-            except BimachineFormatError:
+            except FormatError:
                 pass
 
 
@@ -265,7 +264,7 @@ def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
         'd 0 a 0\nPSI\no 0 a 0 "x"\n',
         encoding="utf-8",
     )
-    with pytest.raises(BimachineFormatError, match="line 3: expected the alphabet row"):
+    with pytest.raises(FormatError, match="line 3: expected the alphabet row"):
         bimachine_from_text(old.read_text(encoding="utf-8"))
     assert cli_main(["run", str(old), "--input", "a"]) == 65
     assert "line 3: expected the alphabet row" in capsys.readouterr().err
@@ -296,7 +295,7 @@ def test_bimachine_from_text_rejects_garbage():
         ("BIM v1 free:x\nalphabet a -\n", "line 2: the symbol - is reserved"),
     ]
     for text, needle in cases:
-        with pytest.raises(BimachineFormatError) as info:
+        with pytest.raises(FormatError) as info:
             bimachine_from_text(text)
         assert needle in str(info.value)
     repeated = bimachine_from_text(
