@@ -222,19 +222,25 @@ def bimachine_from_text(text: str) -> Bimachine:
 
 class AmbiguousInputError(ValueError):
     """A raw input string that splits into alphabet symbols in more than
-    one way; splits holds two of the ways."""
+    one way; splits holds two of the ways.  The message shows only where
+    they part: from their first different symbol to their next shared end."""
 
-    def __init__(self, raw: str, splits):
+    def __init__(self, splits):
         self.splits = splits
-        shown = " and as ".join(repr(" ".join(w)) for w in splits)
-        super().__init__(f"ambiguous input {raw!r}: it splits as {shown}")
+        ends = [tuple(itertools.accumulate(map(len, w), initial=0)) for w in splits]
+        k = next(i for i, (x, y) in enumerate(zip(*splits)) if x != y)
+        start = ends[0][k]
+        stop = min(e for e in set(ends[0]).intersection(ends[1]) if e > start)
+        parts = [word[k:offsets.index(stop)] for word, offsets in zip(splits, ends)]
+        shown = " and as ".join(repr(" ".join(p[:8])) + "..." * (len(p) > 8) for p in parts)
+        super().__init__(f"ambiguous input: from character {start} it splits as {shown}")
 
 
 def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
     """Split a raw input string into alphabet symbols (symbols may be
     several characters long); None when no segmentation exists.  Raises
-    AmbiguousInputError, showing two segmentations, when there are
-    several: picking one would make the result depend on symbol order."""
+    AmbiguousInputError, showing where two segmentations part, when there
+    are several: picking one would make the result depend on symbol order."""
     by_len = defaultdict(set)
     for sym in alphabet:
         if sym:
@@ -277,7 +283,7 @@ def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
             i = j
         splits.append(tuple(reversed(word)))
     if len(splits) > 1:
-        raise AmbiguousInputError(raw, splits)
+        raise AmbiguousInputError(splits)
     return splits[0]
 
 

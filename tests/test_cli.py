@@ -173,6 +173,12 @@ def _mutated_lines(rng, text, pool):
     return "\n".join(lines) + "\n"
 
 
+LINE_LESS = re.compile(
+    "missing (monoid|alphabet|states) declaration|missing start declaration in (LEFT|RIGHT)"
+    "|empty input, expected a BIM v1 header"
+)
+
+
 def test_parsers_raise_only_format_errors():
     rng = random.Random(2024)
     pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
@@ -185,17 +191,22 @@ def test_parsers_raise_only_format_errors():
     texts = [format_transducer(t) for t in transducers]
     machines = [bimachine_to_text(build(make_tn(2)))]
     machines += [bimachine_to_text(random_bimachine(rng)) for _ in range(4)]
+    shapes = {"numbered": 0, "line-less": 0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # collapsed duplicate transitions
         for _ in range(2000):
-            try:
-                parse_transducer(_mutated_lines(rng, rng.choice(texts), pool))
-            except FormatError:
-                pass
-            try:
-                bimachine_from_text(_mutated_lines(rng, rng.choice(machines), pool))
-            except FormatError:
-                pass
+            for read, sources in ((parse_transducer, texts), (bimachine_from_text, machines)):
+                try:
+                    read(_mutated_lines(rng, rng.choice(sources), pool))
+                except FormatError as err:
+                    # every rejection names its line, unless no line is to blame
+                    message = str(err)
+                    if re.match(r"line [1-9][0-9]*: ", message):
+                        shapes["numbered"] += 1
+                    else:
+                        assert LINE_LESS.fullmatch(message), message
+                        shapes["line-less"] += 1
+    assert min(shapes.values()) > 0, shapes
 
 
 def test_bimachine_round_trip_is_canonical():
@@ -325,6 +336,20 @@ def test_tokenize_rejects_ambiguous_splits():
     assert tokenize("ba", ("a", "b", "ab")) == ("b", "a")
 
 
+def test_ambiguity_message_shows_where_the_splits_part():
+    with pytest.raises(AmbiguousInputError) as info:
+        tokenize("xabab", ("x", "a", "b", "ab"))
+    assert str(info.value) == "ambiguous input: from character 1 it splits as 'ab' and as 'a b'"
+    assert info.value.splits == [("x", "ab", "ab"), ("x", "a", "b", "ab")]
+    # these two splits share no end before the last character: each is cut
+    with pytest.raises(AmbiguousInputError) as info:
+        tokenize("zx" + "ab" * 10 + "y", ("z", "x", "ab", "y", "xa", "ba", "by"))
+    assert str(info.value) == (
+        "ambiguous input: from character 1 it splits as 'xa ba ba ba ba ba ba ba'..."
+        " and as 'x ab ab ab ab ab ab ab'..."
+    )
+
+
 def test_tokenize_is_linear_in_the_input_length():
     # 10^5 characters each: a split that does Python-level work over the
     # whole input at every position, or lists every segmentation of the
@@ -336,10 +361,13 @@ def test_tokenize_is_linear_in_the_input_length():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"splitting 10^5 symbols took {elapsed:.1f} s"
     start = time.perf_counter()
-    with pytest.raises(AmbiguousInputError):
+    with pytest.raises(AmbiguousInputError) as info:
         tokenize("a" * 10**5, ("a", "aa"))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"rejecting 10^5 ambiguous characters took {elapsed:.1f} s"
+    # the message shows where the splits part, not the whole input
+    assert len(str(info.value)) < 200
+    assert all(len(split) >= 5 * 10**4 for split in info.value.splits)
 
 
 def tn_file(tmp_path, n):
