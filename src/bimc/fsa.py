@@ -3,8 +3,9 @@ their state sets: trimming, epsilon closure, the forward and backward
 power-set automata of a real-time transducer (subsets are bitmasks), and
 the walk over output cells with the output map it fills.  Every
 construction that discovers its states from a start (the power-set
-automata, the squared automaton, the classical expansion) numbers them
-with explore, which also enforces the one state budget, BIMC_MAX_STATES."""
+automata, the squared automaton, the classical expansion, the epsilon
+closure and the epsilon cycle check) numbers them with explore, which
+also enforces the one state budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .monoid import Monoid, MonoidValue
 class StateLimitExceeded(RuntimeError):
     """A construction found more states than BIMC_MAX_STATES allows; the
     message names the construction (determinize, squared, unambiguous
-    expansion)."""
+    expansion, epsilon closure, epsilon cycle check)."""
 
 
 def explore(starts, successors, what):
@@ -254,7 +255,8 @@ def eps_closure(n_states, eps_arcs, unit):
     eps_arcs are (src, value, dst) and values multiply along a path.
     The lists are finite only when every epsilon cycle multiplies out
     to unit; callers without outputs label every arc 1, the trivial
-    monoid.
+    monoid.  One explore over (start, end, value) nodes numbers them
+    all, so the state budget counts the pairs of every list together.
     """
     step = defaultdict(list)
     for src, value, dst in eps_arcs:
@@ -262,19 +264,19 @@ def eps_closure(n_states, eps_arcs, unit):
     if not step:  # each state reaches only itself; callers only read the lists
         alone = [[(q, unit)] for q in range(n_states)]
         return alone, alone
-    outof = []
+
+    def successors(node):
+        root, p, v = node
+        return ((None, (root, dst, v * m)) for m, dst in step[p])
+
+    order, _ = explore([(q, q, unit) for q in range(n_states)], successors, "epsilon closure")
+    outof = [[] for _ in range(n_states)]
+    for root, p, v in order:
+        outof[root].append((p, v))
     into = [[] for _ in range(n_states)]
-    for q in range(n_states):
-        items = [(q, unit)]
-        seen = set(items)
-        for p, v in items:  # items grows while it is read: breadth first
+    for q, paths in enumerate(outof):
+        for p, v in paths:
             into[p].append((q, v))
-            for m, dst in step[p]:
-                node = (dst, v * m)
-                if node not in seen:
-                    seen.add(node)
-                    items.append(node)
-        outof.append(items)
     return outof, into
 
 

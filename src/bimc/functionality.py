@@ -9,10 +9,9 @@ completion, and final pairs must balance exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .fsa import Transducer, eps_closure, move_index, trim
+from .fsa import Transducer, eps_closure, explore, move_index, trim
 from .monoid import MonoidValue, format_value
 from .squared import SquaredAutomaton, Valuation, coaccessible, squared, valuation
 
@@ -62,19 +61,16 @@ def eps_cycle_check(t: Transducer):
             continue
         component = {p for p, _ in outof[root]} & {p for p, _ in into[root]}
         placed |= component
-        label = {root: unit}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for out, v in eps_from.get((u, None), ()):
-                if v not in component:
-                    continue
-                cand = label[u] * out
-                if v not in label:
-                    label[v] = cand
-                    queue.append(v)
-                elif label[v] != cand:
-                    return v
+
+        def successors(u):
+            return ((out, v) for out, v in eps_from.get((u, None), ()) if v in component)
+
+        order, arcs = explore([root], successors, "epsilon cycle check")
+        label = {0: unit}  # by number in order; the first arc into a node discovered it
+        for src, out, dst in arcs:
+            cand = label[src] * out
+            if label.setdefault(dst, cand) != cand:
+                return order[dst]
     return None
 
 
