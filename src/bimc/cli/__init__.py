@@ -126,7 +126,7 @@ def parse_transducer(text: str) -> Transducer:
         seen.add(tr)
         transitions.append(tr)
     initial, final = (state_lists.get(kind, frozenset()) for kind in ("initial", "final"))
-    return Transducer(alphabet, monoid, n_states, initial, final, tuple(transitions))
+    return Transducer(alphabet, monoid, n_states, initial, final, transitions)
 
 
 def format_transducer(t: Transducer) -> str:
@@ -183,7 +183,7 @@ def bimachine_from_text(text: str) -> Bimachine:
         kind = tokens[0]
         if kind in ("d", "o") and len(tokens) >= 4 and tokens[2] not in alphabet:
             raise FormatError(f"line {lineno}: undeclared symbol {tokens[2]!r}")
-        if kind in ("LEFT", "RIGHT", "PSI"):
+        if kind in ("LEFT", "RIGHT", "PSI") and len(tokens) == 1:
             section = kind
         elif kind == "EPS":
             _declare(declared, "EPS", lineno)

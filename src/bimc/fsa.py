@@ -57,6 +57,7 @@ def explore(starts, successors, what):
 def check_symbols(alphabet) -> tuple:
     """alphabet as a tuple; raises ValueError unless its symbols are
     distinct non-empty strings without whitespace, none of them - (ε)."""
+    alphabet = tuple(alphabet)
     seen = set()
     for sym in alphabet:
         if not sym or not isinstance(sym, str) or any(c.isspace() for c in sym):
@@ -66,7 +67,7 @@ def check_symbols(alphabet) -> tuple:
         if sym in seen:
             raise ValueError(f"duplicate input symbol {sym!r}")
         seen.add(sym)
-    return tuple(alphabet)
+    return alphabet
 
 
 class Transition(NamedTuple):
@@ -78,9 +79,10 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class Transducer:
-    """States are 0..n_states-1; transitions keep their declaration order
-    (duplicates dropped), which downstream constructions rely on for
-    deterministic tie-breaking."""
+    """States are 0..n_states-1.  Any iterables will do: the alphabet and
+    the transitions are stored as tuples, the state sets as frozensets.
+    Transitions keep their declaration order (duplicates dropped), which
+    downstream constructions rely on for deterministic tie-breaking."""
 
     alphabet: tuple[str, ...]
     monoid: Monoid
@@ -90,7 +92,11 @@ class Transducer:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        seen = set(check_symbols(self.alphabet))
+        object.__setattr__(self, "alphabet", check_symbols(self.alphabet))
+        object.__setattr__(self, "initial", frozenset(self.initial))
+        object.__setattr__(self, "final", frozenset(self.final))
+        object.__setattr__(self, "transitions", tuple(dict.fromkeys(self.transitions)))
+        seen = set(self.alphabet)
         for q in self.initial | self.final:
             if not 0 <= q < self.n_states:
                 raise ValueError(f"state {q} out of range")
@@ -101,9 +107,6 @@ class Transducer:
                 raise ValueError(f"undeclared input symbol {tr.inp!r}")
             if tr.out.monoid is not self.monoid and tr.out.monoid != self.monoid:
                 raise ValueError(f"output from a different monoid: {tr}")
-        object.__setattr__(self, "transitions", tuple(dict.fromkeys(self.transitions)))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
 
     @property
     def real_time(self) -> bool:
@@ -117,9 +120,7 @@ def make_transducer(alphabet, monoid, n_states, initial, final, arcs) -> Transdu
         if not isinstance(out, MonoidValue):
             out = MonoidValue(monoid, out)
         transitions.append(Transition(src, inp, out, dst))
-    return Transducer(
-        tuple(alphabet), monoid, n_states, frozenset(initial), frozenset(final), tuple(transitions)
-    )
+    return Transducer(alphabet, monoid, n_states, initial, final, transitions)
 
 
 @dataclass

@@ -261,6 +261,73 @@ def eps_paths(t):
     return eps_closure(t.n_states, arcs, t.monoid.unit)
 
 
+def eps_closure_reference(n_states, eps_arcs, unit):
+    """(outof, into) as fsa.eps_closure returns them, by a separate
+    breadth-first walk over (state, value) pairs from each state in
+    turn, each with its own seen set.  The oracle for eps_closure's one
+    numbering of (start, state, value) nodes."""
+    step = defaultdict(list)
+    for src, value, dst in eps_arcs:
+        step[src].append((value, dst))
+    outof = []
+    into = [[] for _ in range(n_states)]
+    for q in range(n_states):
+        items = [(q, unit)]
+        seen = set(items)
+        for p, v in items:  # items grows while it is read: breadth first
+            into[p].append((q, v))
+            for m, dst in step[p]:
+                node = (dst, v * m)
+                if node not in seen:
+                    seen.add(node)
+                    items.append(node)
+        outof.append(items)
+    return outof, into
+
+
+def eps_cycle_reference(t):
+    """eps_cycle_check's answer by a queue: label each strongly connected
+    ε component from its smallest state, components in ascending order
+    of that state, and return the first state reached with a second,
+    different label; None when no label clashes."""
+    eps_from = defaultdict(list)
+    for tr in t.transitions:
+        if tr.inp is None:
+            eps_from[tr.src].append((tr.out, tr.dst))
+    arcs = [(src, 1, dst) for src, moves in eps_from.items() for _, dst in moves]
+    outof, into = eps_closure_reference(t.n_states, arcs, 1)
+    placed = set()
+    for root in range(t.n_states):
+        if root in placed:
+            continue
+        component = {p for p, _ in outof[root]} & {p for p, _ in into[root]}
+        placed |= component
+        label = {root: t.monoid.unit}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for out, v in eps_from[u]:
+                if v not in component:
+                    continue
+                cand = label[u] * out
+                if v not in label:
+                    label[v] = cand
+                    queue.append(v)
+                elif label[v] != cand:
+                    return v
+    return None
+
+
+def eps_diamond_chain(k=16):
+    """k ε diamonds in a row, i -ε/a-> i+1 and i -ε/b-> i+1 for i < k,
+    then k -x/""-> k+1: 2**k ε paths into state k, each with its own
+    output, so the labelled ε closure numbers more than 2**k nodes while
+    the transducer has k + 2 states."""
+    arcs = [(i, None, out, i + 1) for i in range(k) for out in ("a", "b")]
+    arcs.append((k, "x", "", k + 1))
+    return make_transducer(("x",), FreeWords(("a", "b")), k + 2, {0}, {k + 1}, arcs)
+
+
 def pair_index(sq):
     """Position of each state pair in the squared automaton's pairs."""
     return {pair: i for i, pair in enumerate(sq.pairs)}

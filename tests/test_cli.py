@@ -25,12 +25,13 @@ from bimc.cli import (
     tokenize,
 )
 from bimc.compiler import compile as build
-from bimc.fsa import make_transducer
+from bimc.fsa import Transducer, Transition, make_transducer
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_value,
 )
 from helpers import (
-    TRANSDUCER_MONOIDS, all_words, functional_draws, random_bimachine, random_transducer,
+    TRANSDUCER_MONOIDS, all_words, eps_diamond_chain, functional_draws, random_bimachine,
+    random_transducer,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -145,6 +146,16 @@ def test_transducer_round_trip():
             for _ in range(25):
                 t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
                 assert parse_transducer(format_transducer(t)) == t
+
+
+def test_transducer_built_from_lists_hashes_and_round_trips():
+    # the constructor stores the alphabet as a tuple, like the state sets
+    # and the transitions, whatever iterables it is given
+    t = Transducer(["a"], FREE, 1, {0}, {0}, [Transition(0, "a", MonoidValue(FREE, "x"), 0)])
+    assert t.alphabet == ("a",)
+    assert hash(t) == hash(parse_transducer(format_transducer(t)))
+    assert parse_transducer(format_transducer(t)) == t
+    assert make_transducer(iter("a"), FREE, 1, [0], [0], [(0, "a", "x", 0)]) == t
 
 
 def _mutated_lines(rng, text, pool):
@@ -304,6 +315,9 @@ def test_bimachine_from_text_rejects_garbage():
         ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 b 0 \"x\"\n",
          "line 8: undeclared symbol 'b'"),
         ("BIM v1 free:x\nalphabet a -\n", "line 2: the symbol - is reserved"),
+        ("BIM v1 free:x\nalphabet a\nLEFT junk\nstart 0\n", "line 3: unexpected row 'LEFT junk'"),
+        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI 3\n",
+         "line 7: unexpected row 'PSI 3'"),
     ]
     for text, needle in cases:
         with pytest.raises(FormatError) as info:
@@ -399,6 +413,14 @@ def test_cli_check_names_the_phase_over_the_state_budget(tmp_path, capsys, monke
     monkeypatch.setenv("BIMC_MAX_STATES", "\u00b2")
     assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
     assert "BIMC_MAX_STATES must be a state count, not '\u00b2'" in capsys.readouterr().err
+
+
+def test_cli_check_stops_the_epsilon_closure_at_the_state_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "diamonds.fst"
+    path.write_text(format_transducer(eps_diamond_chain()), encoding="utf-8")
+    monkeypatch.setenv("BIMC_MAX_STATES", "1000")
+    assert cli_main(["check", str(path)]) == 65
+    assert "error: epsilon closure exceeded BIMC_MAX_STATES=1000" in capsys.readouterr().err
 
 
 def test_cli_compile_and_run(tmp_path, capsys):

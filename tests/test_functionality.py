@@ -6,11 +6,20 @@ from fractions import Fraction
 import pytest
 
 from bimc.benchmark import make_tn
-from bimc.fsa import StateLimitExceeded, make_transducer
+from bimc.fsa import StateLimitExceeded, eps_closure, make_transducer, trim
 from bimc.functionality import eps_cycle_check, eps_language
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
-from helpers import eps_paths, output_table, random_transducer
+from helpers import (
+    TRANSDUCER_MONOIDS,
+    eps_closure_reference,
+    eps_cycle_reference,
+    eps_diamond_chain,
+    eps_paths,
+    output_table,
+    random_transducer,
+    with_eps_detours,
+)
 
 FREE = FreeWords(("x", "y"))
 
@@ -61,6 +70,41 @@ def test_eps_cycle_check_labels_each_component_from_its_smallest_state():
          (2, None, "y", 0)],
     )
     assert eps_cycle_check(t) == 2
+
+
+def test_eps_walks_match_their_queue_references():
+    # both walks number their nodes with explore; the references keep a
+    # walk per start state and a labelling queue per component
+    rng = random.Random(1919)
+    for monoid in TRANSDUCER_MONOIDS:
+        with_cycle = 0
+        for k in range(150):
+            t = random_transducer(rng, allow_eps=True, require_eps=True, monoid=monoid)
+            if k % 2:
+                t = with_eps_detours(rng, t)
+            for u in (t, trim(t)[0]):
+                eps = [tr for tr in u.transitions if tr.inp is None]
+                plain = [(tr.src, 1, tr.dst) for tr in eps]
+                assert eps_closure(u.n_states, plain, 1) == eps_closure_reference(
+                    u.n_states, plain, 1
+                )
+                bad = eps_cycle_check(u)
+                assert bad == eps_cycle_reference(u)
+                if bad is None:
+                    labelled = [(tr.src, tr.out, tr.dst) for tr in eps]
+                    unit = u.monoid.unit
+                    assert eps_closure(u.n_states, labelled, unit) == eps_closure_reference(
+                        u.n_states, labelled, unit
+                    )
+                else:
+                    with_cycle += 1
+        assert with_cycle >= 80  # 117 to 143 of the 300 per monoid
+
+
+def test_eps_closure_keeps_the_state_budget(monkeypatch):
+    monkeypatch.setenv("BIMC_MAX_STATES", "1000")
+    with pytest.raises(StateLimitExceeded, match="epsilon closure exceeded BIMC_MAX_STATES=1000"):
+        functionality(eps_diamond_chain())
 
 
 def test_eps_language_collects_all_eps_outputs():
