@@ -70,7 +70,7 @@ def generalized_transitions(t: Transducer, eps_paths):
     Enumeration order is declaration order of the symbol transition,
     then the ε extensions by start state and discovery order.  Requires
     every ε-cycle to be output-free (which the functionality test
-    guarantees), otherwise the expansion would not be finite.
+    guarantees), otherwise eps_paths, and so the expansion, is cut short.
     """
     outof, into = eps_paths
     return [

@@ -3,9 +3,9 @@ their state sets: trimming, epsilon closure, the forward and backward
 power-set automata of a real-time transducer (subsets are bitmasks), and
 the walk over output cells with the output map it fills.  Every
 construction that discovers its states from a start (the power-set
-automata, the squared automaton, the classical expansion, the epsilon
-closure and the epsilon cycle check) numbers them with explore, which
-also enforces the one state budget, BIMC_MAX_STATES."""
+automata, the squared automaton, the classical expansion and the
+epsilon closure, which also finds nonunit epsilon cycles) numbers them
+with explore, which also enforces the one state budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .monoid import Monoid, MonoidValue
 class StateLimitExceeded(RuntimeError):
     """A construction found more states than BIMC_MAX_STATES allows; the
     message names the construction (determinize, squared, unambiguous
-    expansion, epsilon closure, epsilon cycle check)."""
+    expansion, epsilon closure)."""
 
 
 def explore(starts, successors, what):
@@ -254,10 +254,10 @@ def eps_closure(n_states, eps_arcs, unit):
     and into[q] the (start, value) pairs of the paths ending at q.
 
     eps_arcs are (src, value, dst) and values multiply along a path.
-    The lists are finite only when every epsilon cycle multiplies out
-    to unit; callers without outputs label every arc 1, the trivial
-    monoid.  One explore over (start, end, value) nodes numbers them
-    all, so the state budget counts the pairs of every list together.
+    The lists are complete only when every epsilon cycle multiplies out
+    to unit; otherwise the walk stops at the first nonunit path from a
+    state q back to q, listed in the cut-short outof[q].  The state
+    budget counts the (start, end, value) nodes of all lists together.
     """
     step = defaultdict(list)
     for src, value, dst in eps_arcs:
@@ -266,9 +266,13 @@ def eps_closure(n_states, eps_arcs, unit):
         alone = [[(q, unit)] for q in range(n_states)]
         return alone, alone
 
+    cut = False  # set at the first nonunit path back to its start; explore then drains
+
     def successors(node):
+        nonlocal cut
         root, p, v = node
-        return ((None, (root, dst, v * m)) for m, dst in step[p])
+        cut = cut or (p == root and v != unit)
+        return () if cut else ((None, (root, dst, v * m)) for m, dst in step[p])
 
     order, _ = explore([(q, q, unit) for q in range(n_states)], successors, "epsilon closure")
     outof = [[] for _ in range(n_states)]

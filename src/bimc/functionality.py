@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fsa import Transducer, eps_closure, explore, move_index, trim
+from .fsa import Transducer, eps_closure, trim
 from .monoid import MonoidValue, format_value
 from .squared import SquaredAutomaton, Valuation, coaccessible, squared, valuation
 
@@ -39,44 +39,22 @@ class FunctionalityVerdict:
         return self.functional
 
 
-def eps_cycle_check(t: Transducer):
+def eps_cycle_check(t: Transducer, eps_paths):
     """None when every epsilon cycle multiplies out to the unit; otherwise
-    a state witnessing a nonunit cycle.  Expects a trimmed transducer.
-
-    Within one strongly connected epsilon component a single consistent
-    labelling exists iff all its cycles are unit: any clash found while
-    propagating labels exhibits two cycle values differing by
-    cancellation.  Components are walked in ascending order of their
-    smallest state, each labelled from that state.
-    """
+    the smallest state q with a nonunit epsilon path from q back to q.
+    Expects a trimmed transducer and its output-labelled eps_closure,
+    which stops at the first such path and lists it."""
     if t.real_time:
         return None
-    eps_from = move_index(tr for tr in t.transitions if tr.inp is None)
-    arcs = ((src, 1, dst) for (src, _), moves in eps_from.items() for _, dst in moves)
-    outof, into = eps_closure(t.n_states, arcs, 1)
+    outof, _ = eps_paths
     unit = t.monoid.unit
-    placed = set()
-    for root in range(t.n_states):
-        if root in placed:
-            continue
-        component = {p for p, _ in outof[root]} & {p for p, _ in into[root]}
-        placed |= component
-
-        def successors(u):
-            return ((out, v) for out, v in eps_from.get((u, None), ()) if v in component)
-
-        order, arcs = explore([root], successors, "epsilon cycle check")
-        label = {0: unit}  # by number in order; the first arc into a node discovered it
-        for src, out, dst in arcs:
-            cand = label[src] * out
-            if label.setdefault(dst, cand) != cand:
-                return order[dst]
-    return None
+    cyclic = (q for q, paths in enumerate(outof) for p, v in paths if p == q and v != unit)
+    return next(cyclic, None)
 
 
 def eps_language(t: Transducer, eps_paths) -> frozenset[MonoidValue]:
     """All outputs over successful epsilon-input paths, given t's
-    output-labelled eps_closure.  Finite only when eps_cycle_check
+    output-labelled eps_closure.  Complete only when eps_cycle_check
     passed, which callers must ensure first."""
     outof, _ = eps_paths
     return frozenset(v for i in t.initial for q, v in outof[i] if q in t.final)
@@ -91,14 +69,14 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     def reject(kind, detail, **extras):
         return FunctionalityVerdict(False, Witness(kind, detail), trimmed, **extras)
 
-    bad = eps_cycle_check(trimmed)
-    if bad is not None:
+    arcs = ((tr.src, tr.out, tr.dst) for tr in trimmed.transitions if tr.inp is None)
+    eps_paths = eps_closure(trimmed.n_states, arcs, trimmed.monoid.unit)
+    bad = eps_cycle_check(trimmed, eps_paths)
+    if bad is not None:  # eps_paths is cut short here, so the rejection leaves it out
         return reject(
             "eps-cycle",
             f"state {kept[bad]} lies on an epsilon cycle with nonunit output",
         )
-    arcs = ((tr.src, tr.out, tr.dst) for tr in trimmed.transitions if tr.inp is None)
-    eps_paths = eps_closure(trimmed.n_states, arcs, trimmed.monoid.unit)
     eps_outs = eps_language(trimmed, eps_paths)
     if len(eps_outs) > 1:
         shown = ", ".join(sorted(format_value(v) for v in eps_outs))

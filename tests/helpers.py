@@ -286,17 +286,19 @@ def eps_closure_reference(n_states, eps_arcs, unit):
 
 
 def eps_cycle_reference(t):
-    """eps_cycle_check's answer by a queue: label each strongly connected
-    ε component from its smallest state, components in ascending order
-    of that state, and return the first state reached with a second,
-    different label; None when no label clashes."""
+    """The states on a nonunit closed ε walk, by a queue: label each
+    strongly connected ε component from its smallest state, and return
+    the frozenset of the states of every component where a second,
+    different label reaches a state.  By left and right cancellation a
+    label clashes exactly where a component holds a nonunit closed walk,
+    and then every state of it lies on one."""
     eps_from = defaultdict(list)
     for tr in t.transitions:
         if tr.inp is None:
             eps_from[tr.src].append((tr.out, tr.dst))
     arcs = [(src, 1, dst) for src, moves in eps_from.items() for _, dst in moves]
     outof, into = eps_closure_reference(t.n_states, arcs, 1)
-    placed = set()
+    placed, on_cycles = set(), set()
     for root in range(t.n_states):
         if root in placed:
             continue
@@ -314,8 +316,8 @@ def eps_cycle_reference(t):
                     label[v] = cand
                     queue.append(v)
                 elif label[v] != cand:
-                    return v
-    return None
+                    on_cycles |= component
+    return frozenset(on_cycles)
 
 
 def eps_diamond_chain(k=16):

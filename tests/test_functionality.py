@@ -36,12 +36,12 @@ def test_eps_cycle_check_accepts_unit_cycles():
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "", 1), (1, None, "", 0), (0, "a", "x", 1)],
     )
-    assert eps_cycle_check(t) is None
+    assert eps_cycle_check(t, eps_paths(t)) is None
 
 
 def test_eps_cycle_check_rejects_growing_loop():
     t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
-    assert eps_cycle_check(t) == 0
+    assert eps_cycle_check(t, eps_paths(t)) == 0
 
 
 def test_eps_cycle_check_rejects_inconsistent_ring():
@@ -50,7 +50,7 @@ def test_eps_cycle_check_rejects_inconsistent_ring():
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 0)],
     )
-    assert eps_cycle_check(t) is not None
+    assert eps_cycle_check(t, eps_paths(t)) is not None
 
 
 def test_eps_cycle_check_ignores_edges_between_components():
@@ -58,10 +58,10 @@ def test_eps_cycle_check_ignores_edges_between_components():
     t = make_transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1), (1, "a", "y", 1)]
     )
-    assert eps_cycle_check(t) is None
+    assert eps_cycle_check(t, eps_paths(t)) is None
 
 
-def test_eps_cycle_check_labels_each_component_from_its_smallest_state():
+def test_eps_cycle_check_returns_the_smallest_state_on_a_nonunit_cycle():
     # {0,1} closes a unit cycle and {2,3} a growing one; the nonunit edge
     # 2 -> 0 joins them without closing a cycle, so the witness is in {2,3}
     t = make_transducer(
@@ -69,12 +69,13 @@ def test_eps_cycle_check_labels_each_component_from_its_smallest_state():
         [(0, None, "", 1), (1, None, "", 0), (2, None, "x", 3), (3, None, "", 2),
          (2, None, "y", 0)],
     )
-    assert eps_cycle_check(t) == 2
+    assert eps_cycle_check(t, eps_paths(t)) == 2
 
 
 def test_eps_walks_match_their_queue_references():
-    # both walks number their nodes with explore; the references keep a
-    # walk per start state and a labelling queue per component
+    # the closure numbers its nodes with one explore and stops at the first
+    # nonunit return; the references keep a walk per start state and a
+    # labelling queue per component
     rng = random.Random(1919)
     for monoid in TRANSDUCER_MONOIDS:
         with_cycle = 0
@@ -88,8 +89,9 @@ def test_eps_walks_match_their_queue_references():
                 assert eps_closure(u.n_states, plain, 1) == eps_closure_reference(
                     u.n_states, plain, 1
                 )
-                bad = eps_cycle_check(u)
-                assert bad == eps_cycle_reference(u)
+                bad = eps_cycle_check(u, eps_paths(u))
+                on_cycles = eps_cycle_reference(u)
+                assert (bad is None) == (not on_cycles)
                 if bad is None:
                     labelled = [(tr.src, tr.out, tr.dst) for tr in eps]
                     unit = u.monoid.unit
@@ -97,6 +99,7 @@ def test_eps_walks_match_their_queue_references():
                         u.n_states, labelled, unit
                     )
                 else:
+                    assert bad in on_cycles
                     with_cycle += 1
         assert with_cycle >= 80  # 117 to 143 of the 300 per monoid
 
@@ -105,6 +108,19 @@ def test_eps_closure_keeps_the_state_budget(monkeypatch):
     monkeypatch.setenv("BIMC_MAX_STATES", "1000")
     with pytest.raises(StateLimitExceeded, match="epsilon closure exceeded BIMC_MAX_STATES=1000"):
         functionality(eps_diamond_chain())
+
+
+def test_eps_closure_stops_at_the_first_nonunit_return(monkeypatch):
+    # the loop at 1 would make the lists from 0 and 1 infinite; the closure
+    # stops once 1 returns to itself with x, well inside the budget
+    monkeypatch.setenv("BIMC_MAX_STATES", "100")
+    t = make_transducer(
+        ("a",), FREE, 3, {0}, {2},
+        [(0, None, "", 1), (1, None, "x", 1), (1, "a", "", 2)],
+    )
+    paths = eps_paths(t)
+    assert (1, fw("x")) in paths[0][1]
+    assert eps_cycle_check(t, paths) == 1
 
 
 def test_eps_language_collects_all_eps_outputs():
