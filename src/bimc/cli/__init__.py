@@ -178,6 +178,7 @@ def bimachine_from_text(text: str) -> Bimachine:
     starts = {}
     deltas = {"LEFT": {}, "RIGHT": {}}
     psi = {}
+    literals = {}  # each distinct psi literal is parsed once, at its first row
     declared = {}  # line number of each start and EPS row
     for lineno, tokens in lines:
         kind = tokens[0]
@@ -205,7 +206,10 @@ def bimachine_from_text(text: str) -> Bimachine:
             and tokens[1].isdecimal() and tokens[3].isdecimal()
         ):
             cell = (int(tokens[1]), tokens[2], int(tokens[3]))
-            value = _parsed(lineno, parse_value, monoid, " ".join(tokens[4:]))
+            literal = " ".join(tokens[4:])
+            value = literals.get(literal)
+            if value is None:
+                value = literals[literal] = _parsed(lineno, parse_value, monoid, literal)
             if psi.setdefault(cell, value) != value:
                 raise FormatError(f"line {lineno}: conflicting outputs for {cell}")
         else:

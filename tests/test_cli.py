@@ -111,7 +111,8 @@ def test_each_free_word_literal_is_checked_once(monkeypatch):
     assert checked == ["ab", "", "b"]
     checked.clear()
     b = bimachine_from_text(machine_text)
-    assert len(checked) == len(b.psi) == machine_text.count("\no ")
+    assert len(b.psi) == machine_text.count("\no ") == 6
+    assert checked == ["ab", "", "b"]  # each distinct literal once
 
 
 def test_duplicate_transition_collapses_with_warning():
