@@ -41,9 +41,9 @@ class FunctionalityVerdict:
 
 def eps_cycle_check(t: Transducer, eps_paths):
     """None when every epsilon cycle multiplies out to the unit; otherwise
-    the smallest state q with a nonunit epsilon path from q back to q.
-    Expects a trimmed transducer and its output-labelled eps_closure,
-    which stops at the first such path and lists it."""
+    the smallest state q whose list in eps_paths, t's output-labelled
+    eps_closure, holds a nonunit path back to q; the closure stops at
+    the first such path.  Expects a trimmed transducer."""
     if t.real_time:
         return None
     outof, _ = eps_paths
