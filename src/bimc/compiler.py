@@ -63,21 +63,24 @@ def generalized_transitions(t: Transducer, eps_paths):
     """Every single-symbol step of t including surrounding ε movement,
     given t's output-labelled eps_closure.
 
-    Returns (src, sym, value, dst) tuples, one per path shaped
-    ε*·sym·ε* with the ε outputs folded into the value, so two paths
-    may repeat a step (a Transducer built from the list keeps the
-    first); on a real-time transducer that is its transition list.
-    Enumeration order is declaration order of the symbol transition,
-    then the ε extensions by start state and discovery order.  Requires
-    every ε-cycle to be output-free (which the functionality test
-    guarantees), otherwise eps_paths, and so the expansion, is cut short.
+    Returns (src, sym, value, dst) tuples, one per path shaped ε*·sym·ε*
+    with the ε outputs folded into the value, so two paths may repeat a
+    step (a Transducer built from the list keeps the first).  The paths
+    are read forward: by start state, the ε paths out of it, the symbol
+    moves at their ends in alphabet and then declaration order, and the
+    ε paths out of each move's target; on a real-time transducer that is
+    its transition list grouped by source state.  Every ε-cycle must be
+    output-free, as the functionality test guarantees; otherwise
+    eps_paths, and so the expansion, is cut short.
     """
-    outof, into = eps_paths
+    moves = move_index(t.transitions)
     return [
-        (p, tr.inp, v1 * tr.out * v2, q)
-        for tr in t.transitions if tr.inp is not None
-        for p, v1 in into[tr.src]
-        for q, v2 in outof[tr.dst]
+        (p, a, v1 * m * v2, q)
+        for p, paths in enumerate(eps_paths)
+        for r, v1 in paths
+        for a in t.alphabet
+        for m, dst in moves.get((r, a), ())
+        for q, v2 in eps_paths[dst]
     ]
 
 

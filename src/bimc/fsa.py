@@ -1,11 +1,12 @@
 """Finite-state transducers with monoid outputs and the constructions on
-their state sets: trimming, epsilon closure, the forward and backward
-power-set automata of a real-time transducer (subsets are bitmasks), and
-the walk over output cells with the output map it fills.  Every
-construction that discovers its states from a start (the power-set
-automata, the squared automaton, the classical expansion and the
-epsilon closure, which also finds nonunit epsilon cycles) numbers them
-with explore, which also enforces the one state budget, BIMC_MAX_STATES."""
+their state sets: trimming, the epsilon paths out of each state, the
+forward and backward power-set automata of a real-time transducer
+(subsets are bitmasks), and the walk over output cells with the output
+map it fills.  Every construction that discovers its states from a start
+(the power-set automata, the squared automaton, the classical expansion
+and the epsilon closure, which also finds nonunit epsilon cycles)
+numbers them with explore, which keeps the one state budget,
+BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
@@ -248,10 +249,9 @@ def trim(t: Transducer):
 
 
 def eps_closure(n_states, eps_arcs, unit):
-    """The pure epsilon paths between states, listed both ways: returns
-    (outof, into) where outof[q] holds the (end, value) pairs of the
-    paths leaving q, in breadth-first discovery order from (q, unit),
-    and into[q] the (start, value) pairs of the paths ending at q.
+    """The pure epsilon paths out of each state: outof[q] holds the
+    (end, value) pairs of the paths leaving q, in breadth-first
+    discovery order from (q, unit), the empty path first.
 
     eps_arcs are (src, value, dst) and values multiply along a path.
     The lists are complete only when every epsilon cycle multiplies out
@@ -262,9 +262,8 @@ def eps_closure(n_states, eps_arcs, unit):
     step = defaultdict(list)
     for src, value, dst in eps_arcs:
         step[src].append((value, dst))
-    if not step:  # each state reaches only itself; callers only read the lists
-        alone = [[(q, unit)] for q in range(n_states)]
-        return alone, alone
+    if not step:  # each state reaches only itself
+        return [[(q, unit)] for q in range(n_states)]
 
     cut = False  # set at the first nonunit path back to its start; explore then drains
 
@@ -278,11 +277,7 @@ def eps_closure(n_states, eps_arcs, unit):
     outof = [[] for _ in range(n_states)]
     for root, p, v in order:
         outof[root].append((p, v))
-    into = [[] for _ in range(n_states)]
-    for q, paths in enumerate(outof):
-        for p, v in paths:
-            into[p].append((q, v))
-    return outof, into
+    return outof
 
 
 def determinize(t: Transducer) -> tuple[Dfa, Dfa]:

@@ -33,7 +33,7 @@ class FunctionalityVerdict:
     squared: SquaredAutomaton | None = None
     valuation: Valuation | None = None
     eps_outputs: frozenset[MonoidValue] = frozenset()
-    eps_paths: tuple | None = None  # eps_closure of trimmed, output-labelled
+    eps_paths: list | None = None  # eps_closure of trimmed: the ε paths out of each state
 
     def __bool__(self):
         return self.functional
@@ -41,23 +41,21 @@ class FunctionalityVerdict:
 
 def eps_cycle_check(t: Transducer, eps_paths):
     """None when every epsilon cycle multiplies out to the unit; otherwise
-    the smallest state q whose list in eps_paths, t's output-labelled
-    eps_closure, holds a nonunit path back to q; the closure stops at
+    the smallest state q with a nonunit path back to q among its paths
+    in eps_paths, t's output-labelled eps_closure; the closure stops at
     the first such path.  Expects a trimmed transducer."""
     if t.real_time:
         return None
-    outof, _ = eps_paths
     unit = t.monoid.unit
-    cyclic = (q for q, paths in enumerate(outof) for p, v in paths if p == q and v != unit)
+    cyclic = (q for q, paths in enumerate(eps_paths) for p, v in paths if p == q and v != unit)
     return next(cyclic, None)
 
 
 def eps_language(t: Transducer, eps_paths) -> frozenset[MonoidValue]:
-    """All outputs over successful epsilon-input paths, given t's
-    output-labelled eps_closure.  Complete only when eps_cycle_check
-    passed, which callers must ensure first."""
-    outof, _ = eps_paths
-    return frozenset(v for i in t.initial for q, v in outof[i] if q in t.final)
+    """The values of the paths in eps_paths, t's output-labelled
+    eps_closure, from an initial to a final state.  Complete only when
+    eps_cycle_check passed, which callers must ensure first."""
+    return frozenset(v for i in t.initial for q, v in eps_paths[i] if q in t.final)
 
 
 def test_functionality(t: Transducer) -> FunctionalityVerdict:

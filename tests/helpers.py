@@ -262,9 +262,10 @@ def eps_paths(t):
 
 
 def eps_closure_reference(n_states, eps_arcs, unit):
-    """(outof, into) as fsa.eps_closure returns them, by a separate
+    """(outof, into): outof as fsa.eps_closure returns it, by a separate
     breadth-first walk over (state, value) pairs from each state in
-    turn, each with its own seen set.  The oracle for eps_closure's one
+    turn, each with its own seen set, and into[q] the (start, value)
+    pairs of the paths ending at q.  The oracle for eps_closure's one
     numbering of (start, state, value) nodes."""
     step = defaultdict(list)
     for src, value, dst in eps_arcs:

@@ -186,13 +186,23 @@ def test_each_output_entry_divides_once(monkeypatch):
         assert divisions == triples
 
 
-def test_generalized_transitions_real_time_is_delta_order():
+def test_generalized_transitions_real_time_are_the_moves_by_source():
+    # grouped by source state, then alphabet order, then declaration order
     t = make_transducer(
         ("a", "b"), FREE, 2, {0}, {1},
         [(0, "a", "x", 1), (0, "b", "y", 1), (1, "a", "", 0)],
     )
     want = [(0, "a", fw("x"), 1), (0, "b", fw("y"), 1), (1, "a", fw(""), 0)]
     assert generalized_transitions(t, eps_paths(t)) == want
+    interleaved = make_transducer(
+        ("a", "b"), FREE, 2, {0}, {1},
+        [(1, "a", "", 0), (0, "b", "y", 1), (0, "a", "yy", 0), (1, "a", "xy", 1), (0, "a", "x", 1)],
+    )
+    want = [
+        (0, "a", fw("yy"), 0), (0, "a", fw("x"), 1), (0, "b", fw("y"), 1),
+        (1, "a", fw(""), 0), (1, "a", fw("xy"), 1),
+    ]
+    assert generalized_transitions(interleaved, eps_paths(interleaved)) == want
 
 
 def test_generalized_transitions_fold_eps_outputs():
