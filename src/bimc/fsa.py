@@ -1,18 +1,18 @@
 """Finite-state transducers with monoid outputs and the constructions on
 their state sets: trimming, the epsilon paths out of each state, the
 forward and backward power-set automata of a real-time transducer
-(subsets are bitmasks), and the walk over output cells with the output
-map it fills.  Every construction that discovers its states from a start
-(the power-set automata, the squared automaton, the classical expansion
-and the epsilon closure, which also finds nonunit epsilon cycles)
-numbers them with explore, which keeps the one state budget,
-BIMC_MAX_STATES."""
+(subsets are bitmasks), the walk over output cells with the output map
+it fills, and run enumeration.  Every walk that discovers its states
+from a start (the power-set automata, the squared automaton, the
+classical expansion, the epsilon closure, which also finds nonunit
+epsilon cycles, and run enumeration) numbers them with explore, which
+keeps the one state budget, BIMC_MAX_STATES."""
 
 from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,9 +20,9 @@ from .monoid import Monoid, MonoidValue
 
 
 class StateLimitExceeded(RuntimeError):
-    """A construction found more states than BIMC_MAX_STATES allows; the
-    message names the construction (determinize, squared, unambiguous
-    expansion, epsilon closure)."""
+    """A walk found more states than BIMC_MAX_STATES allows; the message
+    names it: determinize, squared, unambiguous expansion, epsilon
+    closure or path enumeration."""
 
 
 def explore(starts, successors, what):
@@ -71,6 +71,12 @@ def check_symbols(alphabet) -> tuple:
     return alphabet
 
 
+def is_state(q, n=math.inf) -> bool:
+    """Whether q is a state below n: an int (a bool or other subclass may
+    not print as its digits) with 0 <= q < n; with n left out, a count."""
+    return type(q) is int and 0 <= q < n
+
+
 class Transition(NamedTuple):
     src: int
     inp: str | None  # None is an epsilon input move
@@ -97,12 +103,14 @@ class Transducer:
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
         object.__setattr__(self, "transitions", tuple(dict.fromkeys(self.transitions)))
-        seen = set(self.alphabet)
-        for q in self.initial | self.final:
-            if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
+        seen, n = set(self.alphabet), self.n_states
+        if not is_state(n):
+            raise ValueError(f"state count {n!r} is not a non-negative int")
+        for q in (*self.initial, *self.final):  # not a union: {1} | {True} drops True
+            if not is_state(q, n):
+                raise ValueError(f"state {q!r} out of range")
         for tr in self.transitions:
-            if not (0 <= tr.src < self.n_states and 0 <= tr.dst < self.n_states):
+            if not (is_state(tr.src, n) and is_state(tr.dst, n)):
                 raise ValueError(f"transition endpoint out of range: {tr}")
             if tr.inp is not None and tr.inp not in seen:
                 raise ValueError(f"undeclared input symbol {tr.inp!r}")
@@ -311,33 +319,27 @@ def determinize(t: Transducer) -> tuple[Dfa, Dfa]:
 
 def enumerate_outputs(t: Transducer, word, max_path_len=None):
     """All outputs of successful paths reading word, found by a direct
-    breadth-first walk over raw transitions.  Paths are cut off after
-    max_path_len transitions (default 2*|Q|*(|word|+1)), which is enough
-    to see every output of a functional transducer."""
+    breadth-first walk over raw transitions, whose (state, position,
+    output) nodes explore numbers as path enumeration.  Paths are cut
+    off after max_path_len transitions (default 2*|Q|*(|word|+1)), which
+    is enough to see every output of a functional transducer."""
     word = tuple(word)
     if max_path_len is None:
         max_path_len = 2 * t.n_states * (len(word) + 1)
     moves = move_index(t.transitions)
-    outputs = set()
-    seen = set()
-    queue = deque()
-    for i in t.initial:
-        node = (i, 0, t.monoid.unit)
-        if node not in seen:
-            seen.add(node)
-            queue.append((node, 0))
-    while queue:
-        (state, pos, out), steps = queue.popleft()
-        if pos == len(word) and state in t.final:
-            outputs.add(out)
-        if steps >= max_path_len:
-            continue
-        succ = [(pos, out * m, dst) for m, dst in moves.get((state, None), ())]
+    depth = {(i, 0, t.monoid.unit): 0 for i in t.initial}  # set when first seen: breadth first
+
+    def successors(node):
+        state, pos, out = node
+        steps = depth[node] + 1
+        if steps > max_path_len:
+            return ()
+        succ = [(dst, pos, out * m) for m, dst in moves.get((state, None), ())]
         if pos < len(word):
-            succ += [(pos + 1, out * m, dst) for m, dst in moves.get((state, word[pos]), ())]
-        for npos, nout, dst in succ:
-            node = (dst, npos, nout)
-            if node not in seen:
-                seen.add(node)
-                queue.append((node, steps + 1))
-    return outputs
+            succ += [(dst, pos + 1, out * m) for m, dst in moves.get((state, word[pos]), ())]
+        for nxt in succ:
+            depth.setdefault(nxt, steps)
+        return ((None, nxt) for nxt in succ)
+
+    order, _ = explore(list(depth), successors, "path enumeration")
+    return {out for state, pos, out in order if pos == len(word) and state in t.final}

@@ -112,6 +112,25 @@ def test_constructor_rejects_bad_entries():
             Bimachine(FREE, ("a",), *sides, {})
 
 
+def test_constructor_wants_int_states():
+    # a count or a state the text format cannot write is refused, so what
+    # bimachine_to_text writes bimachine_from_text reads back
+    left = right = Dfa(1, 0, {})
+    for sides, needle in (
+        ((Dfa(1.5, 0, {}), right), "left state count 1.5 is not a non-negative int"),
+        ((left, Dfa(True, 0, {})), "right state count True is not a non-negative int"),
+        ((left, Dfa(-1, 0, {})), "right state count -1 is not a non-negative int"),
+        ((Dfa(1, False, {}), right), "left start False is not among its 1 states"),
+        ((Dfa(2, 0, {(0, "a"): True}), right), r"left move \(0, 'a'\) -> True references a missing"),
+        ((left, Dfa(2, 0, {(0.0, "a"): 1})), r"right move \(0.0, 'a'\) -> 1 references a missing"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            Bimachine(FREE, ("a",), *sides, {})
+    for cell in ((0.5, "a", 0), (0, "a", True)):
+        with pytest.raises(ValueError, match="references a missing state"):
+            Bimachine(FREE, ("a",), left, right, {cell: fw("x")})
+
+
 def psi_star(b, l, syms, r):
     """The positional product written as a recursion on the last symbol:
     value(l, t·s, r) = value(l, t, step_R(r, s)) * psi(reach_L(l, t), s, r)."""

@@ -579,6 +579,19 @@ def test_cli_compare(tmp_path, capsys):
     assert captured.err.startswith("not functional (transition-mismatch: ")
 
 
+def test_cli_compare_keeps_the_state_budget_on_the_path_walk(tmp_path, capsys, monkeypatch):
+    # double.fst compiles within 3 states; the walk's nodes per word do not
+    double, _ = _readme_examples()
+    path = tmp_path / "double.fst"
+    path.write_text(double, encoding="utf-8")
+    monkeypatch.setenv("BIMC_MAX_STATES", "3")
+    assert cli_main(["compare", str(path), "--max-len", "3"]) == 65
+    assert "error: path enumeration exceeded BIMC_MAX_STATES=3" in capsys.readouterr().err
+    monkeypatch.setenv("BIMC_MAX_STATES", "6")
+    assert cli_main(["compare", str(path), "--max-len", "3"]) == 0
+    assert "agree with the path walk on 15 words" in capsys.readouterr().out
+
+
 def test_cli_compare_reports_two_walk_outputs(tmp_path, capsys, monkeypatch):
     # the path walk's check is no assert: it holds under python -O too
     monkeypatch.setattr(cli, "enumerate_outputs", lambda t, word: {"x", "y"})

@@ -10,6 +10,7 @@ from bimc.classical import classical_compile
 from bimc.compiler import compile
 from bimc.fsa import (
     StateLimitExceeded,
+    Transducer,
     determinize,
     enumerate_outputs,
     explore,
@@ -98,6 +99,20 @@ def test_transducer_validation():
     other = FreeWords(("z",))
     with pytest.raises(ValueError):
         make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", MonoidValue(other, "z"), 0)])
+
+
+def test_transducer_states_are_ints():
+    # a count or a state the text format cannot write is refused, so what
+    # format_transducer writes parse_transducer reads back
+    for n in (-1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="state count .* is not a non-negative int"):
+            Transducer(("a",), FREE, n, set(), set(), [])
+    for initial, final in (({0.0}, set()), (set(), {True}), ({1}, {True})):
+        with pytest.raises(ValueError, match="out of range"):
+            Transducer(("a",), FREE, 2, initial, final, [])
+    for arc in ((0, "a", "x", True), (0.0, "a", "x", 1)):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            make_transducer(("a",), FREE, 2, {0}, {1}, [arc])
 
 
 def test_real_time_flag():

@@ -1,12 +1,16 @@
-"""Every module of the package uses each name it imports.  No linter
-runs on the sources, so this walks their syntax trees instead; the
-package's top-level __init__.py re-exports on purpose and __future__
-imports are directives, so both are exempt."""
+"""Checks on the package's syntax trees, since no linter runs on the
+sources.  Every module uses each name it imports; the package's
+top-level __init__.py re-exports on purpose and __future__ imports are
+directives, so both are exempt.  Every walk under the state budget is
+named where the budget is documented."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from bimc.fsa import StateLimitExceeded
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimc"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p != SRC / "__init__.py")
@@ -34,3 +38,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_module_uses_its_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def explore_names() -> set[str]:
+    """The name literal, the third argument, of every explore call in the
+    package: the names StateLimitExceeded messages give."""
+    names = set()
+    for module in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "explore":
+                names.add(ast.literal_eval(node.args[2]))
+    return names
+
+
+def test_every_state_budget_walk_is_documented():
+    names = explore_names()
+    assert names == {
+        "determinize", "squared", "unambiguous expansion", "epsilon closure", "path enumeration",
+    }
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^### State budget\n(.*?)^#", readme, re.S | re.M).group(1)
+    for doc in (section, StateLimitExceeded.__doc__):
+        doc = " ".join(doc.split())  # names may wrap across lines
+        assert [name for name in sorted(names) if name not in doc] == []
