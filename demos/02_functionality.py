@@ -1,23 +1,23 @@
 """Deciding whether a transducer realizes a partial function."""
 
-from bimc import FreeWords, make_transducer, test_functionality
+from bimc import FreeWords, Transducer, test_functionality
 
 FREE = FreeWords(("x", "y"))
 
 # two paths for "ab", both emitting "xxy": functional despite the fork
-diamond = make_transducer(
+diamond = Transducer(
     ("a", "b"), FREE, 4, {0}, {3},
     [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
 )
 
 # same shape but the outputs disagree
-broken = make_transducer(
+broken = Transducer(
     ("a", "b"), FREE, 4, {0}, {3},
     [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "y", 3), (2, "b", "y", 3)],
 )
 
 # an epsilon loop that pumps output on an accepting path
-pump = make_transducer(
+pump = Transducer(
     ("a",), FREE, 2, {0}, {1},
     [(0, None, "x", 0), (0, "a", "y", 1)],
 )

@@ -1,19 +1,13 @@
 """Compile a functional transducer to a bimachine and run it."""
 
-from bimc import (
-    FreeWords,
-    bimachine_to_text,
-    compile,
-    evaluate,
-    make_transducer,
-)
+from bimc import FreeWords, Transducer, bimachine_to_text, compile, evaluate
 
 FREE = FreeWords(("x", "y"))
 
 # both runs of "ab" emit "xxy", but one decides late; the bimachine has
 # to commit to "xx" on the first letter, which is where the equalizer
 # accumulation earns its keep
-t = make_transducer(
+t = Transducer(
     ("a", "b"), FREE, 4, {0}, {3},
     [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
 )

@@ -18,14 +18,7 @@ from .cli import (
     bimachine_from_text, bimachine_to_text, cli_main, format_transducer, parse_transducer
 )
 from .compiler import CompileError, NotFunctionalError, compile
-from .fsa import (
-    StateLimitExceeded,
-    Transducer,
-    Transition,
-    enumerate_outputs,
-    make_transducer,
-    trim,
-)
+from .fsa import StateLimitExceeded, Transducer, Transition, enumerate_outputs, trim
 from .functionality import FunctionalityVerdict, Witness, test_functionality
 from .monoid import (
     DescriptorMismatch,
@@ -78,7 +71,6 @@ __all__ = [
     "format_value",
     "gamma_n",
     "make_tn",
-    "make_transducer",
     "op",
     "parse_descriptor",
     "parse_transducer",

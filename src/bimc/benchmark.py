@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .classical import unambiguous_expand
 from .compiler import compile as mge_compile
-from .fsa import StateLimitExceeded, Transducer, determinize, make_transducer, output_cells
+from .fsa import StateLimitExceeded, Transducer, determinize, output_cells
 from .monoid import FreeWords
 
 CSV_COLUMNS = "n,method,left_states,right_states,intermediate_states,psi_entries,build_ms"
@@ -52,7 +52,7 @@ def make_tn(n: int) -> Transducer:
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             arcs.append((i, f"a{j}", "1" * (2 * n - i + 1), f))
-    return make_transducer(sigma, monoid, n + 2, {s}, {f}, arcs)
+    return Transducer(sigma, monoid, n + 2, {s}, {f}, arcs)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .bimachine import Bimachine
-from .fsa import (
-    Transducer, Transition, determinize, explore, members, move_index, output_map, trim,
-)
+from .fsa import Transducer, determinize, explore, members, move_index, output_map, trim
 
 
 def check_pseudo_deterministic(t: Transducer) -> bool:
@@ -71,11 +69,11 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
 
     start = (next(iter(t.initial)), frozenset())
     pairs, arcs = explore([start], successors, "unambiguous expansion")
-    arcs = tuple(Transition(src, tr.inp, tr.out, dst) for src, tr, dst in arcs)
     finals = frozenset(
         i for i, (p, neg) in enumerate(pairs) if p in t.final and not (neg & t.final)
     )
-    expanded = Transducer(t.alphabet, t.monoid, len(pairs), frozenset({0}), finals, arcs)
+    arcs = ((src, tr.inp, tr.out, dst) for src, tr, dst in arcs)
+    expanded = Transducer(t.alphabet, t.monoid, len(pairs), {0}, finals, arcs)
     trimmed, kept = trim(expanded)
     return ExpandedTransducer(trimmed, tuple(pairs[old] for old in kept))
 

@@ -24,7 +24,7 @@ from ..bimachine import Bimachine, evaluate
 from ..classical import check_pseudo_deterministic, classical_compile
 from ..compiler import CompileError, compile as mge_compile
 from ..fsa import (
-    Dfa, StateLimitExceeded, Transducer, Transition, check_symbols, enumerate_outputs, output_cells
+    Dfa, StateLimitExceeded, Transducer, check_symbols, enumerate_outputs, output_cells
 )
 from ..functionality import test_functionality
 from ..monoid import (
@@ -116,7 +116,7 @@ def parse_transducer(text: str) -> Transducer:
         if sym != "-" and sym not in alphabet:
             raise FormatError(f"line {lineno}: undeclared symbol {sym!r}")
         value = _parsed(lineno, parse_value, monoid, literal)
-        tr = Transition(src, None if sym == "-" else sym, value, dst)
+        tr = (src, None if sym == "-" else sym, value, dst)
         if tr in transitions:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")
         transitions[tr] = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, make_transducer, members, move_index, output_map
+from .fsa import Transducer, determinize, members, move_index, output_map
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import Monoid, gamma_n, solve_right
 
@@ -138,7 +138,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
         raise NotFunctionalError(verdict)
     tt = verdict.trimmed
     gen = generalized_transitions(tt, verdict.eps_paths)
-    real_time = make_transducer(tt.alphabet, tt.monoid, tt.n_states, tt.initial, tt.final, gen)
+    real_time = Transducer(tt.alphabet, tt.monoid, tt.n_states, tt.initial, tt.final, gen)
     left, right = determinize(real_time)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}

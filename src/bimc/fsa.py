@@ -86,10 +86,13 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class Transducer:
-    """States are 0..n_states-1.  Any iterables will do: the alphabet and
-    the transitions are stored as tuples, the state sets as frozensets.
-    Transitions keep their declaration order (duplicates dropped), which
-    downstream constructions rely on for deterministic tie-breaking."""
+    """States are 0..n_states-1.  Any iterables will do: the alphabet is
+    stored as a tuple, the state sets as frozensets.  The transitions are
+    (src, inp, out, dst) arcs, Transitions or plain tuples, where out is
+    a MonoidValue or a raw payload, wrapped with MonoidValue and so
+    checked; they are stored as a tuple of Transitions in declaration
+    order (a repeat dropped, the first kept in place), which downstream
+    constructions rely on for deterministic tie-breaking."""
 
     alphabet: tuple[str, ...]
     monoid: Monoid
@@ -102,34 +105,29 @@ class Transducer:
         object.__setattr__(self, "alphabet", check_symbols(self.alphabet))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
-        object.__setattr__(self, "transitions", tuple(dict.fromkeys(self.transitions)))
-        seen, n = set(self.alphabet), self.n_states
+        seen, n, monoid = set(self.alphabet), self.n_states, self.monoid
         if not is_state(n):
             raise ValueError(f"state count {n!r} is not a non-negative int")
         for q in (*self.initial, *self.final):  # not a union: {1} | {True} drops True
             if not is_state(q, n):
                 raise ValueError(f"state {q!r} out of range")
-        for tr in self.transitions:
-            if not (is_state(tr.src, n) and is_state(tr.dst, n)):
+        transitions = {}  # as an ordered set
+        for src, inp, out, dst in self.transitions:
+            if not isinstance(out, MonoidValue):
+                out = MonoidValue(monoid, out)
+            tr = Transition(src, inp, out, dst)
+            if not (is_state(src, n) and is_state(dst, n)):
                 raise ValueError(f"transition endpoint out of range: {tr}")
-            if tr.inp is not None and tr.inp not in seen:
-                raise ValueError(f"undeclared input symbol {tr.inp!r}")
-            if tr.out.monoid is not self.monoid and tr.out.monoid != self.monoid:
+            if inp is not None and inp not in seen:
+                raise ValueError(f"undeclared input symbol {inp!r}")
+            if out.monoid is not monoid and out.monoid != monoid:
                 raise ValueError(f"output from a different monoid: {tr}")
+            transitions[tr] = None
+        object.__setattr__(self, "transitions", tuple(transitions))
 
     @property
     def real_time(self) -> bool:
         return all(tr.inp is not None for tr in self.transitions)
-
-
-def make_transducer(alphabet, monoid, n_states, initial, final, arcs) -> Transducer:
-    """Convenience constructor wrapping raw output payloads on the fly."""
-    transitions = []
-    for src, inp, out, dst in arcs:
-        if not isinstance(out, MonoidValue):
-            out = MonoidValue(monoid, out)
-        transitions.append(Transition(src, inp, out, dst))
-    return Transducer(alphabet, monoid, n_states, initial, final, transitions)
 
 
 @dataclass
@@ -240,18 +238,18 @@ def trim(t: Transducer):
     useful = reachable(t.initial, fwd) & reachable(t.final, bwd)
     kept = sorted(useful)
     renum = {old: new for new, old in enumerate(kept)}
-    arcs = [
-        Transition(renum[tr.src], tr.inp, tr.out, renum[tr.dst])
-        for tr in t.transitions
-        if tr.src in useful and tr.dst in useful
-    ]
+    arcs = (
+        (renum[src], inp, out, renum[dst])
+        for src, inp, out, dst in t.transitions
+        if src in useful and dst in useful
+    )
     trimmed = Transducer(
         t.alphabet,
         t.monoid,
         len(kept),
-        frozenset(renum[q] for q in t.initial if q in useful),
-        frozenset(renum[q] for q in t.final if q in useful),
-        tuple(arcs),
+        (renum[q] for q in t.initial if q in useful),
+        (renum[q] for q in t.final if q in useful),
+        arcs,
     )
     return trimmed, kept
 

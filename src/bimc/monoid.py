@@ -260,10 +260,11 @@ class PairOf(Monoid):
 class MonoidValue:
     """An element of a concrete monoid: descriptor plus raw payload.
 
-    Constructing one validates the payload; make_transducer does so.
-    Literals, which parse_payload validates, and values computed from
-    valid values (products, folds, equalizers, quotients, units) are built
-    by _trusted instead, so validation happens once, where data enters.
+    Constructing one validates the payload; Transducer does so for the
+    raw payloads among its arcs.  Literals, which parse_payload
+    validates, and values computed from valid values (products, folds,
+    equalizers, quotients, units) are built by _trusted instead, so
+    validation happens once, where data enters.
     """
 
     monoid: Monoid

@@ -12,7 +12,7 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import eps_closure, make_transducer
+from bimc.fsa import Transducer, eps_closure
 from bimc.functionality import test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
@@ -328,7 +328,7 @@ def eps_diamond_chain(k=16):
     the transducer has k + 2 states."""
     arcs = [(i, None, out, i + 1) for i in range(k) for out in ("a", "b")]
     arcs.append((k, "x", "", k + 1))
-    return make_transducer(("x",), FreeWords(("a", "b")), k + 2, {0}, {k + 1}, arcs)
+    return Transducer(("x",), FreeWords(("a", "b")), k + 2, {0}, {k + 1}, arcs)
 
 
 def pair_index(sq):
@@ -371,7 +371,7 @@ def random_transducer(
     initial = set(rng.sample(range(n), rng.randint(1, min(2, n))))
     n_final = rng.choice([0, 1, 1, 1, 2])
     final = set(rng.sample(range(n), min(n_final, n)))
-    return make_transducer(sigma, monoid, n, initial, final, arcs)
+    return Transducer(sigma, monoid, n, initial, final, arcs)
 
 
 def split_value(rng, v):
@@ -414,7 +414,7 @@ def with_eps_detours(rng, t, share=0.5):
         u, w = split_value(rng, tr.out)
         arcs += [(tr.src, None, u, n), (n, tr.inp, w, tr.dst)]
         n += 1
-    return make_transducer(t.alphabet, t.monoid, n, t.initial, t.final, arcs)
+    return Transducer(t.alphabet, t.monoid, n, t.initial, t.final, arcs)
 
 
 def functional_draws(rng, count, monoid=None, eps=False):
@@ -460,7 +460,7 @@ def random_pseudo_det(
                 outs.add(out)
                 arcs.append((src, sym, out, rng.randrange(n)))
     final = set(rng.sample(range(n), rng.randint(0, min(2, n))))
-    return make_transducer(sigma, monoid, n, {rng.randrange(n)}, final, arcs)
+    return Transducer(sigma, monoid, n, {rng.randrange(n)}, final, arcs)
 
 
 def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y"), monoid=None):
@@ -602,4 +602,4 @@ def remove_eps_edges(t):
                     for w in closure[v]:
                         edges.add((p, sym, w))
     arcs = [(p, sym, t.monoid.unit, w) for p, sym, w in sorted(edges)]
-    return make_transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs)
+    return Transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs)

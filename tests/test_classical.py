@@ -6,7 +6,7 @@ from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
 from bimc.classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
 from bimc.compiler import compile as build
-from bimc.fsa import enumerate_outputs, make_transducer
+from bimc.fsa import Transducer, enumerate_outputs
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue
 from helpers import TRANSDUCER_MONOIDS, all_words, count_paths, random_pseudo_det
@@ -20,7 +20,7 @@ def fw(s):
 
 def diamond():
     # both runs of "ab" emit "xxy", one of them delayed
-    return make_transducer(
+    return Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
     )
@@ -29,20 +29,20 @@ def diamond():
 def test_check_pseudo_deterministic():
     assert check_pseudo_deterministic(diamond())
     # same (state, symbol, output) into two targets
-    t = make_transducer(("a",), FREE, 3, {0}, {2}, [(0, "a", "x", 1), (0, "a", "x", 2)])
+    t = Transducer(("a",), FREE, 3, {0}, {2}, [(0, "a", "x", 1), (0, "a", "x", 2)])
     assert not check_pseudo_deterministic(t)
     # two initial states
-    t = make_transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1)])
     assert not check_pseudo_deterministic(t)
     # epsilon transition
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1)])
     assert not check_pseudo_deterministic(t)
 
 
 def test_classical_compiles_integer_outputs():
     # "aa" outputs 3 + 1 or -2 + 6; the payload order keeps the -2 path
     Z = Integers()
-    t = make_transducer(
+    t = Transducer(
         ("a",), Z, 4, {0}, {3},
         [(0, "a", 3, 1), (0, "a", -2, 2), (1, "a", 1, 3), (2, "a", 6, 3)],
     )
@@ -54,13 +54,13 @@ def test_classical_compiles_integer_outputs():
 
 
 def test_expand_rejects_other_shapes():
-    t = make_transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1)])
     with pytest.raises(ValueError):
         unambiguous_expand(t)
 
 
 def test_expand_deterministic_chain_is_identity():
-    t = make_transducer(("a", "b"), FREE, 3, {0}, {2}, [(0, "a", "x", 1), (1, "b", "y", 2)])
+    t = Transducer(("a", "b"), FREE, 3, {0}, {2}, [(0, "a", "x", 1), (1, "b", "y", 2)])
     exp = unambiguous_expand(t)
     assert exp.pairs == ((0, frozenset()), (1, frozenset()), (2, frozenset()))
     assert len(exp.transducer.transitions) == 2
@@ -95,7 +95,7 @@ def test_expansion_pairs_name_the_states_and_exclude_their_guess():
 
 def test_expand_nonfunctional_keeps_least_output():
     # "a" maps to both "x" and "y"; the expansion commits to "x"
-    t = make_transducer(("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "y", 1), (0, "a", "x", 2)])
+    t = Transducer(("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "y", 1), (0, "a", "x", 2)])
     tt = unambiguous_expand(t).transducer
     assert enumerate_outputs(tt, ("a",)) == {fw("x")}
 
@@ -128,7 +128,7 @@ def test_classical_compile_diamond():
 
 
 def test_classical_eps_output_when_initial_is_final():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 0)])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 0)])
     b = classical_compile(t)
     assert b.eps_output == FREE.unit
     assert evaluate(b, ()) == FREE.unit

@@ -25,7 +25,7 @@ from bimc.cli import (
     tokenize,
 )
 from bimc.compiler import compile as build
-from bimc.fsa import Transducer, Transition, make_transducer
+from bimc.fsa import Transducer, Transition
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_value,
 )
@@ -124,7 +124,7 @@ def test_duplicate_transition_collapses_with_warning():
 
 def test_transducer_round_trip():
     pair = PairOf(FREE, NonNegRationals())
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), pair, 3, {0}, {2},
         [(0, "a", ("x", 2), 1), (1, None, ("", "1/2"), 2), (2, "b", ("yy", 0), 0)],
     )
@@ -156,7 +156,7 @@ def test_transducer_built_from_lists_hashes_and_round_trips():
     assert t.alphabet == ("a",)
     assert hash(t) == hash(parse_transducer(format_transducer(t)))
     assert parse_transducer(format_transducer(t)) == t
-    assert make_transducer(iter("a"), FREE, 1, [0], [0], [(0, "a", "x", 0)]) == t
+    assert Transducer(iter("a"), FREE, 1, [0], [0], [(0, "a", "x", 0)]) == t
 
 
 def _mutated_lines(rng, text, pool):
@@ -222,7 +222,7 @@ def test_parsers_raise_only_format_errors():
 
 
 def test_bimachine_round_trip_is_canonical():
-    b = build(make_transducer(
+    b = build(Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
     ))
@@ -273,7 +273,7 @@ def test_compiled_bimachines_round_trip_to_an_equal_machine():
 
 
 def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
-    b = build(make_transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
+    b = build(Transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
     text = bimachine_to_text(b)
     assert text.splitlines()[1] == "alphabet a b c"
     b2 = bimachine_from_text(text)

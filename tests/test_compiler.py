@@ -17,7 +17,7 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import determinize, make_transducer, members, move_index, output_cells
+from bimc.fsa import Transducer, determinize, members, move_index, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
@@ -43,7 +43,7 @@ def nn(q):
 
 
 def test_single_transition_gives_single_entry():
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
     b = build(t)
     assert list(b.psi.values()) == [fw("x")]
     assert evaluate(b, ("a",)) == fw("x")
@@ -54,7 +54,7 @@ def test_single_transition_gives_single_entry():
 def test_delayed_diamond():
     # both paths emit "xxy" but disagree on when; the compiled machine
     # must commit to "xx" on the first letter already
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
     )
@@ -65,7 +65,7 @@ def test_delayed_diamond():
 
 
 def test_compile_rejects_nonfunctional():
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)])
     with pytest.raises(NotFunctionalError) as info:
         build(t)
     assert info.value.verdict.witness.kind == "transition-mismatch"
@@ -188,13 +188,13 @@ def test_each_output_entry_divides_once(monkeypatch):
 
 def test_generalized_transitions_real_time_are_the_moves_by_source():
     # grouped by source state, then alphabet order, then declaration order
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), FREE, 2, {0}, {1},
         [(0, "a", "x", 1), (0, "b", "y", 1), (1, "a", "", 0)],
     )
     want = [(0, "a", fw("x"), 1), (0, "b", fw("y"), 1), (1, "a", fw(""), 0)]
     assert generalized_transitions(t, eps_paths(t)) == want
-    interleaved = make_transducer(
+    interleaved = Transducer(
         ("a", "b"), FREE, 2, {0}, {1},
         [(1, "a", "", 0), (0, "b", "y", 1), (0, "a", "yy", 0), (1, "a", "xy", 1), (0, "a", "x", 1)],
     )
@@ -206,7 +206,7 @@ def test_generalized_transitions_real_time_are_the_moves_by_source():
 
 
 def test_generalized_transitions_fold_eps_outputs():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (1, "a", "y", 2)],
     )
@@ -217,7 +217,7 @@ def test_generalized_transitions_fold_eps_outputs():
 def test_compile_determinizes_the_eps_free_steps():
     # the subset automata of an epsilon transducer are those of its
     # naive epsilon removal; determinize itself refuses epsilon moves
-    cycle = make_transducer(
+    cycle = Transducer(
         ("a",), FREE, 3, {0}, {2}, [(0, None, "", 1), (1, None, "", 0), (0, "a", "x", 2)],
     )
     b = build(cycle)
@@ -241,7 +241,7 @@ def test_compile_determinizes_the_eps_free_steps():
 def test_leading_eps_before_first_symbol():
     # the start subset is not ε-closed, so the first output entry must
     # fold the leading ε value in via a generalized step
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (1, "a", "y", 2)],
     )
@@ -250,7 +250,7 @@ def test_leading_eps_before_first_symbol():
 
 
 def test_trailing_eps_after_last_symbol():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, "a", "x", 1), (1, None, "y", 2)],
     )
@@ -259,7 +259,7 @@ def test_trailing_eps_after_last_symbol():
 
 
 def test_eps_output_recorded():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "xx", 1), (1, "a", "y", 1)],
     )
@@ -271,7 +271,7 @@ def test_eps_output_recorded():
 
 def test_eps_twin_matches_real_time_twin():
     # same function written with and without ε transitions
-    twin_eps = make_transducer(
+    twin_eps = Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [
             (0, None, "x", 1),
@@ -280,7 +280,7 @@ def test_eps_twin_matches_real_time_twin():
             (1, "b", "", 3),
         ],
     )
-    twin_rt = make_transducer(
+    twin_rt = Transducer(
         ("a", "b"), FREE, 2, {0}, {1},
         [(0, "a", "xy", 0), (0, "b", "x", 1)],
     )
@@ -290,7 +290,7 @@ def test_eps_twin_matches_real_time_twin():
 
 
 def test_compile_accepts_precomputed_verdict():
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "x", 1)])
     v = functionality(t)
     b1, b2 = build(t, verdict=v), build(t)
     assert b1 == b2
@@ -408,7 +408,7 @@ def test_compiled_machine_matches_path_oracle():
 
 
 def test_empty_domain_compiles_to_empty_machine():
-    t = make_transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
     b = build(t)
     assert b.psi == {}
     assert b.eps_output is None

@@ -11,10 +11,10 @@ from bimc.compiler import compile
 from bimc.fsa import (
     StateLimitExceeded,
     Transducer,
+    Transition,
     determinize,
     enumerate_outputs,
     explore,
-    make_transducer,
     members,
     output_cells,
     output_map,
@@ -76,7 +76,7 @@ def arcs_free(edges):
 
 
 def test_transducer_dedups_preserving_order():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, "a", "x", 1), (0, "a", "y", 1), (0, "a", "x", 1)],
     )
@@ -85,20 +85,44 @@ def test_transducer_dedups_preserving_order():
     assert t.transitions[1].out == fw("y")
 
 
+def test_transducer_takes_raw_or_wrapped_arcs():
+    # plain tuples and Transitions, with raw payloads or MonoidValues, from
+    # a list or a generator: every form builds the same Transitions
+    raw = [(0, "a", "x", 1), (1, None, "yx", 1), (1, "a", "", 0)]
+    forms = (
+        raw,
+        [Transition(*arc) for arc in raw],
+        (arc for arc in raw),
+        [(src, inp, fw(out), dst) for src, inp, out, dst in raw],
+    )
+    built = [Transducer(("a",), FREE, 2, {0}, {1}, arcs) for arcs in forms]
+    assert built[1:] == built[:1] * 3
+    assert built[0].transitions == tuple(
+        Transition(src, inp, fw(out), dst) for src, inp, out, dst in raw
+    )
+    assert all(type(tr) is Transition for tr in built[0].transitions)
+
+
+def test_transducer_checks_raw_payloads():
+    for arc in ((0, "a", "z", 0), Transition(0, "a", "xz", 0), (0, None, 3, 0)):
+        with pytest.raises(ValueError):
+            Transducer(("a",), FREE, 1, {0}, {0}, [arc])
+
+
 def test_transducer_validation():
     with pytest.raises(ValueError):
-        make_transducer(("a",), FREE, 1, {0}, {2}, [])
+        Transducer(("a",), FREE, 1, {0}, {2}, [])
     with pytest.raises(ValueError):
-        make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "b", "x", 0)])
+        Transducer(("a",), FREE, 1, {0}, {0}, [(0, "b", "x", 0)])
     with pytest.raises(ValueError, match="endpoint out of range"):
-        make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 1)])
+        Transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 1)])
     with pytest.raises(ValueError):
-        make_transducer(("a", "a"), FREE, 1, {0}, {0}, [])
+        Transducer(("a", "a"), FREE, 1, {0}, {0}, [])
     with pytest.raises(ValueError, match="reserved"):
-        make_transducer(("a", "-"), FREE, 1, {0}, {0}, [])
+        Transducer(("a", "-"), FREE, 1, {0}, {0}, [])
     other = FreeWords(("z",))
     with pytest.raises(ValueError):
-        make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", MonoidValue(other, "z"), 0)])
+        Transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", MonoidValue(other, "z"), 0)])
 
 
 def test_transducer_states_are_ints():
@@ -112,13 +136,13 @@ def test_transducer_states_are_ints():
             Transducer(("a",), FREE, 2, initial, final, [])
     for arc in ((0, "a", "x", True), (0.0, "a", "x", 1)):
         with pytest.raises(ValueError, match="endpoint out of range"):
-            make_transducer(("a",), FREE, 2, {0}, {1}, [arc])
+            Transducer(("a",), FREE, 2, {0}, {1}, [arc])
 
 
 def test_real_time_flag():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 0)])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, "a", "x", 0)])
     assert t.real_time
-    t2 = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
+    t2 = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
     assert not t2.real_time
 
 
@@ -127,7 +151,7 @@ def test_real_time_flag():
 
 def test_trim_drops_useless_states():
     # 0 ->a 1 ->a 2(final), 3 unreachable, 4 reaches nothing final
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 5, {0}, {2},
         [(0, "a", "x", 1), (1, "a", "y", 2), (3, "a", "x", 2), (0, "a", "x", 4)],
     )
@@ -140,7 +164,7 @@ def test_trim_drops_useless_states():
 
 
 def test_trim_without_finals_is_empty():
-    t = make_transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
     trimmed, kept = trim(t)
     assert trimmed.n_states == 0 and kept == []
     assert trimmed.transitions == ()
@@ -180,7 +204,7 @@ def test_members_lists_set_bits_ascending():
 
 
 def test_determinize_is_partial_without_sink():
-    t = make_transducer(("a", "b"), FREE, 2, {0}, {1}, arcs_free([(0, "a", 1)]))
+    t = Transducer(("a", "b"), FREE, 2, {0}, {1}, arcs_free([(0, "a", 1)]))
     left, right = determinize(t)
     assert left.n_states == 2
     assert left.subsets == (0b01, 0b10)
@@ -219,13 +243,13 @@ def test_determinize_state_cap(monkeypatch):
     monkeypatch.setenv("BIMC_MAX_STATES", "2")
     # classic 2^n blowup: last symbol before the end must be 'a'
     edges = [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "a", 2), (1, "b", 2)]
-    t = make_transducer(("a", "b"), FREE, 3, {0}, {2}, arcs_free(edges))
+    t = Transducer(("a", "b"), FREE, 3, {0}, {2}, arcs_free(edges))
     with pytest.raises(StateLimitExceeded):
         determinize(t)
 
 
 def test_determinize_empty_initial_set():
-    t = make_transducer(("a",), FREE, 2, set(), {1}, arcs_free([(0, "a", 1)]))
+    t = Transducer(("a",), FREE, 2, set(), {1}, arcs_free([(0, "a", 1)]))
     left, right = determinize(t)
     assert left.n_states == 1 and left.subsets == (0,) and left.delta == {}
     assert right.subsets == (0b10, 0b01)
@@ -307,7 +331,7 @@ def test_output_map_solves_each_triple_once(monkeypatch):
 
 
 def test_output_map_propagates_entry_errors():
-    t = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
     left, right = determinize(t)
     first = next(output_cells(left, right))
     seen = []
@@ -325,7 +349,7 @@ def test_output_map_propagates_entry_errors():
 
 
 def test_enumerate_outputs_collects_all_paths():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)]
     )
     assert enumerate_outputs(t, ("a",)) == {fw("x"), fw("y")}
@@ -333,12 +357,12 @@ def test_enumerate_outputs_collects_all_paths():
 
 
 def test_enumerate_outputs_empty_word_needs_initial_final_overlap():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [])
     assert enumerate_outputs(t, ()) == {fw("")}
 
 
 def test_enumerate_outputs_unit_eps_loop_terminates():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "", 0), (0, "a", "x", 1)],
     )
@@ -346,7 +370,7 @@ def test_enumerate_outputs_unit_eps_loop_terminates():
 
 
 def test_enumerate_outputs_value_growing_loop_is_bounded():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "y", 0), (0, "a", "x", 1)],
     )

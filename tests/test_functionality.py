@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bimc.benchmark import make_tn
-from bimc.fsa import StateLimitExceeded, eps_closure, make_transducer, trim
+from bimc.fsa import StateLimitExceeded, Transducer, eps_closure, trim
 from bimc.functionality import eps_cycle_check, eps_language
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
@@ -32,7 +32,7 @@ def fw(w):
 
 
 def test_eps_cycle_check_accepts_unit_cycles():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "", 1), (1, None, "", 0), (0, "a", "x", 1)],
     )
@@ -40,13 +40,13 @@ def test_eps_cycle_check_accepts_unit_cycles():
 
 
 def test_eps_cycle_check_rejects_growing_loop():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
     assert eps_cycle_check(t, eps_paths(t)) == 0
 
 
 def test_eps_cycle_check_rejects_inconsistent_ring():
     # two eps paths 0->1 with different outputs close into a cycle via 1->0
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 0)],
     )
@@ -55,7 +55,7 @@ def test_eps_cycle_check_rejects_inconsistent_ring():
 
 def test_eps_cycle_check_ignores_edges_between_components():
     # nonunit eps edge, but no cycle through it
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1), (1, "a", "y", 1)]
     )
     assert eps_cycle_check(t, eps_paths(t)) is None
@@ -64,7 +64,7 @@ def test_eps_cycle_check_ignores_edges_between_components():
 def test_eps_cycle_check_returns_the_smallest_state_on_a_nonunit_cycle():
     # {0,1} closes a unit cycle and {2,3} a growing one; the nonunit edge
     # 2 -> 0 joins them without closing a cycle, so the witness is in {2,3}
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 4, {2}, {0},
         [(0, None, "", 1), (1, None, "", 0), (2, None, "x", 3), (3, None, "", 2),
          (2, None, "y", 0)],
@@ -114,7 +114,7 @@ def test_eps_closure_stops_at_the_first_nonunit_return(monkeypatch):
     # the loop at 1 would make the lists from 0 and 1 infinite; the closure
     # stops once 1 returns to itself with x, well inside the budget
     monkeypatch.setenv("BIMC_MAX_STATES", "100")
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "", 1), (1, None, "x", 1), (1, "a", "", 2)],
     )
@@ -124,7 +124,7 @@ def test_eps_closure_stops_at_the_first_nonunit_return(monkeypatch):
 
 
 def test_eps_language_collects_all_eps_outputs():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 2)],
     )
@@ -132,9 +132,9 @@ def test_eps_language_collects_all_eps_outputs():
 
 
 def test_eps_language_empty_word_via_overlap():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [])
     assert eps_language(t, eps_paths(t)) == frozenset({fw("")})
-    t2 = make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
+    t2 = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
     assert eps_language(t2, eps_paths(t2)) == frozenset()
 
 
@@ -142,7 +142,7 @@ def test_eps_language_empty_word_via_overlap():
 
 
 def test_functional_deterministic_chain():
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), FREE, 3, {0}, {2}, [(0, "a", "x", 1), (1, "b", "yy", 2)]
     )
     v = functionality(t)
@@ -153,7 +153,7 @@ def test_functional_deterministic_chain():
 
 def test_functional_word_and_length_counter():
     prod = PairOf(FreeWords(("a", "b")), NonNegRationals())
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), prod, 1, {0}, {0},
         [(0, "a", ("a", Fraction(1)), 0), (0, "b", ("b", Fraction(1)), 0)],
     )
@@ -163,7 +163,7 @@ def test_functional_word_and_length_counter():
 
 
 def test_functional_despite_parallel_equal_outputs():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, "a", "x", 1), (0, "a", "x", 2), (1, "a", "y", 2), (2, "a", "y", 2)],
     )
@@ -172,7 +172,7 @@ def test_functional_despite_parallel_equal_outputs():
 
 
 def test_witness_transition_mismatch():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)]
     )
     v = functionality(t)
@@ -181,15 +181,15 @@ def test_witness_transition_mismatch():
 
 
 def test_verdict_is_true_exactly_when_functional():
-    good = functionality(make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
+    good = functionality(Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
     bad = functionality(
-        make_transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)])
+        Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)])
     )
     assert bool(good) is True and bool(bad) is False
 
 
 def test_witness_final_imbalance():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "x", 1), (0, "a", "xx", 2)]
     )
     v = functionality(t)
@@ -198,7 +198,7 @@ def test_witness_final_imbalance():
 
 
 def test_witness_unequalizable_pair():
-    t = make_transducer(
+    t = Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [(0, "a", "x", 1), (0, "a", "y", 2), (1, "b", "", 3), (2, "b", "", 3)],
     )
@@ -206,7 +206,7 @@ def test_witness_unequalizable_pair():
     assert not v.functional
     assert v.witness.kind == "unequalizable-pair"
     # in a product whose left outputs agree, the right component alone
-    t = make_transducer(
+    t = Transducer(
         ("a",), PairOf(FREE, FREE), 3, {0}, {1, 2},
         [(0, "a", ("x", "x"), 1), (0, "a", ("x", "y"), 2)],
     )
@@ -216,7 +216,7 @@ def test_witness_unequalizable_pair():
 
 
 def test_witness_eps_cycle():
-    t = make_transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
+    t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
     v = functionality(t)
     assert not v.functional
     assert v.witness.kind == "eps-cycle"
@@ -224,7 +224,7 @@ def test_witness_eps_cycle():
 
 
 def test_witness_eps_language():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1), (0, None, "y", 1)]
     )
     v = functionality(t)
@@ -243,7 +243,7 @@ def test_squared_automaton_keeps_the_state_budget(monkeypatch):
 
 def test_nonunit_eps_cycle_off_successful_paths_is_ignored():
     # the loop at state 2 is trimmed away, so the verdict is functional
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {1},
         [(0, "a", "x", 1), (2, None, "y", 2)],
     )
@@ -253,14 +253,14 @@ def test_nonunit_eps_cycle_off_successful_paths_is_ignored():
 
 
 def test_empty_transducer_is_functional():
-    t = make_transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
+    t = Transducer(("a",), FREE, 2, {0}, set(), [(0, "a", "x", 1)])
     v = functionality(t)
     assert v.functional
     assert v.trimmed.n_states == 0
 
 
 def test_eps_diamond_with_single_value_is_functional():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (0, None, "x", 2), (1, None, "", 2)],
     )

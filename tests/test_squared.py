@@ -3,7 +3,7 @@
 import random
 from collections import defaultdict, deque
 
-from bimc.fsa import make_transducer
+from bimc.fsa import Transducer
 from bimc.monoid import FreeWords, MonoidValue, eta
 from bimc.squared import coaccessible, squared, valuation
 from helpers import (
@@ -87,7 +87,7 @@ def squared_reachable(sq, max_steps):
 
 
 def test_squared_pairs_up_branches():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {1, 2}, [(0, "a", "x", 1), (0, "a", "y", 2)]
     )
     sq = squared(t)
@@ -100,7 +100,7 @@ def test_squared_pairs_up_branches():
 
 
 def test_squared_eps_keeps_one_sided_moves():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "y", 1), (0, "a", "x", 1)]
     )
     sq = squared(t)
@@ -146,14 +146,14 @@ def test_squared_defining_property_bounded():
 
 def diamond():
     # 0 -a-> {1 via x, 2 via xx}, both -b-> 3 (final), outputs rebalance
-    return make_transducer(
+    return Transducer(
         ("a", "b"), FREE, 4, {0}, {3},
         [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],
     )
 
 
 def test_coaccessible_filters_dead_pairs():
-    t = make_transducer(
+    t = Transducer(
         ("a",), FREE, 3, {0}, {1}, [(0, "a", "x", 1), (0, "a", "x", 2)]
     )
     sq = squared(t)
@@ -178,7 +178,7 @@ def test_valuation_tracks_first_discovery():
 
 def test_valuation_keeps_unit_on_an_initial_pair_reached_by_an_arc():
     # (0, 0) discovers (1, 1) by its a-arc, but (1, 1) is an initial pair
-    t = make_transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
+    t = Transducer(("a",), FREE, 2, {0, 1}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
     sq = squared(t)
     index = pair_index(sq)
     src, dst = index[(0, 0)], index[(1, 1)]
