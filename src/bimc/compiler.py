@@ -128,12 +128,15 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     """Build the equivalent bimachine for a functional transducer.
 
     Reuses the squared automaton and valuation already computed by the
-    functionality test (running it first when no verdict is passed).
-    With verify the well-definedness of every output entry is asserted
-    across all transitions rather than trusted.
+    functionality test (running it first when no verdict is passed); a
+    verdict passed must be t's, or a ValueError is raised.  With verify
+    the well-definedness of every output entry is asserted across all
+    transitions rather than trusted.
     """
     if verdict is None:
         verdict = test_functionality(t)
+    elif verdict.transducer is not t and verdict.transducer != t:
+        raise ValueError("the verdict passed is for another transducer")
     if not verdict.functional:
         raise NotFunctionalError(verdict)
     tt = verdict.trimmed

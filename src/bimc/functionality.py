@@ -9,7 +9,7 @@ completion, and final pairs must balance exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fsa import Transducer, eps_closure, trim
 from .monoid import MonoidValue, format_value
@@ -27,8 +27,12 @@ class Witness:
 
 @dataclass
 class FunctionalityVerdict:
+    """test_functionality's verdict on transducer, a field that equality
+    and repr leave out: compile takes a verdict only with its transducer."""
+
     functional: bool
     witness: Witness | None
+    transducer: Transducer = field(compare=False, repr=False)
     trimmed: Transducer
     squared: SquaredAutomaton | None = None
     valuation: Valuation | None = None
@@ -65,7 +69,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     trimmed, kept = trim(t)
 
     def reject(kind, detail, **extras):
-        return FunctionalityVerdict(False, Witness(kind, detail), trimmed, **extras)
+        return FunctionalityVerdict(False, Witness(kind, detail), t, trimmed, **extras)
 
     arcs = ((tr.src, tr.out, tr.dst) for tr in trimmed.transitions if tr.inp is None)
     eps_paths = eps_closure(trimmed.n_states, arcs, trimmed.monoid.unit)
@@ -123,4 +127,4 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
                 f"({format_value(x1)},{format_value(x2)})",
                 **extras,
             )
-    return FunctionalityVerdict(True, None, trimmed, **extras)
+    return FunctionalityVerdict(True, None, t, trimmed, **extras)

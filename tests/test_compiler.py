@@ -296,6 +296,21 @@ def test_compile_accepts_precomputed_verdict():
     assert b1 == b2
 
 
+def test_compile_refuses_another_transducers_verdict():
+    # a verdict on the functional t1 does not vouch for the nonfunctional t3
+    t1 = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
+    t3 = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "xx", 1)])
+    v1 = functionality(t1)
+    with pytest.raises(ValueError, match="another transducer"):
+        build(t3, verdict=v1)
+    with pytest.raises(NotFunctionalError):
+        build(t3)
+    # an equal transducer built anew is judged the same, so its verdict serves
+    again = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
+    assert functionality(again) == v1 and repr(functionality(again)) == repr(v1)
+    assert build(again, verdict=v1) == build(t1)
+
+
 def test_verify_and_fast_paths_agree_on_random_functional():
     rng = random.Random(1010)
     monoids = (None, NonNegRationals(), Integers(), PairOf(FREE, Integers()))
