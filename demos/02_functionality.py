@@ -4,6 +4,9 @@ from bimc import FreeWords, Transducer, test_functionality
 
 FREE = FreeWords(("x", "y"))
 
+# arcs are (src, input, output, dst) with None as the empty input; the
+# outputs are raw words, which Transducer wraps as MonoidValues and checks
+
 # two paths for "ab", both emitting "xxy": functional despite the fork
 diamond = Transducer(
     ("a", "b"), FREE, 4, {0}, {3},

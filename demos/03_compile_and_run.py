@@ -6,7 +6,8 @@ FREE = FreeWords(("x", "y"))
 
 # both runs of "ab" emit "xxy", but one decides late; the bimachine has
 # to commit to "xx" on the first letter, which is where the equalizer
-# accumulation earns its keep
+# accumulation earns its keep; Transducer wraps and checks the raw output
+# words of the (src, input, output, dst) arcs
 t = Transducer(
     ("a", "b"), FREE, 4, {0}, {3},
     [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "xy", 3), (2, "b", "y", 3)],

@@ -20,8 +20,7 @@ from .monoid import Monoid, MonoidValue, eta
 class SquaredAutomaton:
     """Pairs are stored in breadth-first discovery order with the initial
     pairs first, and transitions grouped by source in that order, so the
-    first arc into a pair is the one that discovered it.  The input is
-    erased, so two symbols may give one arc twice; no reader minds."""
+    first arc into a pair is the one that discovered it."""
 
     monoid: Monoid
     pairs: tuple[tuple[int, int], ...]
@@ -34,7 +33,7 @@ def squared(t: Transducer) -> SquaredAutomaton:
     """Accessible part of the self-pairing: two component transitions
     advance together on a shared input symbol, and either component may
     take an epsilon transition alone while the other waits with a unit
-    label.  The arcs are kept as explore found them, repeats included."""
+    label."""
     moves = move_index(t.transitions)
     unit = t.monoid.unit
 
@@ -52,11 +51,12 @@ def squared(t: Transducer) -> SquaredAutomaton:
     starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
     order, arcs = explore(starts, successors, "squared")
     initial = frozenset(range(len(starts)))
-    transitions = tuple((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
+    # a repeated arc is dropped, the first one kept in place
+    transitions = dict.fromkeys((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
     final = frozenset(
         i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
     )
-    return SquaredAutomaton(t.monoid, tuple(order), initial, final, transitions)
+    return SquaredAutomaton(t.monoid, tuple(order), initial, final, tuple(transitions))
 
 
 def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import re
@@ -677,3 +678,30 @@ def test_module_entry_points(tmp_path, entry):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "functional"
     assert "RuntimeWarning" not in done.stderr  # runpy warns if bimc imported the module early
+
+
+def _console_scripts(text):
+    """The [project.scripts] entries of pyproject.toml text, read line by
+    line, as on Python 3.10, which has no tomllib."""
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.S | re.M).group(1)
+    return dict(re.findall(r'^(\S+) = "(.*)"$', section, re.M))
+
+
+def test_console_script_runs(tmp_path, capsys, monkeypatch):
+    # the installed bimc script calls this entry point; CI runs it installed
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = _console_scripts(text)
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        assert scripts == tomllib.loads(text)["project"]["scripts"]
+    assert scripts["bimc"] == "bimc.cli:main"
+    module, attr = scripts["bimc"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    path = tmp_path / "double.fst"
+    path.write_text(_readme_examples()[0], encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["bimc", "check", str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "functional\n"
