@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, explore, members, move_index, output_map, trim
+from .fsa import Transducer, determinize, explore, members, output_map, trim
 
 
 def check_pseudo_deterministic(t: Transducer) -> bool:
@@ -23,14 +23,9 @@ def check_pseudo_deterministic(t: Transducer) -> bool:
     pairs: a single initial state and at most one target per labeled move.
     Output-nondeterminism (same source and symbol, different outputs) is
     allowed; that is what the expansion resolves."""
-    if not t.real_time or len(t.initial) != 1:
-        return False
-    target = {}
-    for tr in t.transitions:
-        key = (tr.src, tr.inp, tr.out)
-        if target.setdefault(key, tr.dst) != tr.dst:
-            return False
-    return True
+    return t.real_time and len(t.initial) == 1 and all(
+        len({out for out, _ in outs}) == len(outs) for outs in t.moves.values()
+    )
 
 
 class ExpandedTransducer(NamedTuple):
@@ -56,7 +51,7 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     by_src = defaultdict(list)
     for tr in t.transitions:
         by_src[tr.src].append(tr)
-    moves = move_index(t.transitions)
+    moves = t.moves
 
     def successors(node):
         p, neg_set = node
@@ -84,11 +79,10 @@ def classical_compile(t: Transducer) -> Bimachine:
     successful paths, and the expansion is unambiguous."""
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
-    moves = move_index(tt.transitions)
 
     def entry(cell, s, s2):
         (p,) = members(s)
-        (v,) = [out for out, dst in moves[p, cell[1]] if s2 >> dst & 1]
+        (v,) = [out for out, dst in tt.moves[p, cell[1]] if s2 >> dst & 1]
         return v
 
     psi = output_map(left, right, entry)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 
 from .bimachine import Bimachine
-from .fsa import Transducer, determinize, members, move_index, output_map
+from .fsa import Transducer, determinize, members, output_map
 from .functionality import FunctionalityVerdict, test_functionality
 from .monoid import Monoid, gamma_n, solve_right
 
@@ -73,13 +73,12 @@ def generalized_transitions(t: Transducer, eps_paths):
     output-free, as the functionality test guarantees; otherwise
     eps_paths, and so the expansion, is cut short.
     """
-    moves = move_index(t.transitions)
     return [
         (p, a, v1 * m * v2, q)
         for p, paths in enumerate(eps_paths)
         for r, v1 in paths
         for a in t.alphabet
-        for m, dst in moves.get((r, a), ())
+        for m, dst in t.moves.get((r, a), ())
         for q, v2 in eps_paths[dst]
     ]
 
@@ -88,7 +87,7 @@ def output_value(cell, phi_s, phi_s2, steps, verify=False):
     """The output entry of cell (li, a, ri), given the delays phi_s of
     its intersection set before the a-step and phi_s2 of the one after.
 
-    steps is the move_index of the generalized transitions.  Solves
+    steps is the Transducer.moves of the generalized transitions.  Solves
     delay(p) ∘ c = value ∘ delay(p') on the first transition connecting
     the two intersection sets; with verify every further such
     transition is checked by multiplying raw payloads, which by left
@@ -145,11 +144,10 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     left, right = determinize(real_time)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
-    steps = move_index(real_time.transitions)
     phi = cache(lambda s: set_mge(members(s), nu, tt.monoid))  # delays of a set, by bitmask
     psi = output_map(
         left, right,
-        lambda cell, s, s2: output_value(cell, phi(s), phi(s2), steps, verify=verify),
+        lambda cell, s, s2: output_value(cell, phi(s), phi(s2), real_time.moves, verify=verify),
     )
     eps_out = next(iter(verdict.eps_outputs), None)
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

@@ -2,9 +2,10 @@
 their state sets: trimming, the epsilon paths out of each state, the
 forward and backward power-set automata of a real-time transducer
 (subsets are bitmasks), the walk over output cells with the output map
-it fills, and run enumeration.  Every walk that discovers its states
-from a start (the power-set automata, the squared automaton, the
-classical expansion, the epsilon closure, which also finds nonunit
+it fills, and run enumeration.  A transducer indexes its moves by
+(state, input) once, as Transducer.moves.  Every walk that discovers
+its states from a start (the power-set automata, the squared automaton,
+the classical expansion, the epsilon closure, which also finds nonunit
 epsilon cycles, and run enumeration) numbers them with explore, which
 keeps the one state budget, BIMC_MAX_STATES."""
 
@@ -14,6 +15,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .monoid import Monoid, MonoidValue
@@ -92,7 +94,8 @@ class Transducer:
     a MonoidValue or a raw payload, wrapped with MonoidValue and so
     checked; they are stored as a tuple of Transitions in declaration
     order (a repeat dropped, the first kept in place), which downstream
-    constructions rely on for deterministic tie-breaking."""
+    constructions rely on for deterministic tie-breaking, and indexed
+    once, on first use, as moves (outside equality, hash and repr)."""
 
     alphabet: tuple[str, ...]
     monoid: Monoid
@@ -128,6 +131,15 @@ class Transducer:
     @property
     def real_time(self) -> bool:
         return all(tr.inp is not None for tr in self.transitions)
+
+    @cached_property
+    def moves(self) -> dict:
+        """Each (src, inp) key's [(out, dst)] moves in declaration order,
+        inp None for an epsilon move; read it with .get(key, ())."""
+        index = {}
+        for src, inp, out, dst in self.transitions:
+            index.setdefault((src, inp), []).append((out, dst))
+        return index
 
 
 @dataclass
@@ -200,16 +212,6 @@ def output_map(left: Dfa, right: Dfa, entry) -> dict:
             value = solved[key] = entry((li, a, ri), s, key[2])
         psi[li, a, ri] = value
     return psi
-
-
-def move_index(transitions) -> dict:
-    """The moves of (src, inp, out, dst) tuples by (src, inp), each key's
-    [(out, dst)] list in the order given; inp is None for an epsilon
-    move.  Read it with .get(key, ())."""
-    index = {}
-    for src, inp, out, dst in transitions:
-        index.setdefault((src, inp), []).append((out, dst))
-    return index
 
 
 def reachable(seeds, adj) -> set:
@@ -324,7 +326,6 @@ def enumerate_outputs(t: Transducer, word, max_path_len=None):
     word = tuple(word)
     if max_path_len is None:
         max_path_len = 2 * t.n_states * (len(word) + 1)
-    moves = move_index(t.transitions)
     depth = {(i, 0, t.monoid.unit): 0 for i in t.initial}  # set when first seen: breadth first
 
     def successors(node):
@@ -332,9 +333,9 @@ def enumerate_outputs(t: Transducer, word, max_path_len=None):
         steps = depth[node] + 1
         if steps > max_path_len:
             return ()
-        succ = [(dst, pos, out * m) for m, dst in moves.get((state, None), ())]
+        succ = [(dst, pos, out * m) for m, dst in t.moves.get((state, None), ())]
         if pos < len(word):
-            succ += [(dst, pos + 1, out * m) for m, dst in moves.get((state, word[pos]), ())]
+            succ += [(dst, pos + 1, out * m) for m, dst in t.moves.get((state, word[pos]), ())]
         for nxt in succ:
             depth.setdefault(nxt, steps)
         return ((None, nxt) for nxt in succ)

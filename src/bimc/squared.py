@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .fsa import Transducer, explore, move_index, reachable
+from .fsa import Transducer, explore, reachable
 from .monoid import Monoid, MonoidValue, eta
 
 
@@ -34,7 +34,7 @@ def squared(t: Transducer) -> SquaredAutomaton:
     advance together on a shared input symbol, and either component may
     take an epsilon transition alone while the other waits with a unit
     label."""
-    moves = move_index(t.transitions)
+    moves = t.moves
     unit = t.monoid.unit
 
     def successors(pair):

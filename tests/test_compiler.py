@@ -17,7 +17,7 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import Transducer, determinize, members, move_index, output_cells
+from bimc.fsa import Transducer, determinize, members, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
@@ -94,13 +94,13 @@ def test_set_mge_chain_that_does_not_accumulate_fails(monkeypatch):
 
 def test_output_value_unsolvable_delay_equation():
     # delay y cannot be a prefix of x·(empty delay)
-    steps = move_index([(0, "a", fw("x"), 1)])
+    steps = {(0, "a"): [(fw("x"), 1)]}
     with pytest.raises(CompileError, match=r"transition \(0, 'a', 1\) has no solution"):
         output_value((0, "a", 0), {0: fw("y")}, {1: fw("")}, steps)
 
 
 def test_output_value_ill_defined_entry_fails_verification():
-    steps = move_index([(0, "a", fw("x"), 2), (1, "a", fw("y"), 2)])
+    steps = {(0, "a"): [(fw("x"), 2)], (1, "a"): [(fw("y"), 2)]}
     phi_s, phi_s2 = {0: fw(""), 1: fw("")}, {2: fw("")}
     assert output_value((3, "a", 4), phi_s, phi_s2, steps) == fw("x")
     with pytest.raises(
@@ -117,7 +117,7 @@ def test_output_value_ill_defined_entry_fails_verification():
 ], ids=["free", "nnrat"])
 def test_output_value_later_transition_has_no_solution(v, delays, outs, solved):
     # the first transition solves; the second one's delay is too large
-    steps = move_index([(0, "a", v(outs[0]), 3), (1, "a", v(outs[1]), 3)])
+    steps = {(0, "a"): [(v(outs[0]), 3)], (1, "a"): [(v(outs[1]), 3)]}
     phi_s, phi_s2 = {0: v(delays[0]), 1: v(delays[1])}, {3: v(delays[0])}
     assert output_value((0, "a", 0), phi_s, phi_s2, steps) == v(solved)
     with pytest.raises(CompileError) as info:
@@ -130,7 +130,7 @@ def test_output_value_later_transition_has_no_solution(v, delays, outs, solved):
     (nn, (1, 2), "solves to MonoidValue(2), expected MonoidValue(1)"),
 ], ids=["free", "nnrat"])
 def test_output_value_later_transition_solves_differently(v, outs, message):
-    steps = move_index([(0, "a", v(outs[0]), 3), (1, "a", v(outs[1]), 3)])
+    steps = {(0, "a"): [(v(outs[0]), 3)], (1, "a"): [(v(outs[1]), 3)]}
     zero = v(outs[0]).monoid.unit
     phi_s, phi_s2 = {0: zero, 1: zero}, {3: zero}
     assert output_value((5, "a", 6), phi_s, phi_s2, steps) == v(outs[0])
@@ -143,7 +143,7 @@ def test_output_value_later_transition_solves_differently(v, outs, message):
 
 def test_output_value_unconnected_sets():
     # the only a-move from the set before leads outside the set after
-    steps = move_index([(0, "a", fw("x"), 1), (0, "b", fw("x"), 2)])
+    steps = {(0, "a"): [(fw("x"), 1)], (0, "b"): [(fw("x"), 2)]}
     for verify in (False, True):
         with pytest.raises(CompileError, match=r"no transition connects \(0,\) to \(2,\) on 'a'"):
             output_value((0, "a", 0), {0: fw("")}, {2: fw("")}, steps, verify=verify)

@@ -1,5 +1,6 @@
 """Transducer plumbing: trim, determinization, output cells, path outputs."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -23,6 +24,7 @@ from bimc.fsa import (
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
+    TRANSDUCER_MONOIDS,
     all_words,
     output_table,
     random_pseudo_det,
@@ -144,6 +146,43 @@ def test_real_time_flag():
     assert t.real_time
     t2 = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
     assert not t2.real_time
+
+
+def test_moves_index_each_arc_once_in_declaration_order():
+    # random draws with epsilon moves, each rebuilt with some arcs repeated
+    rng = random.Random(2323)
+    eps = repeats = 0
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(50):
+            t = random_transducer(rng, allow_eps=True, monoid=monoid)
+            arcs = list(t.transitions)
+            extra = rng.choices(arcs, k=rng.randint(0, 3))
+            twin = Transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs + extra)
+            expected = {}
+            for src, inp, out, dst in arcs:
+                expected.setdefault((src, inp), []).append((out, dst))
+            assert twin == t
+            assert list(twin.moves.items()) == list(expected.items())
+            assert sum(map(len, twin.moves.values())) == len(set(arcs))
+            eps += not t.real_time
+            repeats += bool(extra)
+    assert eps > 50 and repeats > 100
+
+
+def test_moves_is_built_once_and_left_out_of_equality_hash_and_repr():
+    arcs = [(0, "a", "x", 1), (0, None, "y", 1), (0, "a", "xy", 0)]
+    t, u = (Transducer(("a",), FREE, 2, {0}, {1}, arcs) for _ in range(2))
+    shown = repr(t)
+    assert t == u and hash(t) == hash(u)  # neither index built
+    moves = t.moves
+    assert t.moves is moves
+    assert moves == {(0, "a"): [(fw("x"), 1), (fw("xy"), 0)], (0, None): [(fw("y"), 1)]}
+    assert t == u and u == t and hash(t) == hash(u)  # t's index built, u's not
+    assert u.moves == moves and u.moves is not moves
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u) == shown
+    fresh = dataclasses.replace(t, transitions=arcs[1:])
+    assert fresh.moves == {(0, None): [(fw("y"), 1)], (0, "a"): [(fw("xy"), 0)]}
+    assert dataclasses.replace(t).moves is not moves
 
 
 # --- trim --------------------------------------------------------------------
