@@ -76,7 +76,9 @@ def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
 def classical_compile(t: Transducer) -> Bimachine:
     """Expand, determinize both directions, and read the output map off
     the expansion: a set holding two states would give one word two
-    successful paths, and the expansion is unambiguous."""
+    successful paths, and the expansion is unambiguous.  Nonfunctional
+    input is not rejected: where two successful runs part, the run
+    with the <-smallest payload is kept, not the smaller output."""
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
 

@@ -5,7 +5,7 @@ import pytest
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
 from bimc.classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
-from bimc.compiler import compile as build
+from bimc.compiler import NotFunctionalError, compile as build
 from bimc.fsa import Transducer, enumerate_outputs
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue
@@ -117,6 +117,21 @@ def test_expand_is_unambiguous_and_preserves_domain():
             if fun:
                 assert kept == orig
     assert functional > 30
+
+
+def test_classical_compile_does_not_reject_nonfunctional_input():
+    # "ab" outputs "xy" or "xx"; where the runs part, on "a", the expansion
+    # keeps the move with the <-smallest payload, "x", and so the run that
+    # outputs "xy", although "xx" is the smaller output word
+    t = Transducer(
+        ("a", "b"), FREE, 4, {0}, {3},
+        [(0, "a", "x", 1), (0, "a", "xx", 2), (1, "b", "y", 3), (2, "b", "", 3)],
+    )
+    assert check_pseudo_deterministic(t)
+    assert enumerate_outputs(t, ("a", "b")) == {fw("xx"), fw("xy")}
+    with pytest.raises(NotFunctionalError):
+        build(t)
+    assert evaluate(classical_compile(t), ("a", "b")) == fw("xy")
 
 
 def test_classical_compile_diamond():

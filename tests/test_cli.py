@@ -680,6 +680,16 @@ def test_module_entry_points(tmp_path, entry):
     assert "RuntimeWarning" not in done.stderr  # runpy warns if bimc imported the module early
 
 
+def test_readme_install_command_is_run_by_ci():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Install\n(.*?)^## ", readme, re.S | re.M).group(1)
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    (command,) = re.findall(r"^pip install .*$", block, re.M)
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert command in re.findall(r"^\s*(?:- run: )?(pip install .*?)\s*$", workflow, re.M)
+
+
 def _console_scripts(text):
     """The [project.scripts] entries of pyproject.toml text, read line by
     line, as on Python 3.10, which has no tomllib."""
