@@ -10,9 +10,10 @@ state inspection, no search: each input word gets at most one output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .fsa import Dfa, check_symbols, is_state
-from .monoid import Monoid, MonoidValue, fold
+from .monoid import Monoid, MonoidValue, _trusted
 
 
 class AlphabetError(ValueError):
@@ -65,6 +66,26 @@ class Bimachine:
         if self.eps_output is not None and foreign(self.eps_output):
             raise ValueError("empty-word output does not belong to the output monoid")
 
+    @cached_property
+    def tables(self):
+        """(ids, left, right, psi) for evaluate, built on first use, outside
+        equality and repr: ids numbers the k sorted symbols, left[q*k + a]
+        and right[q*k + a] hold the next state, psi[(l*k + a)*n_R + r] the
+        output payload, or None; psi has n_L*k*n_R slots, defined or not."""
+        ids = {a: i for i, a in enumerate(self.alphabet)}
+        k, nr = len(ids), self.right.n_states
+
+        def flat(dfa):
+            delta = [None] * (dfa.n_states * k)
+            for (q, a), p in dfa.delta.items():
+                delta[q * k + ids[a]] = p
+            return delta
+
+        psi = [None] * (self.left.n_states * k * nr)
+        for (l, a, r), v in self.psi.items():
+            psi[(l * k + ids[a]) * nr + r] = v.payload
+        return ids, flat(self.left), flat(self.right), psi
+
 
 def evaluate(b: Bimachine, word) -> MonoidValue | None:
     """Run both passes over word and compose the positional outputs.
@@ -75,33 +96,32 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
     every position.  Returns None when any transition or output lookup
     is undefined; raises AlphabetError for symbols outside the alphabet.
     """
-    syms = tuple(word)
-    unknown = set(syms).difference(b.alphabet)
-    if unknown:
-        s = next(s for s in syms if s in unknown)
-        raise AlphabetError(f"symbol {s!r} is not in the input alphabet")
+    ids, left, right, psi = b.tables
+    try:
+        syms = list(map(ids.__getitem__, word))
+    except KeyError as err:
+        raise AlphabetError(f"symbol {err.args[0]!r} is not in the input alphabet") from None
     if not syms:
         return b.eps_output
-    n = len(syms)
-    # suffix[i] = right state after consuming syms[i:] backwards
-    suffix = [0] * (n + 1)
-    suffix[n] = b.right.start
-    for i in range(n - 1, -1, -1):
-        nxt = b.right.delta.get((suffix[i + 1], syms[i]))
-        if nxt is None:
+    k, nr = len(ids), b.right.n_states
+    # cells[i] = the psi offset of syms[i] and the right state after syms[i+1:]
+    cells, r = [0] * len(syms), b.right.start
+    for i in range(len(syms) - 1, -1, -1):
+        a = syms[i]
+        cells[i] = a * nr + r
+        r = right[r * k + a]
+        if r is None:
             return None
-        suffix[i] = nxt
-    # collect the positional outputs and multiply once at the end: a
-    # running product would copy the growing output at every letter
-    outputs = []
-    l = b.left.start
-    for i in range(n):
-        v = b.psi.get((l, syms[i], suffix[i + 1]))
+    # collect the payloads and multiply once at the end: a running
+    # product would copy the growing output at every letter
+    payloads = []
+    kn, l = k * nr, b.left.start
+    for a, cell in zip(syms, cells):
+        if l is None:  # checked only when used: no left move after the last symbol
+            return None
+        v = psi[l * kn + cell]
         if v is None:
             return None
-        outputs.append(v)
-        if i + 1 < n:
-            l = b.left.delta.get((l, syms[i]))
-            if l is None:
-                return None
-    return fold(outputs, b.monoid)
+        payloads.append(v)
+        l = left[l * k + a]
+    return _trusted(b.monoid, b.monoid.fold_payloads(payloads))

@@ -305,17 +305,6 @@ def op(a: MonoidValue, b: MonoidValue) -> MonoidValue:
     return _trusted(m, m.op_payload(a.payload, b.payload))
 
 
-def fold(values, monoid: Monoid) -> MonoidValue:
-    """Product of a sequence of values of monoid, left to right, in time
-    linear in the total payload size; the unit for an empty sequence."""
-    payloads = []
-    for v in values:
-        if v.monoid is not monoid and v.monoid != monoid:
-            raise DescriptorMismatch(f"{v.monoid} vs {monoid}")
-        payloads.append(v.payload)
-    return _trusted(monoid, monoid.fold_payloads(payloads))
-
-
 def eta(a: MonoidValue, b: MonoidValue):
     """Most general equalizer of (a, b), or None when no equalizer exists.
 

@@ -23,6 +23,7 @@ from bimc.monoid import (
     PairOf,
     eta,
     format_value,
+    op,
     solve_right,
 )
 
@@ -461,6 +462,46 @@ def random_pseudo_det(
                 arcs.append((src, sym, out, rng.randrange(n)))
     final = set(rng.sample(range(n), rng.randint(0, min(2, n))))
     return Transducer(sigma, monoid, n, {rng.randrange(n)}, final, arcs)
+
+
+def evaluate_reference(b, word):
+    """bimachine.evaluate as a walk over the machine's own dicts, keyed by
+    (state, symbol) and (left state, symbol, right state): the oracle for
+    the evaluator's flat tables.  The positional outputs are multiplied
+    one by one with op, so the product does not go through fold_payloads."""
+    from bimc.bimachine import AlphabetError
+
+    syms = tuple(word)
+    unknown = set(syms).difference(b.alphabet)
+    if unknown:
+        s = next(s for s in syms if s in unknown)
+        raise AlphabetError(f"symbol {s!r} is not in the input alphabet")
+    if not syms:
+        return b.eps_output
+    n = len(syms)
+    # suffix[i] = right state after consuming syms[i:] backwards
+    suffix = [0] * (n + 1)
+    suffix[n] = b.right.start
+    for i in range(n - 1, -1, -1):
+        nxt = b.right.delta.get((suffix[i + 1], syms[i]))
+        if nxt is None:
+            return None
+        suffix[i] = nxt
+    outputs = []
+    l = b.left.start
+    for i in range(n):
+        v = b.psi.get((l, syms[i], suffix[i + 1]))
+        if v is None:
+            return None
+        outputs.append(v)
+        if i + 1 < n:
+            l = b.left.delta.get((l, syms[i]))
+            if l is None:
+                return None
+    product = b.monoid.unit
+    for v in outputs:
+        product = op(product, v)
+    return product
 
 
 def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y"), monoid=None):

@@ -1,14 +1,19 @@
+import dataclasses
 import random
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from bimc.benchmark import make_tn
 from bimc.bimachine import AlphabetError, Bimachine, evaluate
+from bimc.classical import classical_compile
+from bimc.cli import bimachine_from_text, bimachine_to_text
 from bimc.compiler import compile as build
-from bimc.fsa import Dfa
-from bimc.monoid import FreeWords, MonoidValue
-from helpers import all_words, random_bimachine
+from bimc.fsa import Dfa, Transducer
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
+from helpers import TRANSDUCER_MONOIDS, all_words, evaluate_reference, random_bimachine, run_dfa
 
 FREE = FreeWords(("x", "y"))
 
@@ -72,6 +77,56 @@ def test_symbol_outside_alphabet():
     b = fixture()
     with pytest.raises(AlphabetError):
         evaluate(b, ("a", "z"))
+    # two unknown symbols: the first in word order is named
+    for check in (evaluate, evaluate_reference):
+        with pytest.raises(AlphabetError, match=r"^symbol 'q' is not in the input alphabet$"):
+            check(b, ("a", "q", "b", "z"))
+
+
+def test_tables_agree_with_the_dict_walk():
+    rng = random.Random(2024)
+    seen = Counter()
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(150):
+            b = random_bimachine(rng, monoid=monoid)
+            seen["z declared"] += "z" in b.alphabet
+            for w in all_words(b.alphabet, 4):
+                got = evaluate(b, w)
+                assert got == evaluate_reference(b, w), (b, w)
+                if got is not None:
+                    seen["defined"] += 1
+                elif run_dfa(b.right, w[::-1]) is None:
+                    seen["no right run"] += 1
+                else:  # a missing output cell or left move
+                    seen["no cell or left move"] += 1
+    assert sum(seen.values()) - seen["z declared"] > 45000
+    assert min(seen.values()) > 100, seen
+    machines = [build(make_tn(n), verify=False) for n in range(1, 7)]
+    machines += [classical_compile(make_tn(n)) for n in range(1, 6)]
+    for b in machines:
+        b2 = bimachine_from_text(bimachine_to_text(b))
+        for w in all_words(b.alphabet, 4):
+            want = evaluate_reference(b, w)
+            assert evaluate(b, w) == want and evaluate(b2, w) == want, w
+
+
+def test_tables_are_built_once_and_left_out_of_equality_and_repr():
+    b, fresh = fixture(), fixture()
+    shown = repr(b)
+    assert b == fresh  # neither table built
+    tables = b.tables
+    assert b.tables is tables
+    ids, left, right, psi = tables
+    assert ids == {"a": 0, "b": 1}
+    assert left == [1, 0, 1, 0] and right == [1, 1, 0, 1]
+    assert psi == ["y", "x", None, None, None, None, "yy", None]
+    assert evaluate(b, ("a", "b")) == fw("xyy") and b.tables is tables
+    assert b == fresh and fresh == b  # b's tables built, fresh's not
+    assert repr(b) == repr(fresh) == shown
+    assert fresh.tables == tables and fresh.tables is not tables
+    copy = dataclasses.replace(b, psi={(0, "a", 1): fw("x")})
+    assert copy.tables[3] == [None, "x", None, None, None, None, None, None]
+    assert dataclasses.replace(b).tables is not tables
 
 
 def test_constructor_rejects_bad_entries():
@@ -178,3 +233,26 @@ def test_evaluate_is_linear_in_the_word_length():
     elapsed = time.perf_counter() - start
     assert out == MonoidValue(t.monoid, "1" * (9 * len(word)))
     assert elapsed < 5.0, f"10^5 symbols took {elapsed:.1f} s"
+    # numeric payloads: every letter's integer output depends on the
+    # word's last letter, which the transducer guesses on the first
+    rational = {"a": Fraction(1, 2), "b": Fraction(2, 3), "c": Fraction(5, 6)}
+    shift = {"a": -1, "b": 0, "c": 2}
+
+    def out(guess, x):
+        return (rational[x], shift[x] * (1 + "abc".index(guess)))
+
+    arcs = []
+    for g, guess in enumerate("abc", start=1):
+        for x in "abc":
+            arcs += [(0, x, out(guess, x), g), (g, x, out(guess, x), g)]
+        arcs += [(0, guess, out(guess, guess), 4), (g, guess, out(guess, guess), 4)]
+    numeric = PairOf(NonNegRationals(), Integers())
+    t = Transducer(("a", "b", "c"), numeric, 5, {0}, {4}, arcs)
+    b = build(t)
+    word = tuple(rng.choice("abc") for _ in range(10**5))
+    start = time.perf_counter()
+    got = evaluate(b, word)
+    elapsed = time.perf_counter() - start
+    want = [out(word[-1], x) for x in word]
+    assert got == MonoidValue(numeric, (sum(r for r, _ in want), sum(i for _, i in want)))
+    assert elapsed < 5.0, f"10^5 numeric symbols took {elapsed:.1f} s"
