@@ -85,11 +85,11 @@ def test_symbol_outside_alphabet():
 
 def test_tables_agree_with_the_dict_walk():
     rng = random.Random(2024)
-    seen = Counter()
+    seen, with_z = Counter(), 0
     for monoid in TRANSDUCER_MONOIDS:
         for _ in range(150):
             b = random_bimachine(rng, monoid=monoid)
-            seen["z declared"] += "z" in b.alphabet
+            with_z += "z" in b.alphabet  # declared, in no row
             for w in all_words(b.alphabet, 4):
                 got = evaluate(b, w)
                 assert got == evaluate_reference(b, w), (b, w)
@@ -99,8 +99,7 @@ def test_tables_agree_with_the_dict_walk():
                     seen["no right run"] += 1
                 else:  # a missing output cell or left move
                     seen["no cell or left move"] += 1
-    assert sum(seen.values()) - seen["z declared"] > 45000
-    assert min(seen.values()) > 100, seen
+    assert sum(seen.values()) > 45000 and min(seen.values()) > 4000 and with_z > 100, (seen, with_z)
     machines = [build(make_tn(n), verify=False) for n in range(1, 7)]
     machines += [classical_compile(make_tn(n)) for n in range(1, 6)]
     for b in machines:

@@ -56,7 +56,7 @@ def _git(root: Path, *args) -> str:
 def _output(root: Path, argv) -> str:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.run([sys.executable, *argv], cwd=root, env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def record(root: Path, seeds, seconds=None) -> Path:
