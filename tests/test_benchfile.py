@@ -45,7 +45,7 @@ def synthetic(rev, value, failed=0, rows=(TN_ROW,)):
     return {"revision": rev, "runs": runs, "bench_tn": list(rows)}
 
 
-def moved(w, name, past):
+def moved(name, past):
     """100 moved in the worse direction by its bound plus past."""
     m = METRICS[name]
     step = m["bound"] + past
@@ -56,13 +56,13 @@ def test_compare_flags_exactly_the_changes_past_their_bounds(tmp_path, capsys):
     old = synthetic("old", lambda w, name: 100.0)
     # every metric worse by a hair more than its bound on the first
     # workload, by a hair less on the second
-    new = synthetic("new", lambda w, name: moved(w, name, 0.01 if w == WORKLOADS[0] else -0.01))
+    new = synthetic("new", lambda w, name: moved(name, 0.01 if w == WORKLOADS[0] else -0.01))
     lines, flags = benchfile.compare(old, new, SPEC)
     flagged = {tuple(line.split()[:2]) for line in lines if "WORSE" in line}
     assert flagged == {(WORKLOADS[0], name) for name in METRICS}
     assert flags == len(METRICS) and len(lines) == len(WORKLOADS) * len(METRICS)
     # far better on every metric is no flag
-    better = synthetic("new", lambda w, name: moved(w, name, -0.9))
+    better = synthetic("new", lambda w, name: moved(name, -0.9))
     assert benchfile.compare(old, better, SPEC)[1] == 0
     # the command line exits 1 on a flag, 0 otherwise
     for name, bench in (("old", old), ("new", new), ("better", better)):
