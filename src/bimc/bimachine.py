@@ -20,6 +20,13 @@ class AlphabetError(ValueError):
     """An input symbol the machine's alphabet does not contain."""
 
 
+class _Sparse(dict):
+    """An evaluation table kept by its defined slots; the others read None."""
+
+    def __missing__(self, key):
+        return None
+
+
 @dataclass(frozen=True)
 class Bimachine:
     """Left/right deterministic automata plus the positional output map.
@@ -71,17 +78,21 @@ class Bimachine:
         """(ids, left, right, psi) for evaluate, built on first use, outside
         equality and repr: ids numbers the k sorted symbols, left[q*k + a]
         and right[q*k + a] hold the next state, psi[(l*k + a)*n_R + r] the
-        output payload, or None; psi has n_L*k*n_R slots, defined or not."""
+        output payload, or None; a list, or a _Sparse dict if it would have
+        over 8 slots per entry, as huge state numbers in a text can make."""
         ids = {a: i for i, a in enumerate(self.alphabet)}
         k, nr = len(ids), self.right.n_states
 
+        def slots(n, entries):  # a list slot is 8 bytes, a dict entry 70-85
+            return [None] * n if n <= 8 * entries + 64 else _Sparse()
+
         def flat(dfa):
-            delta = [None] * (dfa.n_states * k)
+            delta = slots(dfa.n_states * k, len(dfa.delta))
             for (q, a), p in dfa.delta.items():
                 delta[q * k + ids[a]] = p
             return delta
 
-        psi = [None] * (self.left.n_states * k * nr)
+        psi = slots(self.left.n_states * k * nr, len(self.psi))
         for (l, a, r), v in self.psi.items():
             psi[(l * k + ids[a]) * nr + r] = v.payload
         return ids, flat(self.left), flat(self.right), psi

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("benchfile", ROOT / "tools" / "benchfile.py")
 benchfile = importlib.util.module_from_spec(_spec)
@@ -16,20 +18,63 @@ TN_ROW = {"n": "1", "method": "mge", "left_states": "3", "right_states": "3",
           "intermediate_states": "", "psi_entries": "8", "build_ms": "0.5"}
 
 
+def check_complete(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert path.name == f"BENCH_{bench['revision']}.json"
+    assert {run["workload"] for run in bench["runs"]} == set(WORKLOADS), path.name
+    for run in bench["runs"]:
+        assert {"seed", "seconds", "python", "cores", "date"} <= run.keys()
+        assert run["revision"] == bench["revision"]
+        result = run["result"]
+        assert result["correct"] is True and result["failed"] == 0, (path.name, run["seed"])
+        assert METRICS.keys() <= result["metrics"].keys(), (path.name, run["workload"])
+    assert {(r["n"], r["method"]) for r in bench["bench_tn"]} >= {("8", "mge"), ("7", "classical")}
+    return bench
+
+
 def test_committed_bench_files_are_complete():
     files = sorted(ROOT.glob("BENCH_*.json"))
     assert files
     for path in files:
-        bench = json.loads(path.read_text(encoding="utf-8"))
-        assert path.name == f"BENCH_{bench['revision']}.json"
-        assert {run["workload"] for run in bench["runs"]} == set(WORKLOADS), path.name
-        for run in bench["runs"]:
-            assert {"seed", "seconds", "python", "cores", "date"} <= run.keys()
-            assert run["revision"] == bench["revision"]
-            result = run["result"]
-            assert result["correct"] is True and result["failed"] == 0, (path.name, run["seed"])
-            assert METRICS.keys() <= result["metrics"].keys(), (path.name, run["workload"])
-        assert {(r["n"], r["method"]) for r in bench["bench_tn"]} >= {("8", "mge"), ("7", "classical")}
+        check_complete(path)
+
+
+def test_record_writes_a_complete_file_and_refuses_a_dirty_tree(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    monkeypatch.setattr(benchfile, "ROOT", tmp_path)
+    tree = {"status": "", "rev-parse": "abc1234"}
+    monkeypatch.setattr(benchfile, "_git", lambda *args: tree[args[0]])
+    runs = []
+
+    def output(argv):  # what perfbench/run.py and bimc bench-tn print
+        if argv[0] == "-m":
+            assert argv[2:] == list(benchfile.BENCH_TN)
+            return ("n,method,left_states,right_states,intermediate_states,psi_entries,build_ms\n"
+                    "7,classical,3,3,3,8,0.5\n8,mge,3,3,,8,0.5\n")
+        runs.append(argv)
+        metrics = {name: {"value": 1.5, "unit": m["unit"]} for name, m in METRICS.items()}
+        return "a progress line\n" + json.dumps(
+            {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}) + "\n"
+
+    monkeypatch.setattr(benchfile, "_output", output)
+    assert benchfile.main(["record", "--seeds", "1", "2"]) == 0
+    path = tmp_path / "BENCH_abc1234.json"
+    assert capsys.readouterr().out == f"{path}\n"
+    bench = check_complete(path)
+    assert [(run["workload"], run["seed"]) for run in bench["runs"]] == [
+        (w, seed) for seed in (1, 2) for w in WORKLOADS]
+    seconds = str(SPEC["run_seconds"])
+    assert all(argv[-4:] == ["--seconds", seconds, "--trace", "0"] for argv in runs)
+    assert {run["seconds"] for run in bench["runs"]} == {SPEC["run_seconds"]}
+    assert bench["runs"][0]["result"]["metrics"]["setup_s"]["value"] == 1.5
+    assert bench["bench_tn"][1] == {**TN_ROW, "n": "8"}
+    # a changed tracked file: refused before anything runs or is written
+    path.unlink()
+    runs.clear()
+    tree["status"] = " M src/bimc/bimachine.py"
+    with pytest.raises(SystemExit, match="commit them before recording"):
+        benchfile.record([1])
+    assert not runs and not path.exists()
 
 
 def synthetic(rev, value, failed=0, rows=(TN_ROW,)):

@@ -128,6 +128,34 @@ def test_tables_are_built_once_and_left_out_of_equality_and_repr():
     assert dataclasses.replace(b).tables is not tables
 
 
+FAR = 10**18  # dense tables for these states would overflow at once, allocating nothing
+
+
+def far_apart(b):
+    """b with every state number moved up by FAR: the same machine, with
+    state counts whose dense tables no memory could hold."""
+
+    def moved(dfa):
+        delta = {(q + FAR, a): p + FAR for (q, a), p in dfa.delta.items()}
+        return Dfa(dfa.n_states + FAR, dfa.start + FAR, delta)
+
+    psi = {(l + FAR, a, r + FAR): v for (l, a, r), v in b.psi.items()}
+    return Bimachine(b.monoid, b.alphabet, moved(b.left), moved(b.right), psi, b.eps_output)
+
+
+def test_tables_follow_the_entries_when_states_are_far_apart():
+    rng = random.Random(7)
+    machines = [random_bimachine(rng, monoid=m) for m in TRANSDUCER_MONOIDS for _ in range(20)]
+    machines += [build(make_tn(n), verify=False) for n in range(1, 4)]
+    for b in machines:
+        assert all(type(t) is list for t in b.tables[1:])  # compiled or small: dense
+        far = far_apart(b)
+        _, left, right, psi = far.tables
+        assert (len(left), len(right), len(psi)) == (len(b.left.delta), len(b.right.delta), len(b.psi))
+        for w in all_words(b.alphabet, 4):
+            assert evaluate(far, w) == evaluate_reference(b, w), (b, w)
+
+
 def test_constructor_rejects_bad_entries():
     left = Dfa(1, 0, {})
     right = Dfa(1, 0, {})

@@ -294,6 +294,21 @@ def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
     assert "line 3: expected the alphabet row" in capsys.readouterr().err
 
 
+def test_run_on_a_text_naming_far_apart_states(tmp_path, capsys):
+    # the reader counts states up to the highest one named: evaluation
+    # memory must follow the rows, not that count
+    q = 10**18
+    path = tmp_path / "far.bim"
+    path.write_text(
+        f'BIM v1 free:x\nalphabet a b c\nLEFT\nstart {q}\nd {q} a {q}\nRIGHT\nstart {q}\n'
+        f'd {q} a {q}\nPSI\no {q} a {q} "x"\n',
+        encoding="utf-8",
+    )
+    for word, out, code in (("", "UNDEFINED", 2), ("aaa", '"xxx"', 0), ("ab", "UNDEFINED", 2)):
+        assert cli_main(["run", str(path), "--input", word]) == code
+        assert capsys.readouterr().out == out + "\n"
+
+
 def test_bimachine_from_text_rejects_garbage():
     cases = [
         ("BIM v2 free:x\nLEFT\nstart 0\n", "header"),

@@ -1,14 +1,15 @@
 """Record benchmark runs in a BENCH_<rev>.json file, and compare two files.
 
-    python3 tools/benchfile.py record --seeds 1 2 3 [--seconds S]
+    python3 tools/benchfile.py record --seeds 1 2 3
     python3 tools/benchfile.py compare OLD NEW
 
 Run from anywhere inside a checkout; both commands act on the checkout
 this script belongs to.
 
 record runs perfbench/run.py once per workload of BENCHMARK.json and
-seed, with --trace 0 and S seconds (BENCHMARK.json's run_seconds by
-default), and keeps each run's last output line together with the
+seed, with --trace 0 for BENCHMARK.json's run_seconds (the run length
+is not an option: files recorded under one BENCHMARK.json hold runs of
+one length), and keeps each run's last output line together with the
 Python version, core count, seed, seconds, revision and date.  It also
 keeps the rows of `bimc bench-tn --max-n 8 --format csv`, the paper's
 size table.  It writes BENCH_<short rev>.json at the root of the
@@ -44,33 +45,33 @@ BENCH_TN = ("bench-tn", "--max-n", "8", "--format", "csv")
 UNTIMED_TN = "build_ms"
 
 
-def benchmark_spec(root: Path = ROOT) -> dict:
-    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def _git(root: Path, *args) -> str:
-    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def _output(root: Path, argv) -> str:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    return subprocess.run([sys.executable, *argv], cwd=root, env=env, check=True,
+def _output(argv) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
 
 
-def record(root: Path, seeds, seconds=None) -> Path:
+def record(seeds) -> Path:
     """Run the benchmark at each seed and write BENCH_<rev>.json; its path."""
-    if _git(root, "status", "--porcelain", "--untracked-files=no"):
+    if _git("status", "--porcelain", "--untracked-files=no"):
         raise SystemExit("error: tracked files differ from HEAD; commit them before recording")
-    spec = benchmark_spec(root)
-    seconds = spec["run_seconds"] if seconds is None else seconds
-    rev = _git(root, "rev-parse", "--short", "HEAD")
+    spec = benchmark_spec()
+    seconds = spec["run_seconds"]
+    rev = _git("rev-parse", "--short", "HEAD")
     runs = []
     for seed in seeds:
         for workload in (w["name"] for w in spec["workloads"]):
             print(f"== {workload} seed {seed}", file=sys.stderr)
-            out = _output(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            out = _output(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                                  "--seconds", str(seconds), "--trace", "0"])
             runs.append({
                 "workload": workload, "seed": seed, "seconds": seconds,
@@ -78,8 +79,8 @@ def record(root: Path, seeds, seconds=None) -> Path:
                 "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
                 "result": json.loads(out.splitlines()[-1]),
             })
-    rows = list(csv.DictReader(io.StringIO(_output(root, ["-m", "bimc", *BENCH_TN]))))
-    path = root / f"BENCH_{rev}.json"
+    rows = list(csv.DictReader(io.StringIO(_output(["-m", "bimc", *BENCH_TN]))))
+    path = ROOT / f"BENCH_{rev}.json"
     path.write_text(json.dumps({"revision": rev, "runs": runs, "bench_tn": rows}, indent=1) + "\n",
                     encoding="utf-8")
     return path
@@ -139,13 +140,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="run the benchmark and write BENCH_<rev>.json")
     rec.add_argument("--seeds", type=int, nargs="+", required=True)
-    rec.add_argument("--seconds", type=float)
     cmp_ = sub.add_parser("compare", help="compare two BENCH files")
     cmp_.add_argument("old", type=Path)
     cmp_.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.command == "record":
-        print(record(ROOT, args.seeds, args.seconds))
+        print(record(args.seeds))
         return 0
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (args.old, args.new))
     lines, flags = compare(old, new, benchmark_spec())
