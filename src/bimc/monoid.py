@@ -276,6 +276,9 @@ class MonoidValue:
     def __mul__(self, other: MonoidValue) -> MonoidValue:
         return op(self, other)
 
+    def __hash__(self):  # equal values have equal payloads; the descriptor is not rehashed
+        return hash(self.payload)
+
     def __repr__(self):
         return f"MonoidValue({self.monoid.format_payload(self.payload)})"
 

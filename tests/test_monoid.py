@@ -447,3 +447,23 @@ def test_payload_validation():
 def test_values_are_hashable_and_comparable():
     s = {fw("a"), fw("a"), fw("b"), rat(1), ig(1)}
     assert len(s) == 4
+
+
+def test_values_of_separately_built_equal_descriptors_hash_alike():
+    nested = lambda: PairOf(FreeWords(("x", "y")), PairOf(NonNegRationals(), Integers()))
+    for make, payload in (
+        (lambda: FreeWords(("x", "y")), "xy"),
+        (nested, ("yx", (Fraction(1, 2), -3))),
+    ):
+        a, b = MonoidValue(make(), payload), MonoidValue(make(), payload)
+        assert a.monoid is not b.monoid
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    for m1, m2, payload in (
+        (FreeWords(("x", "y")), FreeWords(("x", "y", "z")), "x"),
+        (RAT, INT, 2),
+        (PairOf(INT, INT), PairOf(RAT, INT), (1, 2)),
+    ):
+        a, b = MonoidValue(m1, payload), MonoidValue(m2, payload)
+        assert a.payload == b.payload and hash(a) == hash(b)
+        assert a != b and len({a, b}) == 2
