@@ -24,7 +24,8 @@ from ..bimachine import Bimachine, evaluate
 from ..classical import check_pseudo_deterministic, classical_compile
 from ..compiler import CompileError, compile as mge_compile
 from ..fsa import (
-    Dfa, StateLimitExceeded, Transducer, check_symbols, enumerate_outputs, output_cells
+    Dfa, StateLimitExceeded, Transducer, Transition, check_symbols, enumerate_outputs,
+    output_cells, trusted_transducer,
 )
 from ..functionality import test_functionality
 from ..monoid import (
@@ -71,8 +72,8 @@ def parse_transducer(text: str) -> Transducer:
 
     Declarations may come in any order, each at most once; transitions
     are resolved after the whole file is read.  Duplicate transition
-    rows collapse to one with a warning, matching what the constructor
-    would silently do.
+    rows collapse to one with a warning.  Every field is checked here,
+    with its line number, so the constructor's checks are skipped.
     """
     monoid = alphabet = n_states = None
     rows = []
@@ -116,12 +117,12 @@ def parse_transducer(text: str) -> Transducer:
         if sym != "-" and sym not in alphabet:
             raise FormatError(f"line {lineno}: undeclared symbol {sym!r}")
         value = _parsed(lineno, parse_value, monoid, literal)
-        tr = (src, None if sym == "-" else sym, value, dst)
+        tr = Transition(src, None if sym == "-" else sym, value, dst)
         if tr in transitions:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")
         transitions[tr] = None
     initial, final = (state_lists.get(kind, frozenset()) for kind in ("initial", "final"))
-    return Transducer(alphabet, monoid, n_states, initial, final, transitions)
+    return trusted_transducer(alphabet, monoid, n_states, initial, final, tuple(transitions))
 
 
 def format_transducer(t: Transducer) -> str:

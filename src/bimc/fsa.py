@@ -142,6 +142,16 @@ class Transducer:
         return index
 
 
+def trusted_transducer(alphabet, monoid, n_states, initial, final, transitions) -> Transducer:
+    """A Transducer from valid fields in stored form (a tuple alphabet, frozenset
+    state sets, a tuple of distinct Transitions), unchecked: for trim and the reader."""
+    t = object.__new__(Transducer)
+    values = (alphabet, monoid, n_states, initial, final, transitions)
+    for name, value in zip(Transducer.__dataclass_fields__, values):  # in declaration order
+        object.__setattr__(t, name, value)
+    return t
+
+
 @dataclass
 class Dfa:
     """Partial deterministic automaton produced by determinization.
@@ -240,20 +250,13 @@ def trim(t: Transducer):
     useful = reachable(t.initial, fwd) & reachable(t.final, bwd)
     kept = sorted(useful)
     renum = {old: new for new, old in enumerate(kept)}
-    arcs = (
-        (renum[src], inp, out, renum[dst])
+    arcs = tuple(  # renumbering keeps valid, distinct arcs valid and distinct
+        Transition(renum[src], inp, out, renum[dst])
         for src, inp, out, dst in t.transitions
         if src in useful and dst in useful
     )
-    trimmed = Transducer(
-        t.alphabet,
-        t.monoid,
-        len(kept),
-        (renum[q] for q in t.initial if q in useful),
-        (renum[q] for q in t.final if q in useful),
-        arcs,
-    )
-    return trimmed, kept
+    initial, final = (frozenset(renum[q] for q in s if q in useful) for s in (t.initial, t.final))
+    return trusted_transducer(t.alphabet, t.monoid, len(kept), initial, final, arcs), kept
 
 
 def eps_closure(n_states, eps_arcs, unit):

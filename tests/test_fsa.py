@@ -8,6 +8,7 @@ import pytest
 
 from bimc import classical, compiler
 from bimc.classical import classical_compile
+from bimc.cli import format_transducer, parse_transducer
 from bimc.compiler import compile
 from bimc.fsa import (
     StateLimitExceeded,
@@ -207,6 +208,26 @@ def test_trim_without_finals_is_empty():
     trimmed, kept = trim(t)
     assert trimmed.n_states == 0 and kept == []
     assert trimmed.transitions == ()
+
+
+def test_trusted_builds_equal_checked_ones():
+    # trim and the reader build without the constructor's checks
+    rng = random.Random(2525)
+    for monoid in TRANSDUCER_MONOIDS:
+        for eps in (False, True):
+            for _ in range(40):
+                t = random_transducer(rng, allow_eps=eps, require_eps=eps, monoid=monoid)
+                read = parse_transducer(format_transducer(t))
+                for u in (trim(t)[0], read, trim(read)[0]):
+                    fields = (u.alphabet, u.monoid, u.n_states, u.initial, u.final, u.transitions)
+                    checked = Transducer(*fields)
+                    assert u == checked and hash(u) == hash(checked) and repr(u) == repr(checked)
+                    assert type(u.alphabet) is tuple and type(u.n_states) is int
+                    assert type(u.initial) is frozenset and type(u.final) is frozenset
+                    assert type(u.transitions) is tuple
+                    assert all(type(tr) is Transition for tr in u.transitions)
+                    assert u.moves == checked.moves and u.moves is u.moves
+                    assert dataclasses.replace(u) == u
 
 
 def test_trim_preserves_outputs_per_word():
