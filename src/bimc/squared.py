@@ -33,30 +33,38 @@ def squared(t: Transducer) -> SquaredAutomaton:
     """Accessible part of the self-pairing: two component transitions
     advance together on a shared input symbol, and either component may
     take an epsilon transition alone while the other waits with a unit
-    label."""
-    moves = t.moves
+    label.  Moves are numbered by (src, out, dst), the waiting side as
+    (p, unit, p); from one pair, two numbers stand one-to-one for an
+    arc, so an arc that several symbols give is built once."""
+    ids = {}  # (src, out, dst) -> its number, in order of first sight
+    step = {
+        key: [(ids.setdefault((key[0], out, q), len(ids)), q) for out, q in moves]
+        for key, moves in t.moves.items()
+    }
     unit = t.monoid.unit
 
     def successors(pair):
         p1, p2 = pair
+        targets = {}  # (number1, number2) -> target pair; a repeat keeps its first place
         for sym in t.alphabet:
-            for m1, q1 in moves.get((p1, sym), ()):
-                for m2, q2 in moves.get((p2, sym), ()):
-                    yield (m1, m2), (q1, q2)
-        for m2, q2 in moves.get((p2, None), ()):
-            yield (unit, m2), (p1, q2)
-        for m1, q1 in moves.get((p1, None), ()):
-            yield (m1, unit), (q1, p2)
+            for i1, q1 in step.get((p1, sym), ()):
+                for i2, q2 in step.get((p2, sym), ()):
+                    targets[i1, i2] = q1, q2
+        for i2, q2 in step.get((p2, None), ()):
+            targets[ids.setdefault((p1, unit, p1), len(ids)), i2] = p1, q2
+        for i1, q1 in step.get((p1, None), ()):
+            targets[i1, ids.setdefault((p2, unit, p2), len(ids))] = q1, p2
+        return targets.items()
 
     starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
     order, arcs = explore(starts, successors, "squared")
+    ends = list(ids)  # ends[i] = (src, out, dst) of move i
     initial = frozenset(range(len(starts)))
-    # a repeated arc is dropped, the first one kept in place
-    transitions = dict.fromkeys((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
+    transitions = tuple((src, ends[i][1], ends[j][1], dst) for src, (i, j), dst in arcs)
     final = frozenset(
         i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
     )
-    return SquaredAutomaton(t.monoid, tuple(order), initial, final, tuple(transitions))
+    return SquaredAutomaton(t.monoid, tuple(order), initial, final, transitions)
 
 
 def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:

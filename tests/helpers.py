@@ -12,7 +12,7 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import Transducer, eps_closure
+from bimc.fsa import Transducer, eps_closure, explore
 from bimc.functionality import test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
@@ -26,6 +26,7 @@ from bimc.monoid import (
     op,
     solve_right,
 )
+from bimc.squared import SquaredAutomaton
 
 
 # random_transducer's own free words first, then the other output monoids
@@ -214,6 +215,37 @@ def dump_valuation(sq, val) -> str:
             f"(({p1},{p2})) rho={render(val.rho.get(i))} nu={render(val.nu.get(i))}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def squared_reference(t):
+    """The squared automaton by the per-symbol walk: from each pair,
+    every two moves on each input symbol in alphabet order, then each
+    ε move of the second component, then of the first, the other
+    waiting with a unit label; a repeated arc is dropped, the first one
+    kept in place.  The oracle for squared, which builds each distinct
+    arc once."""
+    moves = t.moves
+    unit = t.monoid.unit
+
+    def successors(pair):
+        p1, p2 = pair
+        for sym in t.alphabet:
+            for m1, q1 in moves.get((p1, sym), ()):
+                for m2, q2 in moves.get((p2, sym), ()):
+                    yield (m1, m2), (q1, q2)
+        for m2, q2 in moves.get((p2, None), ()):
+            yield (unit, m2), (p1, q2)
+        for m1, q1 in moves.get((p1, None), ()):
+            yield (m1, unit), (q1, p2)
+
+    starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
+    order, arcs = explore(starts, successors, "squared")
+    transitions = dict.fromkeys((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
+    final = frozenset(
+        i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
+    )
+    initial = frozenset(range(len(starts)))
+    return SquaredAutomaton(t.monoid, tuple(order), initial, final, tuple(transitions))
 
 
 def valuation_reference(sq, useful):

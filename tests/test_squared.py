@@ -3,7 +3,8 @@
 import random
 from collections import defaultdict, deque
 
-from bimc.fsa import Transducer
+from bimc.benchmark import make_tn
+from bimc.fsa import Transducer, trim
 from bimc.monoid import FreeWords, MonoidValue, eta
 from bimc.squared import coaccessible, squared, valuation
 from helpers import (
@@ -14,7 +15,9 @@ from helpers import (
     is_instance_of,
     pair_index,
     random_transducer,
+    squared_reference,
     valuation_reference,
+    with_eps_detours,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -109,6 +112,59 @@ def test_squared_eps_keeps_one_sided_moves():
     assert ((0, 0), fw("x"), fw("x"), (1, 1)) in arcs
     assert ((0, 0), e, fw("y"), (0, 1)) in arcs
     assert ((0, 0), fw("y"), e, (1, 0)) in arcs
+
+
+def assert_same_squared(t):
+    sq, ref = squared(t), squared_reference(t)
+    assert sq.monoid == ref.monoid
+    assert sq.pairs == ref.pairs
+    assert sq.initial == ref.initial and sq.final == ref.final
+    assert sq.transitions == ref.transitions
+
+
+def with_unit_self_loops(rng, t):
+    """t plus a unit ε self-loop on every state and, on some states, a
+    unit self-loop on a symbol, so an ε arc of the squared automaton
+    repeats a symbol arc."""
+    unit = t.monoid.unit
+    arcs = list(t.transitions)
+    for q in range(t.n_states):
+        arcs.append((q, None, unit, q))
+        if rng.random() < 0.5:
+            arcs.append((q, rng.choice(t.alphabet), unit, q))
+    return Transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs)
+
+
+def test_squared_matches_the_per_symbol_reference():
+    for n in range(1, 10):
+        assert_same_squared(make_tn(n))
+        assert_same_squared(trim(make_tn(n))[0])
+    rng = random.Random(2553)
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(150):
+            t = random_transducer(rng, allow_eps=True, monoid=monoid)
+            for u in (t, with_eps_detours(rng, t), with_unit_self_loops(rng, t)):
+                assert_same_squared(u)
+                assert_same_squared(trim(u)[0])
+
+
+def test_squared_keeps_one_arc_where_eps_steps_repeat_symbol_steps():
+    # unit self-loops on a and ε at 0: every one-sided ε step out of
+    # (0, 0) repeats an arc that both components take on a
+    t = Transducer(
+        ("a",), FREE, 2, {0}, {1},
+        [(0, "a", "", 0), (0, "a", "x", 1), (0, None, "", 0), (0, None, "x", 1), (1, None, "", 1)],
+    )
+    assert_same_squared(t)
+    sq = squared(t)
+    e, x = FREE.unit, fw("x")
+    from_start = [(m1, m2, sq.pairs[dst]) for src, m1, m2, dst in sq.transitions if src == 0]
+    assert from_start == [(e, e, (0, 0)), (e, x, (0, 1)), (x, e, (1, 0)), (x, x, (1, 1))]
+
+
+def test_squared_tn9_builds_each_distinct_arc_once():
+    sq = squared(trim(make_tn(9))[0])
+    assert len(sq.transitions) == len(set(sq.transitions)) == 805
 
 
 def test_squared_eps_transition_bound():
