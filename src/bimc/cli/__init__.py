@@ -111,12 +111,15 @@ def parse_transducer(text: str) -> Transducer:
                     f"line {declared[kind]}: {kind} state {q} not among the {n_states} states"
                 )
     transitions = {}  # as an ordered set
+    literals = {}  # each distinct output literal is parsed once, at its first row
     for lineno, src, sym, literal, dst in rows:
         if src >= n_states or dst >= n_states:
             raise FormatError(f"line {lineno}: transition endpoint not among the {n_states} states")
         if sym != "-" and sym not in alphabet:
             raise FormatError(f"line {lineno}: undeclared symbol {sym!r}")
-        value = _parsed(lineno, parse_value, monoid, literal)
+        value = literals.get(literal)
+        if value is None:
+            value = literals[literal] = _parsed(lineno, parse_value, monoid, literal)
         tr = Transition(src, None if sym == "-" else sym, value, dst)
         if tr in transitions:
             warnings.warn(f"line {lineno}: duplicate transition collapsed")

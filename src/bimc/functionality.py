@@ -92,6 +92,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     useful = coaccessible(sq)
     val = valuation(sq, useful)
     extras = dict(squared=sq, valuation=val, eps_outputs=eps_outs, eps_paths=eps_paths)
+    op, fmt = trimmed.monoid.op_payload, trimmed.monoid.format_payload  # rho and arcs hold payloads
 
     for i in range(len(sq.pairs)):
         if i in useful and i not in val.nu:
@@ -100,20 +101,20 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
             return reject(
                 "unequalizable-pair",
                 f"pair ({kept[p1]},{kept[p2]}) accumulates "
-                f"({format_value(x1)},{format_value(x2)}) which no suffix can equalize",
+                f"({fmt(x1)},{fmt(x2)}) which no suffix can equalize",
                 **extras,
             )
     for src, m1, m2, dst in sq.transitions:
         if src in useful and dst in useful:
             x1, x2 = val.rho[src]
             y1, y2 = val.nu[dst]
-            if x1 * m1 * y1 != x2 * m2 * y2:
+            if op(op(x1, m1), y1.payload) != op(op(x2, m2), y2.payload):
                 p1, p2 = sq.pairs[src]
                 q1, q2 = sq.pairs[dst]
                 return reject(
                     "transition-mismatch",
                     f"step ({kept[p1]},{kept[p2]}) -> ({kept[q1]},{kept[q2]}) with labels "
-                    f"({format_value(m1)},{format_value(m2)}) breaks output agreement",
+                    f"({fmt(m1)},{fmt(m2)}) breaks output agreement",
                     **extras,
                 )
     unit = trimmed.monoid.unit
@@ -124,7 +125,7 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
             return reject(
                 "final-imbalance",
                 f"final pair ({kept[p1]},{kept[p2]}) ends with unequal outputs "
-                f"({format_value(x1)},{format_value(x2)})",
+                f"({fmt(x1)},{fmt(x2)})",
                 **extras,
             )
     return FunctionalityVerdict(True, None, t, trimmed, **extras)

@@ -35,8 +35,10 @@ class Monoid:
     """Base descriptor.  Subclasses supply the product, right division
     and literals on raw payloads; the unit and eta are derived from them.
     The stored payloads of one instance are totally ordered by <, which
-    the classical expansion uses to rank alternative moves.
-    Callers normally go through the module-level functions on MonoidValue."""
+    the classical expansion uses to rank alternative moves.  Callers
+    outside the engine go through the module-level functions on
+    MonoidValue; the decision procedure and the output fill use the
+    payload operations directly."""
 
     def op_payload(self, a, b):
         raise NotImplementedError

@@ -13,35 +13,36 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .fsa import Transducer, explore, reachable
-from .monoid import Monoid, MonoidValue, eta
+from .monoid import Monoid, _trusted, eta
 
 
 @dataclass
 class SquaredAutomaton:
     """Pairs are stored in breadth-first discovery order with the initial
     pairs first, and transitions grouped by source in that order, so the
-    first arc into a pair is the one that discovered it."""
+    first arc into a pair is the one that discovered it.  A transition
+    (src, m1, m2, dst) carries raw payloads of monoid, not MonoidValues."""
 
     monoid: Monoid
     pairs: tuple[tuple[int, int], ...]
     initial: frozenset[int]
     final: frozenset[int]
-    transitions: tuple[tuple[int, MonoidValue, MonoidValue, int], ...]
+    transitions: tuple[tuple[int, object, object, int], ...]
 
 
 def squared(t: Transducer) -> SquaredAutomaton:
     """Accessible part of the self-pairing: two component transitions
     advance together on a shared input symbol, and either component may
     take an epsilon transition alone while the other waits with a unit
-    label.  Moves are numbered by (src, out, dst), the waiting side as
-    (p, unit, p); from one pair, two numbers stand one-to-one for an
-    arc, so an arc that several symbols give is built once."""
-    ids = {}  # (src, out, dst) -> its number, in order of first sight
+    label.  Moves are numbered by (src, payload, dst), the waiting side
+    as (p, unit payload, p); from one pair, two numbers stand one-to-one
+    for an arc, so an arc that several symbols give is built once."""
+    ids = {}  # (src, payload, dst) -> its number, in order of first sight
     step = {
-        key: [(ids.setdefault((key[0], out, q), len(ids)), q) for out, q in moves]
+        key: [(ids.setdefault((key[0], out.payload, q), len(ids)), q) for out, q in moves]
         for key, moves in t.moves.items()
     }
-    unit = t.monoid.unit
+    unit = t.monoid.unit.payload
 
     def successors(pair):
         p1, p2 = pair
@@ -58,7 +59,7 @@ def squared(t: Transducer) -> SquaredAutomaton:
 
     starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
     order, arcs = explore(starts, successors, "squared")
-    ends = list(ids)  # ends[i] = (src, out, dst) of move i
+    ends = list(ids)  # ends[i] = (src, payload, dst) of move i
     initial = frozenset(range(len(starts)))
     transitions = tuple((src, ends[i][1], ends[j][1], dst) for src, (i, j), dst in arcs)
     final = frozenset(
@@ -77,10 +78,11 @@ def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:
 
 @dataclass
 class Valuation:
-    """rho: accumulated label pair along the first discovered useful path;
-    nu: its most general equalizer, or (e, e) when both sides agree.
-    Both are defined exactly on the useful (coaccessible) pairs; nu may
-    additionally be missing where rho is not equalizable."""
+    """rho: accumulated payload pair along the first discovered useful
+    path; nu: its most general equalizer as a MonoidValue pair, or (e, e)
+    when both sides agree.  Both are defined exactly on the useful
+    (coaccessible) pairs; nu may additionally be missing where rho is
+    not equalizable."""
 
     rho: dict
     nu: dict
@@ -89,18 +91,19 @@ class Valuation:
 def valuation(sq: SquaredAutomaton, useful: frozenset[int]) -> Valuation:
     """One scan of sq's arcs: a useful initial pair has rho (e, e), any
     other useful pair takes rho along the arc that discovered it."""
-    unit = sq.monoid.unit
-    rho = {i: (unit, unit) for i in sq.initial if i in useful}
+    m = sq.monoid
+    op, unit = m.op_payload, m.unit
+    rho = {i: (unit.payload, unit.payload) for i in sq.initial if i in useful}
     for src, m1, m2, dst in sq.transitions:
         if dst in useful and dst not in rho:
             x1, x2 = rho[src]
-            rho[dst] = (x1 * m1, x2 * m2)
+            rho[dst] = (op(x1, m1), op(x2, m2))
     nu = {}
     for i, (x1, x2) in rho.items():
         if x1 == x2:
             nu[i] = (unit, unit)
         else:
-            r = eta(x1, x2)
+            r = eta(_trusted(m, x1), _trusted(m, x2))
             if r is not None:
                 nu[i] = r
     return Valuation(rho, nu)

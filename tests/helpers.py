@@ -201,19 +201,18 @@ def mu_n(values):
 
 
 def dump_valuation(sq, val) -> str:
-    """One line per squared pair with its rho and nu, dashes for
-    undefined entries."""
+    """One line per squared pair with its rho (payloads) and nu (values),
+    dashes for undefined entries."""
 
-    def render(entry):
+    def render(entry, fmt):
         if entry is None:
             return "-"
-        return f"({format_value(entry[0])},{format_value(entry[1])})"
+        return f"({fmt(entry[0])},{fmt(entry[1])})"
 
     lines = []
     for i, (p1, p2) in enumerate(sq.pairs):
-        lines.append(
-            f"(({p1},{p2})) rho={render(val.rho.get(i))} nu={render(val.nu.get(i))}"
-        )
+        rho = render(val.rho.get(i), sq.monoid.format_payload)
+        lines.append(f"(({p1},{p2})) rho={rho} nu={render(val.nu.get(i), format_value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -221,11 +220,11 @@ def squared_reference(t):
     """The squared automaton by the per-symbol walk: from each pair,
     every two moves on each input symbol in alphabet order, then each
     ε move of the second component, then of the first, the other
-    waiting with a unit label; a repeated arc is dropped, the first one
-    kept in place.  The oracle for squared, which builds each distinct
-    arc once."""
-    moves = t.moves
-    unit = t.monoid.unit
+    waiting with the unit payload; arcs are labelled by payloads, and a
+    repeated arc is dropped, the first one kept in place.  The oracle
+    for squared, which builds each distinct arc once."""
+    moves = {key: [(out.payload, q) for out, q in ms] for key, ms in t.moves.items()}
+    unit = t.monoid.unit.payload
 
     def successors(pair):
         p1, p2 = pair
@@ -249,28 +248,30 @@ def squared_reference(t):
 
 
 def valuation_reference(sq, useful):
-    """rho and nu as dicts, by the per-pair rule: visit the useful pairs
-    in discovery order, an initial one set to (e, e), and hand each
-    pair's rho on along its arcs to the useful pairs not yet set.  The
-    oracle for squared.valuation's single scan of the arcs."""
+    """rho (payload pairs) and nu (value pairs) as dicts, by the per-pair
+    rule: visit the useful pairs in discovery order, an initial one set
+    to (e, e), and hand each pair's rho on along its arcs to the useful
+    pairs not yet set.  The oracle for squared.valuation's single scan
+    of the arcs."""
     out_edges = defaultdict(list)
     for src, m1, m2, dst in sq.transitions:
         out_edges[src].append((m1, m2, dst))
-    unit = sq.monoid.unit
+    m = sq.monoid
+    unit = m.unit
     rho = {}
     for i in range(len(sq.pairs)):
         if i not in useful:
             continue
         if i in sq.initial:
-            rho[i] = (unit, unit)
+            rho[i] = (unit.payload, unit.payload)
         assert i in rho, "useful pair reached before its predecessors"
         x1, x2 = rho[i]
         for m1, m2, dst in out_edges[i]:
             if dst in useful and dst not in rho:
-                rho[dst] = (x1 * m1, x2 * m2)
+                rho[dst] = (m.op_payload(x1, m1), m.op_payload(x2, m2))
     nu = {}
     for i, (x1, x2) in rho.items():
-        nu_i = (unit, unit) if x1 == x2 else eta(x1, x2)
+        nu_i = (unit, unit) if x1 == x2 else eta(MonoidValue(m, x1), MonoidValue(m, x2))
         if nu_i is not None:
             nu[i] = nu_i
     return rho, nu

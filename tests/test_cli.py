@@ -116,6 +116,16 @@ def test_each_free_word_literal_is_checked_once(monkeypatch):
     assert checked == ["ab", "", "b"]  # each distinct literal once
 
 
+def test_parse_transducer_shares_one_value_per_distinct_literal():
+    t = parse_transducer(format_transducer(make_tn(9)))
+    assert len(t.transitions) == 207
+    assert len({id(tr.out) for tr in t.transitions}) == 19
+    # a bad literal is reported at its first row, as before the sharing
+    text = MINIMAL + 't 1 a "z" 1\nt 0 a "z" 1\n'
+    with pytest.raises(FormatError, match="^line 8: "):
+        parse_transducer(text)
+
+
 def test_duplicate_transition_collapses_with_warning():
     text = MINIMAL + 't 0 a "x" 1\n'
     with pytest.warns(UserWarning):

@@ -171,6 +171,28 @@ def test_functional_despite_parallel_equal_outputs():
     assert functionality(t).functional
 
 
+def test_tn9_verdict_multiplies_payloads_not_values(monkeypatch):
+    # the squared arcs, rho and the arc check work on raw payloads; only
+    # an unequal useful pair's mge is taken on values
+    import bimc.monoid
+    import bimc.squared
+
+    calls = {"op": 0, "eta": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(bimc.monoid, "op", counted("op", bimc.monoid.op))
+    monkeypatch.setattr(bimc.squared, "eta", counted("eta", bimc.squared.eta))
+    v = functionality(make_tn(9))
+    assert v.functional
+    assert calls["op"] == 0
+    assert 0 < calls["eta"] <= len(v.valuation.rho)
+
+
 def test_witness_transition_mismatch():
     t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (0, "a", "y", 1)]

@@ -28,14 +28,14 @@ def fw(w):
 
 
 def initial_paths(t, max_steps):
-    """All (input word, output, end state) with at most max_steps
+    """All (input word, output payload, end state) with at most max_steps
     transitions starting from an initial state, by direct walking."""
     results = set()
     queue = deque((i, (), t.monoid.unit, 0) for i in sorted(t.initial))
     seen = set((q, w, o) for q, w, o, _ in queue)
     while queue:
         state, word, out, steps = queue.popleft()
-        results.add((word, out, state))
+        results.add((word, out.payload, state))
         if steps >= max_steps:
             continue
         for tr in t.transitions:
@@ -52,7 +52,7 @@ def initial_paths(t, max_steps):
 
 
 def paired_by_word(t, max_steps):
-    """Label pairs of common-input path pairs: ((q1,q2),(m1,m2))."""
+    """Payload pairs of common-input path pairs: ((q1,q2),(m1,m2))."""
     by_word = defaultdict(list)
     for word, out, end in initial_paths(t, max_steps):
         by_word[word].append((out, end))
@@ -65,11 +65,11 @@ def paired_by_word(t, max_steps):
 
 
 def squared_reachable(sq, max_steps):
-    """Label pairs reachable inside the squared automaton itself."""
+    """Payload pairs reachable inside the squared automaton itself."""
     out_edges = defaultdict(list)
     for src, m1, m2, dst in sq.transitions:
         out_edges[src].append((m1, m2, dst))
-    unit = sq.monoid.unit
+    op, unit = sq.monoid.op_payload, sq.monoid.unit.payload
     queue = deque((i, unit, unit, 0) for i in sorted(sq.initial))
     seen = set((i, unit, unit) for i in sq.initial)
     results = set()
@@ -79,10 +79,10 @@ def squared_reachable(sq, max_steps):
         if steps >= max_steps:
             continue
         for m1, m2, dst in out_edges[idx]:
-            node = (dst, a1 * m1, a2 * m2)
+            node = (dst, op(a1, m1), op(a2, m2))
             if node not in seen:
                 seen.add(node)
-                queue.append((dst, a1 * m1, a2 * m2, steps + 1))
+                queue.append((*node, steps + 1))
     return results
 
 
@@ -107,11 +107,10 @@ def test_squared_eps_keeps_one_sided_moves():
         ("a",), FREE, 2, {0}, {1}, [(0, None, "y", 1), (0, "a", "x", 1)]
     )
     sq = squared(t)
-    e = FREE.unit
     arcs = {(sq.pairs[s], m1, m2, sq.pairs[d]) for s, m1, m2, d in sq.transitions}
-    assert ((0, 0), fw("x"), fw("x"), (1, 1)) in arcs
-    assert ((0, 0), e, fw("y"), (0, 1)) in arcs
-    assert ((0, 0), fw("y"), e, (1, 0)) in arcs
+    assert ((0, 0), "x", "x", (1, 1)) in arcs
+    assert ((0, 0), "", "y", (0, 1)) in arcs
+    assert ((0, 0), "y", "", (1, 0)) in arcs
 
 
 def assert_same_squared(t):
@@ -157,7 +156,7 @@ def test_squared_keeps_one_arc_where_eps_steps_repeat_symbol_steps():
     )
     assert_same_squared(t)
     sq = squared(t)
-    e, x = FREE.unit, fw("x")
+    e, x = "", "x"
     from_start = [(m1, m2, sq.pairs[dst]) for src, m1, m2, dst in sq.transitions if src == 0]
     assert from_start == [(e, e, (0, 0)), (e, x, (0, 1)), (x, e, (1, 0)), (x, x, (1, 1))]
 
@@ -226,9 +225,9 @@ def test_valuation_tracks_first_discovery():
     val = valuation(sq, useful)
     index = pair_index(sq)
     idx = index[(1, 2)]
-    assert val.rho[idx] == (fw("x"), fw("xx"))
+    assert val.rho[idx] == ("x", "xx")
     assert val.nu[idx] == (fw("x"), fw(""))
-    assert val.rho[index[(1, 1)]] == (fw("x"), fw("x"))
+    assert val.rho[index[(1, 1)]] == ("x", "x")
     assert val.nu[index[(1, 1)]] == (FREE.unit, FREE.unit)
 
 
@@ -238,10 +237,10 @@ def test_valuation_keeps_unit_on_an_initial_pair_reached_by_an_arc():
     sq = squared(t)
     index = pair_index(sq)
     src, dst = index[(0, 0)], index[(1, 1)]
-    assert dst in sq.initial and (src, fw("x"), fw("x"), dst) in sq.transitions
+    assert dst in sq.initial and (src, "x", "x", dst) in sq.transitions
     val = valuation(sq, coaccessible(sq))
-    assert val.rho[dst] == (FREE.unit, FREE.unit)
-    assert val.rho[index[(0, 1)]] == (FREE.unit, FREE.unit)
+    assert val.rho[dst] == ("", "")
+    assert val.rho[index[(0, 1)]] == ("", "")
 
 
 def test_valuation_matches_the_per_pair_reference():
@@ -269,7 +268,7 @@ def test_valuation_defined_exactly_on_useful_pairs():
             if x1 == x2:
                 assert val.nu[i] == (t.monoid.unit, t.monoid.unit)
             else:
-                assert val.nu.get(i) == eta(x1, x2)
+                assert val.nu.get(i) == eta(MonoidValue(t.monoid, x1), MonoidValue(t.monoid, x2))
 
 
 def test_valuation_nu_is_mge_of_relevant_pairs():
@@ -289,6 +288,7 @@ def test_valuation_nu_is_mge_of_relevant_pairs():
             relevant[pair].add(labels)
         for idx, nu in val.nu.items():
             for m1, m2 in relevant.get(sq.pairs[idx], ()):
+                m1, m2 = MonoidValue(sq.monoid, m1), MonoidValue(sq.monoid, m2)
                 assert m1 * nu[0] == m2 * nu[1]
                 for k in brute_equalizers(m1, m2, pool):
                     assert is_instance_of(nu, k)
