@@ -120,7 +120,7 @@ def test_parse_transducer_shares_one_value_per_distinct_literal():
     t = parse_transducer(format_transducer(make_tn(9)))
     assert len(t.transitions) == 207
     assert len({id(tr.out) for tr in t.transitions}) == 19
-    # a bad literal is reported at its first row, as before the sharing
+    # a bad literal that repeats is reported at its first row
     text = MINIMAL + 't 1 a "z" 1\nt 0 a "z" 1\n'
     with pytest.raises(FormatError, match="^line 8: "):
         parse_transducer(text)
