@@ -16,7 +16,6 @@ import argparse
 import itertools
 import sys
 import warnings
-from collections import defaultdict
 from pathlib import Path
 
 from ..benchmark import run_bench
@@ -244,19 +243,14 @@ def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
     several characters long); None when no segmentation exists.  Raises
     AmbiguousInputError, showing where two segmentations part, when there
     are several: picking one would make the result depend on symbol order."""
-    by_len = defaultdict(set)
-    for sym in alphabet:
-        if sym:
-            by_len[len(sym)].add(sym)
-    lengths = sorted(by_len)
+    symbols = {sym for sym in alphabet if sym}
+    lengths = sorted({len(sym) for sym in symbols})
     n = len(raw)
-    # ways[i]: number of segmentations of raw[:i], capped at 2; back[i]:
-    # the end of the first segmented prefix that raw[:i] extends, and
-    # more[i] the ends of the others
-    ways = [0] * (n + 1)
-    ways[0] = 1
+    # ways[i]: number of segmentations of raw[:i], capped at 2; back[i] and
+    # alt[i]: the ends of the first and second segmented prefixes it extends
+    ways = [1] + [0] * n
     back = [0] * (n + 1)
-    more = defaultdict(list)
+    alt = {}
     for j in range(n):
         w = ways[j]
         if not w:
@@ -265,10 +259,10 @@ def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
             i = j + k
             if i > n:
                 break
-            if raw[j:i] in by_len[k]:
+            if raw[j:i] in symbols:
                 if ways[i]:
                     ways[i] = 2
-                    more[i].append(j)
+                    alt.setdefault(i, j)
                 else:
                     ways[i] = w
                     back[i] = j
@@ -281,7 +275,7 @@ def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
         while i:
             j = back[i]
             if t and ways[j] == 1:
-                j, t = more[i][0], 0
+                j, t = alt[i], 0
             word.append(raw[j:i])
             i = j
         splits.append(tuple(reversed(word)))

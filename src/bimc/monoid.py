@@ -356,16 +356,11 @@ def gamma_n(pairs, monoid: Monoid):
 
 
 def _split_top_level(inner: str, whole: str) -> tuple[str, str]:
-    """Split 'a,b' at the single comma not nested in parens or quotes."""
+    """Split 'a,b' at the first comma outside parens.  Quotes need no state: FreeWords
+    symbols exclude '"(),' and descriptors hold no '"', so valid quoted words hold none."""
     depth = 0
-    in_quote = False
     for i, c in enumerate(inner):
-        if in_quote:
-            if c == '"':
-                in_quote = False
-        elif c == '"':
-            in_quote = True
-        elif c == "(":
+        if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
