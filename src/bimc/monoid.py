@@ -37,7 +37,8 @@ class Monoid:
     The stored payloads of one instance are totally ordered by <, which
     the classical expansion uses to rank alternative moves.  Callers
     outside the engine go through the module-level functions on
-    MonoidValue; the decision procedure and the output fill use the
+    MonoidValue, and so does the output fill, except that it checks
+    further transitions on payloads; the decision procedure uses the
     payload operations directly."""
 
     def op_payload(self, a, b):
@@ -94,6 +95,7 @@ class FreeWords(Monoid):
     alphabet: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
         if not self.alphabet:
             raise ValueError("free monoid needs a nonempty alphabet")
         seen = set()

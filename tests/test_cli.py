@@ -28,7 +28,8 @@ from bimc.cli import (
 from bimc.compiler import compile as build
 from bimc.fsa import Transducer, Transition
 from bimc.monoid import (
-    FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_value,
+    FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_descriptor,
+    parse_value,
 )
 from helpers import (
     TRANSDUCER_MONOIDS, all_words, eps_diamond_chain, functional_draws, random_bimachine,
@@ -64,6 +65,9 @@ def test_parse_eps_self_loop():
     assert tr.out == FreeWords(("x",)).unit
 
 
+QUOTED_SEPARATORS = ('("a,b",1)', '("a)",1)', '("(",1)')
+
+
 def test_parse_errors_carry_line_numbers():
     cases = [
         ("monoid nnrat\nalphabet a\nstates 2\nt 0 a 3/0 1\n", "line 4"),
@@ -83,6 +87,11 @@ def test_parse_errors_carry_line_numbers():
             "monoid free:x\nalphabet a\nstates 2\ninitial 0\nstates 1\n",
             "line 5: states already declared on line 3",
         ),
+    ]
+    # a separator quoted inside a free word is rejected, by the split or the word
+    cases += [
+        (f"monoid product(free:ab,intgrp)\nalphabet a\nstates 2\nt 0 a {lit} 1\n", "line 4: ")
+        for lit in QUOTED_SEPARATORS
     ]
     for text, needle in cases:
         with pytest.raises(FormatError) as info:
@@ -141,19 +150,25 @@ def test_transducer_round_trip():
     )
     again = parse_transducer(format_transducer(t))
     assert again == t
-    # a left-nested product puts a parenthesized component before the top-level comma
-    left_nested = parse_transducer(
-        "monoid product(product(nnrat,intgrp),free:x)\nalphabet a\nstates 1\n"
-        'initial 0\nfinal 0\nt 0 a ((1/2,-3),"x") 0\n'
-    )
-    assert left_nested.monoid == PairOf(PairOf(NonNegRationals(), Integers()), FreeWords(("x",)))
-    assert left_nested.transitions[0].out.payload == ((Fraction(1, 2), -3), "x")
-    assert parse_transducer(format_transducer(left_nested)) == left_nested
+    # a left-nested product puts a parenthesized component before the top-level comma,
+    # a right-nested one after it
+    numbers = PairOf(NonNegRationals(), Integers())
+    for descriptor, literal, monoid, payload in (
+        ("product(product(nnrat,intgrp),free:x)", '((1/2,-3),"x")',
+         PairOf(numbers, FreeWords(("x",))), ((Fraction(1, 2), -3), "x")),
+        ("product(free:ab,product(nnrat,intgrp))", '("ab",(1/2,-3))',
+         PairOf(FreeWords(("a", "b")), numbers), ("ab", (Fraction(1, 2), -3))),
+    ):
+        t = parse_transducer(
+            f"monoid {descriptor}\nalphabet a\nstates 1\ninitial 0\nfinal 0\nt 0 a {literal} 0\n"
+        )
+        assert t.monoid == monoid
+        assert t.transitions[0].out.payload == payload
+        assert parse_transducer(format_transducer(t)) == t
     text = format_transducer(make_tn(2))
     assert parse_transducer(text) == make_tn(2)
     rng = random.Random(84)
-    nested = PairOf(FREE, PairOf(NonNegRationals(), Integers()))
-    for monoid in (None, NonNegRationals(), Integers(), nested):
+    for monoid in (None, NonNegRationals(), Integers(), PairOf(FREE, numbers)):
         for with_eps in (False, True):
             for _ in range(25):
                 t = random_transducer(rng, allow_eps=with_eps, require_eps=with_eps, monoid=monoid)
@@ -168,6 +183,15 @@ def test_transducer_built_from_lists_hashes_and_round_trips():
     assert hash(t) == hash(parse_transducer(format_transducer(t)))
     assert parse_transducer(format_transducer(t)) == t
     assert Transducer(iter("a"), FREE, 1, [0], [0], [(0, "a", "x", 0)]) == t
+    # FreeWords stores its alphabet as a tuple too: a string or a list
+    # gives the descriptor the reader parses
+    parsed = parse_descriptor("free:xy")
+    for free in (FreeWords("xy"), FreeWords(["x", "y"]), parsed):
+        assert free == parsed and hash(free) == hash(parsed)
+        assert MonoidValue(free, "x") * parse_value(parsed, '"y"') == parse_value(parsed, '"xy"')
+        t = Transducer(["a"], free, 1, {0}, {0}, [(0, "a", "x", 0)])
+        again = parse_transducer(format_transducer(t))
+        assert again == t and hash(again) == hash(t)
 
 
 def _mutated_lines(rng, text, pool):
@@ -346,6 +370,11 @@ def test_bimachine_from_text_rejects_garbage():
         ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI 3\n",
          "line 7: unexpected row 'PSI 3'"),
     ]
+    cases += [
+        ("BIM v1 product(free:ab,intgrp)\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\n"
+         f"o 0 a 0 {lit}\n", "line 8: ")
+        for lit in QUOTED_SEPARATORS
+    ]
     for text, needle in cases:
         with pytest.raises(FormatError) as info:
             bimachine_from_text(text)
@@ -375,6 +404,35 @@ def test_tokenize_rejects_ambiguous_splits():
     first, second = info.value.splits
     assert first != second and "".join(first) == "".join(second) == "aaaa"
     assert tokenize("ba", ("a", "b", "ab")) == ("b", "a")
+
+
+def segmentations(raw, symbols):
+    """Every way to write raw as a sequence of symbols, by brute force."""
+    if not raw:
+        return [()]
+    return [(s, *rest) for s in symbols if raw.startswith(s)
+            for rest in segmentations(raw[len(s):], symbols)]
+
+
+def test_tokenize_agrees_with_every_segmentation():
+    rng = random.Random(31)
+    outcomes = {"none": 0, "one": 0, "several": 0}
+    for _ in range(2000):
+        words = sorted({"".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 4))})
+        rng.shuffle(words)
+        raw = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        splits = segmentations(raw, words)
+        if len(splits) > 1:
+            with pytest.raises(AmbiguousInputError) as info:
+                tokenize(raw, words)
+            first, second = info.value.splits
+            assert first != second and first in splits and second in splits
+            outcomes["several"] += 1
+        else:
+            assert tokenize(raw, words) == (splits[0] if splits else None)
+            outcomes["one" if splits else "none"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_ambiguity_message_shows_where_the_splits_part():
