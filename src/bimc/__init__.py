@@ -12,7 +12,7 @@ __main__ although this module imports cli).
 """
 
 from .bimachine import AlphabetError, Bimachine, evaluate
-from .benchmark import BenchReport, BenchRow, make_tn, run_bench
+from .benchmark import make_tn, run_bench
 from .classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
 from .cli import (
     bimachine_from_text, bimachine_to_text, cli_main, format_transducer, parse_transducer
@@ -32,7 +32,6 @@ from .monoid import (
     format_descriptor,
     format_value,
     gamma_n,
-    op,
     parse_descriptor,
     parse_value,
     solve_right,
@@ -40,8 +39,6 @@ from .monoid import (
 
 __all__ = [
     "AlphabetError",
-    "BenchReport",
-    "BenchRow",
     "Bimachine",
     "CompileError",
     "DescriptorMismatch",
@@ -71,7 +68,6 @@ __all__ = [
     "format_value",
     "gamma_n",
     "make_tn",
-    "op",
     "parse_descriptor",
     "parse_transducer",
     "parse_value",
