@@ -13,7 +13,9 @@ conflicts and undeclared symbols.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -238,11 +240,38 @@ class AmbiguousInputError(ValueError):
         super().__init__(f"ambiguous input: from character {start} it splits as {shown}")
 
 
+@functools.lru_cache
+def _prefix_code_pattern(alphabet: tuple):
+    """A regex whose findall splits a string over alphabet, if no symbol is
+    a proper prefix of another, else None.  Sorted, such a prefix would
+    come just before a symbol that it begins."""
+    symbols = sorted({sym for sym in alphabet if sym})
+    if not symbols or any(b.startswith(a) for a, b in zip(symbols, symbols[1:])):
+        return None
+
+    def trie(words):  # sorted, and none a prefix of another
+        if len(words) == 1:
+            return re.escape(words[0])
+        groups = itertools.groupby(words, key=lambda w: w[0])
+        return "(?:" + "|".join(re.escape(c) + trie([w[1:] for w in g]) for c, g in groups) + ")"
+    try:
+        return re.compile(trie(symbols))
+    except RecursionError:  # branch points nested hundreds deep: the DP splits these
+        return None
+
+
 def tokenize(raw: str, alphabet) -> tuple[str, ...] | None:
     """Split a raw input string into alphabet symbols (symbols may be
-    several characters long); None when no segmentation exists.  Raises
-    AmbiguousInputError, showing where two segmentations part, when there
-    are several: picking one would make the result depend on symbol order."""
+    several characters long); None when no segmentation exists.  A prefix
+    code, with no symbol a prefix of another, splits in one regex scan.
+    Another alphabet may split a string in several ways: then
+    AmbiguousInputError shows where two of them part, since picking one
+    would make the result depend on symbol order."""
+    alphabet = tuple(alphabet)
+    pattern = _prefix_code_pattern(alphabet)
+    if pattern is not None:
+        word = pattern.findall(raw)
+        return tuple(word) if sum(map(len, word)) == len(raw) else None
     symbols = {sym for sym in alphabet if sym}
     lengths = sorted({len(sym) for sym in symbols})
     n = len(raw)

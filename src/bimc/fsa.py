@@ -213,13 +213,15 @@ def output_map(left: Dfa, right: Dfa, entry) -> dict:
     entry(cell, s, s2) gives cell (li, a, ri) its value from the
     intersection sets s before the a-step and s2 after it.  entry must
     depend on (s, a, s2) alone: it runs at the first cell of each
-    distinct triple in walk order, and later cells share that value."""
-    psi, solved = {}, {}
+    distinct triple in walk order, and later cells share that value.
+    Values with equal payloads are stored as one object."""
+    psi, solved, pool = {}, {}, {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         key = (s, a, l2 & r)
         value = solved.get(key)
         if value is None:
-            value = solved[key] = entry((li, a, ri), s, key[2])
+            value = entry((li, a, ri), s, key[2])
+            value = solved[key] = pool.setdefault(value.payload, value)
         psi[li, a, ri] = value
     return psi
 

@@ -1,7 +1,9 @@
 import importlib
+import itertools
 import os
 import random
 import re
+import string
 import subprocess
 import sys
 import time
@@ -392,6 +394,11 @@ def test_tokenize_multi_character_symbols():
     assert tokenize("a1a", ("a1", "a2")) is None
     assert tokenize("aa1", ("a", "a1")) == ("a", "a1")
     assert tokenize("zz", ("a",)) is None
+    assert tokenize("", ()) == () and tokenize("", ("",)) == ()
+    assert tokenize("a", ()) is None
+    # a prefix code whose regex would nest 1,000 groups deep splits all the same
+    deep = ["a" * k + "b" for k in range(1000)]
+    assert tokenize("aab" + "b", deep) == ("aab", "b")
 
 
 def test_tokenize_rejects_ambiguous_splits():
@@ -415,24 +422,33 @@ def segmentations(raw, symbols):
 
 
 def test_tokenize_agrees_with_every_segmentation():
+    # the second to fourth letter pairs are regex metacharacters, which a
+    # split by pattern matching must escape; alphabets come as lists,
+    # tuples and generators
     rng = random.Random(31)
     outcomes = {"none": 0, "one": 0, "several": 0}
-    for _ in range(2000):
-        words = sorted({"".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+    kinds = {"prefix code": 0, "other": 0}
+    for draw, letters in enumerate(("ab", "a.", "*|", "[\\") * 1000):
+        words = sorted({"".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
                         for _ in range(rng.randint(1, 4))})
         rng.shuffle(words)
-        raw = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        raw = "".join(rng.choice(letters) for _ in range(rng.randint(0, 10)))
+        prefix_code = not any(u != w and w.startswith(u) for u in words for w in words)
+        kinds["prefix code" if prefix_code else "other"] += 1
+        alphabet = (list, tuple, lambda ws: (w for w in ws))[draw % 3](words)
         splits = segmentations(raw, words)
         if len(splits) > 1:
+            assert not prefix_code
             with pytest.raises(AmbiguousInputError) as info:
-                tokenize(raw, words)
+                tokenize(raw, alphabet)
             first, second = info.value.splits
             assert first != second and first in splits and second in splits
             outcomes["several"] += 1
         else:
-            assert tokenize(raw, words) == (splits[0] if splits else None)
+            assert tokenize(raw, alphabet) == (splits[0] if splits else None)
             outcomes["one" if splits else "none"] += 1
     assert min(outcomes.values()) > 0, outcomes
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_ambiguity_message_shows_where_the_splits_part():
@@ -467,6 +483,15 @@ def test_tokenize_is_linear_in_the_input_length():
     # the message shows where the splits part, not the whole input
     assert len(str(info.value)) < 200
     assert all(len(split) >= 5 * 10**4 for split in info.value.splits)
+    # the 676 two-letter symbols form a prefix code, split by one regex
+    # scan; T_12's a1 is a prefix of a10, so its alphabet takes the count
+    two_letters = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=2)]
+    for alphabet in (two_letters, make_tn(12).alphabet):
+        word = tuple(random.Random(6).choice(alphabet) for _ in range(10**5))
+        start = time.perf_counter()
+        assert tokenize("".join(word), alphabet) == word
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"splitting 10^5 symbols took {elapsed:.1f} s"
 
 
 def tn_file(tmp_path, n):

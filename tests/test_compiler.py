@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from collections import Counter
@@ -165,6 +166,17 @@ def test_each_intersection_triple_is_solved_once(monkeypatch):
         solves.clear()
         b = build(make_tn(n), verify=True)
         assert (len(solves), len(b.psi)) == (triples, cells)
+
+
+def test_compiled_machine_holds_one_value_per_payload():
+    # T_10's 31,010 cells take 20 distinct payloads
+    b = build(make_tn(10))
+    values = b.psi.values()
+    assert len({id(v) for v in values}) == len({v.payload for v in values})
+    # with one value object per cell instead, the machine and its text are the same
+    copied = dataclasses.replace(
+        b, psi={cell: MonoidValue(b.monoid, v.payload) for cell, v in b.psi.items()})
+    assert copied == b and bimachine_to_text(copied) == bimachine_to_text(b)
 
 
 def test_each_output_entry_divides_once(monkeypatch):
