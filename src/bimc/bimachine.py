@@ -9,6 +9,7 @@ state inspection, no search: each input word gets at most one output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -75,11 +76,13 @@ class Bimachine:
 
     @cached_property
     def tables(self):
-        """(ids, left, right, psi) for evaluate, built on first use, outside
-        equality and repr: ids numbers the k sorted symbols, left[q*k + a]
-        and right[q*k + a] hold the next state, psi[(l*k + a)*n_R + r] the
-        output payload, or None; a list, or a _Sparse dict if it would have
-        over 8 slots per entry, as huge state numbers in a text can make."""
+        """(ids, left, right, psi, fold) for evaluate, built on first use,
+        outside equality and repr: ids numbers the k sorted symbols,
+        left[q*k + a] and right[q*k + a] hold the next state, and
+        psi[(l*k + a)*n_R + r] the output payload, or None; a list, or a
+        _Sparse dict if it would have over 8 slots per entry, as huge state
+        numbers in a text can make.  fold multiplies a list of psi slots;
+        psi holds a code 0..V-1 per distinct payload if commutative."""
         ids = {a: i for i, a in enumerate(self.alphabet)}
         k, nr = len(ids), self.right.n_states
 
@@ -93,9 +96,14 @@ class Bimachine:
             return delta
 
         psi = slots(self.left.n_states * k * nr, len(self.psi))
+        m, codes, commutative = self.monoid, {}, self.monoid.commutative
         for (l, a, r), v in self.psi.items():
-            psi[(l * k + ids[a]) * nr + r] = v.payload
-        return ids, flat(self.left), flat(self.right), psi
+            p = v.payload
+            psi[(l * k + ids[a]) * nr + r] = codes.setdefault(p, len(codes)) if commutative else p
+        values = list(codes)  # order is free: fold each payload once, with its count
+        fold = m.fold_payloads if not commutative else (
+            lambda cells: m.fold_counts([(values[c], n) for c, n in Counter(cells).items()]))
+        return ids, flat(self.left), flat(self.right), psi, fold
 
 
 def evaluate(b: Bimachine, word) -> MonoidValue | None:
@@ -107,7 +115,7 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
     every position.  Returns None when any transition or output lookup
     is undefined; raises AlphabetError for symbols outside the alphabet.
     """
-    ids, left, right, psi = b.tables
+    ids, left, right, psi, fold = b.tables
     try:
         syms = list(map(ids.__getitem__, word))
     except KeyError as err:
@@ -123,8 +131,8 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
         r = right[r * k + a]
         if r is None:
             return None
-    # collect the payloads and multiply once at the end: a running
-    # product would copy the growing output at every letter
+    # collect the payloads (codes, if commutative) and multiply once at
+    # the end: a running product would copy the growing output at every letter
     payloads = []
     kn, l = k * nr, b.left.start
     for a, cell in zip(syms, cells):
@@ -135,4 +143,4 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
             return None
         payloads.append(v)
         l = left[l * k + a]
-    return _trusted(b.monoid, b.monoid.fold_payloads(payloads))
+    return _trusted(b.monoid, fold(payloads))

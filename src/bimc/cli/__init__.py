@@ -390,7 +390,8 @@ def _cmd_compile(args):
         sets = {m for *_, s, l2, r in output_cells(b.left, b.right) for m in (s, l2 & r)}
         print(
             f"left={b.left.n_states} right={b.right.n_states} "
-            f"psi={len(b.psi)} eps={eps} squared={len(verdict.squared.pairs)} "
+            f"psi={len(b.psi)} values={len({v.payload for v in b.psi.values()})} eps={eps} "
+            f"squared={len(verdict.squared.pairs)} "
             f"useful={len(verdict.valuation.rho)} sets={len(sets)}"
         )
     return 0

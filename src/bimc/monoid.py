@@ -20,6 +20,7 @@ pairs combining any two of the above componentwise.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from collections import defaultdict
@@ -39,7 +40,9 @@ class Monoid:
     outside the engine go through the module-level functions on
     MonoidValue, and so does the output fill, except that it checks
     further transitions on payloads; the decision procedure uses the
-    payload operations directly."""
+    payload operations directly.  Commutative ones add fold_counts."""
+
+    commutative = False
 
     def op_payload(self, a, b):
         raise NotImplementedError
@@ -138,6 +141,11 @@ _RAT_RE = re.compile(r"\d+(/\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
+def _over_lcm(numerators):  # the sum of numerators[d]/d, one Fraction
+    lcm = math.lcm(*numerators)
+    return Fraction(sum(n * (lcm // d) for d, n in numerators.items()), lcm)
+
+
 @dataclass(frozen=True)
 class NonNegRationals(Monoid):
     """Non-negative rationals under addition, kept exact as Fractions.
@@ -146,16 +154,24 @@ class NonNegRationals(Monoid):
     M = max(m, n).  Only 0 is invertible.
     """
 
+    commutative = True
+
     def op_payload(self, a, b):
         return a + b
 
+    # integer sums per denominator, then one Fraction over their lcm:
+    # adding Fractions one by one normalizes by a gcd at every step
     def fold_payloads(self, payloads):
-        # integer sums per denominator: adding Fractions one by one
-        # normalizes by a gcd at every step
         numerators = defaultdict(int)
         for a in payloads:
             numerators[a.denominator] += a.numerator
-        return sum((Fraction(n, d) for d, n in numerators.items()), Fraction(0))
+        return _over_lcm(numerators)
+
+    def fold_counts(self, pairs):
+        numerators = defaultdict(int)
+        for a, n in pairs:
+            numerators[a.denominator] += n * a.numerator
+        return _over_lcm(numerators)
 
     def solve_payload(self, a, b):
         return b - a if b >= a else None
@@ -187,11 +203,16 @@ class Integers(Monoid):
     """Integers under addition.  A group, so eta(g, h) = (0, g - h) and
     every element is invertible."""
 
+    commutative = True
+
     def op_payload(self, a, b):
         return a + b
 
     def fold_payloads(self, payloads):
         return sum(payloads, 0)
+
+    def fold_counts(self, pairs):
+        return sum(n * a for a, n in pairs)
 
     def solve_payload(self, a, b):
         return b - a
@@ -224,11 +245,17 @@ class PairOf(Monoid):
     def op_payload(self, a, b):
         return (self.left.op_payload(a[0], b[0]), self.right.op_payload(a[1], b[1]))
 
+    commutative = property(lambda self: self.left.commutative and self.right.commutative)
+
     def fold_payloads(self, payloads):
         return (
             self.left.fold_payloads([p[0] for p in payloads]),
             self.right.fold_payloads([p[1] for p in payloads]),
         )
+
+    def fold_counts(self, pairs):  # pairs: a list, read once per side
+        left, right = self.left.fold_counts, self.right.fold_counts
+        return (left([(p[0], n) for p, n in pairs]), right([(p[1], n) for p, n in pairs]))
 
     def eta_payload(self, a, b):
         el = self.left.eta_payload(a[0], b[0])

@@ -1,18 +1,20 @@
 import dataclasses
+import importlib
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bimc.benchmark import make_tn
 from bimc.bimachine import AlphabetError, Bimachine, evaluate
 from bimc.classical import classical_compile
-from bimc.cli import bimachine_from_text, bimachine_to_text
+from bimc.cli import bimachine_from_text, bimachine_to_text, parse_transducer
 from bimc.compiler import compile as build
 from bimc.fsa import Dfa, Transducer
-from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
+from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_descriptor
 from helpers import TRANSDUCER_MONOIDS, all_words, evaluate_reference, random_bimachine, run_dfa
 
 FREE = FreeWords(("x", "y"))
@@ -115,7 +117,7 @@ def test_tables_are_built_once_and_left_out_of_equality_and_repr():
     assert b == fresh  # neither table built
     tables = b.tables
     assert b.tables is tables
-    ids, left, right, psi = tables
+    ids, left, right, psi, _ = tables
     assert ids == {"a": 0, "b": 1}
     assert left == [1, 0, 1, 0] and right == [1, 1, 0, 1]
     assert psi == ["y", "x", None, None, None, None, "yy", None]
@@ -148,12 +150,42 @@ def test_tables_follow_the_entries_when_states_are_far_apart():
     machines = [random_bimachine(rng, monoid=m) for m in TRANSDUCER_MONOIDS for _ in range(20)]
     machines += [build(make_tn(n), verify=False) for n in range(1, 4)]
     for b in machines:
-        assert all(type(t) is list for t in b.tables[1:])  # compiled or small: dense
+        assert all(type(t) is list for t in b.tables[1:4])  # compiled or small: dense
         far = far_apart(b)
-        _, left, right, psi = far.tables
+        _, left, right, psi, _ = far.tables
         assert (len(left), len(right), len(psi)) == (len(b.left.delta), len(b.right.delta), len(b.psi))
         for w in all_words(b.alphabet, 4):
             assert evaluate(far, w) == evaluate_reference(b, w), (b, w)
+
+
+def test_commutative_tables_hold_one_code_per_payload(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    lookahead = importlib.import_module("gen").lookahead_spec()
+    b = build(parse_transducer(lookahead.text()))
+    assert format_descriptor(b.monoid) == "product(nnrat,intgrp)" and b.monoid.commutative
+    ids, _, _, psi, _ = b.tables
+    k, nr = len(ids), b.right.n_states
+    codes = defaultdict(set)  # payload -> the codes of its cells
+    for (l, a, r), v in b.psi.items():
+        codes[v.payload].add(psi[(l * k + ids[a]) * nr + r])
+    assert len(codes) == 9
+    assert sorted(c for (c,) in codes.values()) == list(range(9))  # one code per payload
+    assert {c for c in psi if c is not None} == set(range(9))
+    # far apart, the codes sit in a sparse table and evaluate the same
+    far = far_apart(b)
+    assert type(far.tables[3]) is not list
+    rng = random.Random(11)
+    for n in (1, 2, 3, 50):
+        word = tuple(rng.choice(b.alphabet) for _ in range(n))
+        assert evaluate(far, word) == evaluate(b, word) == evaluate_reference(b, word)
+    # free words, alone or in a product, keep their payloads
+    tn = build(make_tn(3), verify=False)
+    assert {p for p in tn.tables[3] if p is not None} == {v.payload for v in tn.psi.values()}
+    rng = random.Random(5)
+    for _ in range(20):
+        mixed = random_bimachine(rng, monoid=TRANSDUCER_MONOIDS[3])
+        assert not mixed.monoid.commutative
+        assert {p for p in mixed.tables[3] if p is not None} == {v.payload for v in mixed.psi.values()}
 
 
 def test_constructor_rejects_bad_entries():

@@ -538,6 +538,7 @@ def test_cli_compile_and_run(tmp_path, capsys):
     assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--stats"]) == 0
     stats = capsys.readouterr().out
     assert "left=3" in stats and "right=6" in stats
+    assert "psi=34 values=4 eps=none" in stats  # 34 entries, 4 distinct payloads
     assert stats.strip().endswith("squared=10 useful=6 sets=5")
     assert cli_main(["run", out, "--input", "a1a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
@@ -573,7 +574,7 @@ def test_cli_compile_classical_method(tmp_path, capsys):
     ) == 0
     # the squared automaton is the input's; sets are over the expansion
     assert capsys.readouterr().out.strip() == (
-        "left=5 right=6 psi=58 eps=none squared=10 useful=6 sets=10"
+        "left=5 right=6 psi=58 values=5 eps=none squared=10 useful=6 sets=10"
     )
     assert cli_main(["run", out, "--input", "a2a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'

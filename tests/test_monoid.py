@@ -1,6 +1,7 @@
 """Monoid instances: laws, most general equalizers, accumulation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,17 @@ free_int_values = st.tuples(st.text(alphabet="ab", max_size=4), st.integers(-8, 
     lambda p: MonoidValue(FREE_INT, p)
 )
 
+# products of commutative components only, nested too
+NUMERIC = PairOf(RAT, INT)
+NUMERIC_NESTED = PairOf(INT, PairOf(RAT, RAT))
+numeric_values = st.tuples(st.fractions(0, 10, max_denominator=6), st.integers(-8, 8)).map(
+    lambda p: MonoidValue(NUMERIC, p)
+)
+numeric_nested_values = st.tuples(
+    st.integers(-8, 8),
+    st.tuples(st.fractions(0, 8, max_denominator=5), st.fractions(0, 8, max_denominator=7)),
+).map(lambda p: MonoidValue(NUMERIC_NESTED, p))
+
 
 # --- monoid laws -----------------------------------------------------------
 
@@ -127,6 +139,40 @@ def test_fold_of_nothing_is_the_unit():
     for m in ALL_MONOIDS + [FREE_INT]:
         assert repr(m.fold_payloads([])) == repr(unit_payload(m))
         assert MonoidValue(m, m.fold_payloads([])) == m.unit
+
+
+COMMUTATIVE = [
+    (RAT, rat_values),
+    (INT, int_values),
+    (NUMERIC, numeric_values),
+    (NUMERIC_NESTED, numeric_nested_values),
+]
+
+
+def test_commutative_flags():
+    assert Monoid.commutative is False
+    for m in (RAT, INT, NUMERIC, NUMERIC_NESTED):
+        assert m.commutative is True, m
+    # free words, and every product with a free component, keep their order
+    for m in (FREE, PROD, NESTED, FREE_INT, PairOf(INT, FreeWords(("a",))), PairOf(NUMERIC, FREE)):
+        assert m.commutative is False, m
+
+
+@given(st.data())
+def test_fold_counts_is_fold_payloads_of_the_expanded_list(data):
+    m, values = data.draw(st.sampled_from(COMMUTATIVE))
+    pool = [v.payload for v in data.draw(st.lists(values, min_size=1, max_size=4))]
+    payloads = data.draw(st.lists(st.sampled_from(pool), max_size=12))  # with repeats
+    counts = list(Counter(payloads).items())
+    assert repr(m.fold_counts(counts)) == repr(m.fold_payloads(payloads))
+    # one large count, beside the drawn ones
+    big = counts + [(pool[0], 10**4)]
+    assert repr(m.fold_counts(big)) == repr(m.fold_payloads(payloads + [pool[0]] * 10**4))
+
+
+def test_fold_counts_of_nothing_is_the_unit():
+    for m, _ in COMMUTATIVE:
+        assert repr(m.fold_counts([])) == repr(unit_payload(m))
 
 
 # --- eta -------------------------------------------------------------------
