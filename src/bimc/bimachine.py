@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fsa import Dfa, check_symbols, is_state
-from .monoid import Monoid, MonoidValue, _trusted
+from .monoid import Integers, Monoid, MonoidValue, _trusted
 
 
 class AlphabetError(ValueError):
@@ -82,7 +82,7 @@ class Bimachine:
         psi[(l*k + a)*n_R + r] the output payload, or None; a list, or a
         _Sparse dict if it would have over 8 slots per entry, as huge state
         numbers in a text can make.  fold multiplies a list of psi slots;
-        psi holds a code 0..V-1 per distinct payload if commutative."""
+        psi holds a code 0..V-1 per distinct payload where fold counts them."""
         ids = {a: i for i, a in enumerate(self.alphabet)}
         k, nr = len(ids), self.right.n_states
 
@@ -96,12 +96,15 @@ class Bimachine:
             return delta
 
         psi = slots(self.left.n_states * k * nr, len(self.psi))
-        m, codes, commutative = self.monoid, {}, self.monoid.commutative
+        # order is free in a commutative monoid: fold each payload once, with
+        # its count; not for bare integers, which fold_payloads sums in C
+        m, codes = self.monoid, {}
+        count = m.commutative and not isinstance(m, Integers)
         for (l, a, r), v in self.psi.items():
             p = v.payload
-            psi[(l * k + ids[a]) * nr + r] = codes.setdefault(p, len(codes)) if commutative else p
-        values = list(codes)  # order is free: fold each payload once, with its count
-        fold = m.fold_payloads if not commutative else (
+            psi[(l * k + ids[a]) * nr + r] = codes.setdefault(p, len(codes)) if count else p
+        values = list(codes)
+        fold = m.fold_payloads if not count else (
             lambda cells: m.fold_counts([(values[c], n) for c, n in Counter(cells).items()]))
         return ids, flat(self.left), flat(self.right), psi, fold
 
@@ -131,8 +134,8 @@ def evaluate(b: Bimachine, word) -> MonoidValue | None:
         r = right[r * k + a]
         if r is None:
             return None
-    # collect the payloads (codes, if commutative) and multiply once at
-    # the end: a running product would copy the growing output at every letter
+    # collect the payloads (or their codes) and multiply once at the
+    # end: a running product would copy the growing output at every letter
     payloads = []
     kn, l = k * nr, b.left.start
     for a, cell in zip(syms, cells):

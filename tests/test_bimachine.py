@@ -178,14 +178,16 @@ def test_commutative_tables_hold_one_code_per_payload(monkeypatch):
     for n in (1, 2, 3, 50):
         word = tuple(rng.choice(b.alphabet) for _ in range(n))
         assert evaluate(far, word) == evaluate(b, word) == evaluate_reference(b, word)
-    # free words, alone or in a product, keep their payloads
+    # free words, alone or in a product, keep their payloads, and so do bare
+    # integers, which fold_payloads sums faster than counting
     tn = build(make_tn(3), verify=False)
     assert {p for p in tn.tables[3] if p is not None} == {v.payload for v in tn.psi.values()}
     rng = random.Random(5)
-    for _ in range(20):
-        mixed = random_bimachine(rng, monoid=TRANSDUCER_MONOIDS[3])
-        assert not mixed.monoid.commutative
-        assert {p for p in mixed.tables[3] if p is not None} == {v.payload for v in mixed.psi.values()}
+    for monoid in (TRANSDUCER_MONOIDS[3], Integers()):
+        for _ in range(20):
+            other = random_bimachine(rng, monoid=monoid)
+            assert {p for p in other.tables[3] if p is not None} == {v.payload for v in other.psi.values()}
+            assert other.tables[4] == monoid.fold_payloads
 
 
 def test_constructor_rejects_bad_entries():
