@@ -242,10 +242,10 @@ class PairOf(Monoid):
     left: Monoid
     right: Monoid
 
+    commutative = property(lambda self: self.left.commutative and self.right.commutative)
+
     def op_payload(self, a, b):
         return (self.left.op_payload(a[0], b[0]), self.right.op_payload(a[1], b[1]))
-
-    commutative = property(lambda self: self.left.commutative and self.right.commutative)
 
     def fold_payloads(self, payloads):
         return (
