@@ -439,8 +439,8 @@ def _cmd_compare(args):
             if got != want:
                 print(f"{name} disagrees on {word!r}: {got!r} vs {want!r}")
                 return 1
-    names = " and ".join(name for name, _ in machines)
-    print(f"{names} agree with the path walk on {checked} words ({domain} in the domain)")
+    subject = "mge and classical agree" if len(machines) > 1 else "mge agrees"
+    print(f"{subject} with the path walk on {checked} words ({domain} in the domain)")
     return 0
 
 

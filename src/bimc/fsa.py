@@ -261,22 +261,20 @@ def trim(t: Transducer):
     return trusted_transducer(t.alphabet, t.monoid, len(kept), initial, final, arcs), kept
 
 
-def eps_closure(n_states, eps_arcs, unit):
-    """The pure epsilon paths out of each state: outof[q] holds the
+def eps_closure(t: Transducer):
+    """The pure epsilon paths out of each state of t: outof[q] holds the
     (end, value) pairs of the paths leaving q, in breadth-first
     discovery order from (q, unit), the empty path first.
 
-    eps_arcs are (src, value, dst) and values multiply along a path.
+    Values multiply along a path of epsilon moves, read from t.moves.
     The lists are complete only when every epsilon cycle multiplies out
     to unit; otherwise the walk stops at the first nonunit path from a
     state q back to q, listed in the cut-short outof[q].  The state
     budget counts the (start, end, value) nodes of all lists together.
     """
-    step = defaultdict(list)
-    for src, value, dst in eps_arcs:
-        step[src].append((value, dst))
-    if not step:  # each state reaches only itself
-        return [[(q, unit)] for q in range(n_states)]
+    unit, moves = t.monoid.unit, t.moves
+    if t.real_time:  # each state reaches only itself
+        return [[(q, unit)] for q in range(t.n_states)]
 
     cut = False  # set at the first nonunit path back to its start; explore then drains
 
@@ -284,10 +282,10 @@ def eps_closure(n_states, eps_arcs, unit):
         nonlocal cut
         root, p, v = node
         cut = cut or (p == root and v != unit)
-        return () if cut else ((None, (root, dst, v * m)) for m, dst in step[p])
+        return () if cut else ((None, (root, dst, v * m)) for m, dst in moves.get((p, None), ()))
 
-    order, _ = explore([(q, q, unit) for q in range(n_states)], successors, "epsilon closure")
-    outof = [[] for _ in range(n_states)]
+    order, _ = explore([(q, q, unit) for q in range(t.n_states)], successors, "epsilon closure")
+    outof = [[] for _ in range(t.n_states)]
     for root, p, v in order:
         outof[root].append((p, v))
     return outof

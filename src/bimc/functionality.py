@@ -48,8 +48,6 @@ def eps_cycle_check(t: Transducer, eps_paths):
     the smallest state q with a nonunit path back to q among its paths
     in eps_paths, t's output-labelled eps_closure; the closure stops at
     the first such path.  Expects a trimmed transducer."""
-    if t.real_time:
-        return None
     unit = t.monoid.unit
     cyclic = (q for q, paths in enumerate(eps_paths) for p, v in paths if p == q and v != unit)
     return next(cyclic, None)
@@ -71,20 +69,16 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     def reject(kind, detail, **extras):
         return FunctionalityVerdict(False, Witness(kind, detail), t, trimmed, **extras)
 
-    arcs = ((tr.src, tr.out, tr.dst) for tr in trimmed.transitions if tr.inp is None)
-    eps_paths = eps_closure(trimmed.n_states, arcs, trimmed.monoid.unit)
-    bad = eps_cycle_check(trimmed, eps_paths)
-    if bad is not None:  # eps_paths is cut short here, so the rejection leaves it out
-        return reject(
-            "eps-cycle",
-            f"state {kept[bad]} lies on an epsilon cycle with nonunit output",
-        )
+    eps_paths = eps_closure(trimmed)
+    q = eps_cycle_check(trimmed, eps_paths)
+    if q is not None:  # eps_paths is cut short here, so the rejection leaves it out
+        return reject("eps-cycle", f"state {kept[q]} lies on an epsilon cycle with nonunit output")
     eps_outs = eps_language(trimmed, eps_paths)
     if len(eps_outs) > 1:
-        shown = ", ".join(sorted(format_value(v) for v in eps_outs))
+        listed = ", ".join(sorted(format_value(v) for v in eps_outs))
         return reject(
             "eps-language",
-            f"empty input maps to {len(eps_outs)} distinct outputs: {shown}",
+            f"empty input maps to {len(eps_outs)} distinct outputs: {listed}",
             eps_outputs=eps_outs,
         )
 
@@ -94,38 +88,34 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     extras = dict(squared=sq, valuation=val, eps_outputs=eps_outs, eps_paths=eps_paths)
     op, fmt = trimmed.monoid.op_payload, trimmed.monoid.format_payload  # rho and arcs hold payloads
 
-    for i in range(len(sq.pairs)):
-        if i in useful and i not in val.nu:
-            p1, p2 = sq.pairs[i]
-            x1, x2 = val.rho[i]
-            return reject(
-                "unequalizable-pair",
-                f"pair ({kept[p1]},{kept[p2]}) accumulates "
-                f"({fmt(x1)},{fmt(x2)}) which no suffix can equalize",
-                **extras,
-            )
+    def pair(i):  # squared pair i, named by the states of t it stands for
+        return "({},{})".format(*(kept[p] for p in sq.pairs[i]))
+
+    def shown(x):  # a pair of payloads
+        return "({},{})".format(*map(fmt, x))
+
+    for i in sorted(useful.difference(val.nu)):  # nu misses only the unequalizable pairs
+        return reject(
+            "unequalizable-pair",
+            f"pair {pair(i)} accumulates {shown(val.rho[i])} which no suffix can equalize",
+            **extras,
+        )
     for src, m1, m2, dst in sq.transitions:
         if src in useful and dst in useful:
-            x1, x2 = val.rho[src]
-            y1, y2 = val.nu[dst]
+            (x1, x2), (y1, y2) = val.rho[src], val.nu[dst]
             if op(op(x1, m1), y1.payload) != op(op(x2, m2), y2.payload):
-                p1, p2 = sq.pairs[src]
-                q1, q2 = sq.pairs[dst]
                 return reject(
                     "transition-mismatch",
-                    f"step ({kept[p1]},{kept[p2]}) -> ({kept[q1]},{kept[q2]}) with labels "
-                    f"({fmt(m1)},{fmt(m2)}) breaks output agreement",
+                    f"step {pair(src)} -> {pair(dst)} with labels {shown((m1, m2))} "
+                    "breaks output agreement",
                     **extras,
                 )
     unit = trimmed.monoid.unit
     for f in sq.final:
         if val.nu.get(f) != (unit, unit):
-            p1, p2 = sq.pairs[f]
-            x1, x2 = val.rho[f]
             return reject(
                 "final-imbalance",
-                f"final pair ({kept[p1]},{kept[p2]}) ends with unequal outputs "
-                f"({fmt(x1)},{fmt(x2)})",
+                f"final pair {pair(f)} ends with unequal outputs {shown(val.rho[f])}",
                 **extras,
             )
     return FunctionalityVerdict(True, None, t, trimmed, **extras)

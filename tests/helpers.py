@@ -12,7 +12,7 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import Transducer, eps_closure, explore
+from bimc.fsa import Transducer, explore
 from bimc.functionality import test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
@@ -286,13 +286,6 @@ def run_dfa(dfa, word):
         if q is None:
             return None
     return q
-
-
-def eps_paths(t):
-    """t's output-labelled epsilon closure, as the functionality test
-    computes it for eps_language and generalized_transitions."""
-    arcs = [(tr.src, tr.out, tr.dst) for tr in t.transitions if tr.inp is None]
-    return eps_closure(t.n_states, arcs, t.monoid.unit)
 
 
 def eps_closure_reference(n_states, eps_arcs, unit):

@@ -673,6 +673,7 @@ def test_cli_compare(tmp_path, capsys):
     assert cli_main(["compare", str(eps), "--max-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "classical skipped" in out
+    assert out.splitlines()[-1] == "mge agrees with the path walk on 4 words (1 in the domain)"
     ints = tmp_path / "ints.fst"
     ints.write_text(
         "monoid intgrp\nalphabet a\nstates 2\ninitial 0\nfinal 1\nt 0 a -2 1\nt 1 a 3 1\n",

@@ -18,13 +18,12 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import Transducer, determinize, members, output_cells
+from bimc.fsa import Transducer, determinize, eps_closure, members, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
-    eps_paths,
     functional_draws,
     output_table,
     random_transducer,
@@ -205,7 +204,7 @@ def test_generalized_transitions_real_time_are_the_moves_by_source():
         [(0, "a", "x", 1), (0, "b", "y", 1), (1, "a", "", 0)],
     )
     want = [(0, "a", fw("x"), 1), (0, "b", fw("y"), 1), (1, "a", fw(""), 0)]
-    assert generalized_transitions(t, eps_paths(t)) == want
+    assert generalized_transitions(t, eps_closure(t)) == want
     interleaved = Transducer(
         ("a", "b"), FREE, 2, {0}, {1},
         [(1, "a", "", 0), (0, "b", "y", 1), (0, "a", "yy", 0), (1, "a", "xy", 1), (0, "a", "x", 1)],
@@ -214,7 +213,7 @@ def test_generalized_transitions_real_time_are_the_moves_by_source():
         (0, "a", fw("yy"), 0), (0, "a", fw("x"), 1), (0, "b", fw("y"), 1),
         (1, "a", fw(""), 0), (1, "a", fw("xy"), 1),
     ]
-    assert generalized_transitions(interleaved, eps_paths(interleaved)) == want
+    assert generalized_transitions(interleaved, eps_closure(interleaved)) == want
 
 
 def test_generalized_transitions_fold_eps_outputs():
@@ -222,7 +221,7 @@ def test_generalized_transitions_fold_eps_outputs():
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (1, "a", "y", 2)],
     )
-    gen = set(generalized_transitions(t, eps_paths(t)))
+    gen = set(generalized_transitions(t, eps_closure(t)))
     assert gen == {(1, "a", fw("y"), 2), (0, "a", fw("xy"), 2)}
 
 

@@ -1,5 +1,6 @@
 """Functionality decision: epsilon gates, valuation checks, witnesses."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from bimc.benchmark import make_tn
 from bimc.fsa import StateLimitExceeded, Transducer, eps_closure, trim
-from bimc.functionality import eps_cycle_check, eps_language
+from bimc.functionality import Witness, eps_cycle_check, eps_language
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
 from helpers import (
@@ -15,7 +16,6 @@ from helpers import (
     eps_closure_reference,
     eps_cycle_reference,
     eps_diamond_chain,
-    eps_paths,
     output_table,
     random_transducer,
     with_eps_detours,
@@ -36,12 +36,12 @@ def test_eps_cycle_check_accepts_unit_cycles():
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "", 1), (1, None, "", 0), (0, "a", "x", 1)],
     )
-    assert eps_cycle_check(t, eps_paths(t)) is None
+    assert eps_cycle_check(t, eps_closure(t)) is None
 
 
 def test_eps_cycle_check_rejects_growing_loop():
     t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
-    assert eps_cycle_check(t, eps_paths(t)) == 0
+    assert eps_cycle_check(t, eps_closure(t)) == 0
 
 
 def test_eps_cycle_check_rejects_inconsistent_ring():
@@ -50,7 +50,7 @@ def test_eps_cycle_check_rejects_inconsistent_ring():
         ("a",), FREE, 2, {0}, {1},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 0)],
     )
-    assert eps_cycle_check(t, eps_paths(t)) is not None
+    assert eps_cycle_check(t, eps_closure(t)) is not None
 
 
 def test_eps_cycle_check_ignores_edges_between_components():
@@ -58,7 +58,7 @@ def test_eps_cycle_check_ignores_edges_between_components():
     t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "x", 1), (1, "a", "y", 1)]
     )
-    assert eps_cycle_check(t, eps_paths(t)) is None
+    assert eps_cycle_check(t, eps_closure(t)) is None
 
 
 def test_eps_cycle_check_returns_the_smallest_state_on_a_nonunit_cycle():
@@ -69,7 +69,7 @@ def test_eps_cycle_check_returns_the_smallest_state_on_a_nonunit_cycle():
         [(0, None, "", 1), (1, None, "", 0), (2, None, "x", 3), (3, None, "", 2),
          (2, None, "y", 0)],
     )
-    assert eps_cycle_check(t, eps_paths(t)) == 2
+    assert eps_cycle_check(t, eps_closure(t)) == 2
 
 
 def test_eps_walks_match_their_queue_references():
@@ -84,20 +84,17 @@ def test_eps_walks_match_their_queue_references():
             if k % 2:
                 t = with_eps_detours(rng, t)
             for u in (t, trim(t)[0]):
-                eps = [tr for tr in u.transitions if tr.inp is None]
-                plain = [(tr.src, 1, tr.dst) for tr in eps]
-                assert eps_closure(u.n_states, plain, 1) == eps_closure_reference(
-                    u.n_states, plain, 1
-                )[0]
-                bad = eps_cycle_check(u, eps_paths(u))
+                unit = u.monoid.unit
+                unit_eps = [tr._replace(out=unit) if tr.inp is None else tr for tr in u.transitions]
+                plain = dataclasses.replace(u, transitions=unit_eps)
+                arcs = [(tr.src, unit, tr.dst) for tr in plain.transitions if tr.inp is None]
+                assert eps_closure(plain) == eps_closure_reference(u.n_states, arcs, unit)[0]
+                bad = eps_cycle_check(u, eps_closure(u))
                 on_cycles = eps_cycle_reference(u)
                 assert (bad is None) == (not on_cycles)
                 if bad is None:
-                    labelled = [(tr.src, tr.out, tr.dst) for tr in eps]
-                    unit = u.monoid.unit
-                    assert eps_closure(u.n_states, labelled, unit) == eps_closure_reference(
-                        u.n_states, labelled, unit
-                    )[0]
+                    labelled = [(tr.src, tr.out, tr.dst) for tr in u.transitions if tr.inp is None]
+                    assert eps_closure(u) == eps_closure_reference(u.n_states, labelled, unit)[0]
                 else:
                     assert bad in on_cycles
                     with_cycle += 1
@@ -118,7 +115,7 @@ def test_eps_closure_stops_at_the_first_nonunit_return(monkeypatch):
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "", 1), (1, None, "x", 1), (1, "a", "", 2)],
     )
-    paths = eps_paths(t)
+    paths = eps_closure(t)
     assert (1, fw("x")) in paths[1]
     assert eps_cycle_check(t, paths) == 1
 
@@ -128,14 +125,14 @@ def test_eps_language_collects_all_eps_outputs():
         ("a",), FREE, 3, {0}, {2},
         [(0, None, "x", 1), (0, None, "y", 1), (1, None, "", 2)],
     )
-    assert eps_language(t, eps_paths(t)) == frozenset({fw("x"), fw("y")})
+    assert eps_language(t, eps_closure(t)) == frozenset({fw("x"), fw("y")})
 
 
 def test_eps_language_empty_word_via_overlap():
     t = Transducer(("a",), FREE, 1, {0}, {0}, [])
-    assert eps_language(t, eps_paths(t)) == frozenset({fw("")})
+    assert eps_language(t, eps_closure(t)) == frozenset({fw("")})
     t2 = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1)])
-    assert eps_language(t2, eps_paths(t2)) == frozenset()
+    assert eps_language(t2, eps_closure(t2)) == frozenset()
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -199,7 +196,10 @@ def test_witness_transition_mismatch():
     )
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "transition-mismatch"
+    assert v.witness == Witness(
+        "transition-mismatch",
+        'step (0,0) -> (1,1) with labels ("x","y") breaks output agreement',
+    )
 
 
 def test_verdict_is_true_exactly_when_functional():
@@ -216,7 +216,9 @@ def test_witness_final_imbalance():
     )
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "final-imbalance"
+    assert v.witness == Witness(
+        "final-imbalance", 'final pair (1,2) ends with unequal outputs ("x","xx")'
+    )
 
 
 def test_witness_unequalizable_pair():
@@ -226,7 +228,9 @@ def test_witness_unequalizable_pair():
     )
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "unequalizable-pair"
+    assert v.witness == Witness(
+        "unequalizable-pair", 'pair (1,2) accumulates ("x","y") which no suffix can equalize'
+    )
     # in a product whose left outputs agree, the right component alone
     t = Transducer(
         ("a",), PairOf(FREE, FREE), 3, {0}, {1, 2},
@@ -234,14 +238,17 @@ def test_witness_unequalizable_pair():
     )
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "unequalizable-pair"
+    assert v.witness == Witness(
+        "unequalizable-pair",
+        'pair (1,2) accumulates (("x","x"),("x","y")) which no suffix can equalize',
+    )
 
 
 def test_witness_eps_cycle():
     t = Transducer(("a",), FREE, 1, {0}, {0}, [(0, None, "x", 0)])
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "eps-cycle"
+    assert v.witness == Witness("eps-cycle", "state 0 lies on an epsilon cycle with nonunit output")
     assert v.squared is None
 
 
@@ -251,7 +258,7 @@ def test_witness_eps_language():
     )
     v = functionality(t)
     assert not v.functional
-    assert v.witness.kind == "eps-language"
+    assert v.witness == Witness("eps-language", 'empty input maps to 2 distinct outputs: "x", "y"')
     assert v.eps_outputs == frozenset({fw("x"), fw("y")})
 
 
