@@ -11,7 +11,6 @@ one move into the next set gives the output entry: no output algebra.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple
 
 from .bimachine import Bimachine
@@ -39,35 +38,33 @@ class ExpandedTransducer(NamedTuple):
 def unambiguous_expand(t: Transducer) -> ExpandedTransducer:
     """Resolve output-nondeterminism by guessing the successful path.
 
-    From (p, N) every transition (p, a, v, p') spawns (p', N') where N'
-    collects the a-successors of N plus the targets of the a-moves from p
-    whose output payload is smaller than v's by <, the payload order of
-    the monoid; the move is dropped when the target itself lands in N'.
+    From (p, N), symbol by symbol, each move (p, a, v, p') spawns (p', N')
+    where N' collects the a-successors of N plus the targets of the a-moves
+    from p whose output payload is smaller than v's by <, the payload order
+    of the monoid; the move is dropped when the target itself lands in N'.
     Finals are guesses that reached a final state while every
     alternative missed.  The result is trimmed.
     """
     if not check_pseudo_deterministic(t):
         raise ValueError("input must be deterministic over (symbol, output) pairs")
-    by_src = defaultdict(list)
-    for tr in t.transitions:
-        by_src[tr.src].append(tr)
     moves = t.moves
 
     def successors(node):
         p, neg_set = node
-        for tr in by_src[p]:
-            neg = {dst for q in neg_set for _, dst in moves.get((q, tr.inp), ())}
-            key = tr.out.payload
-            neg.update(dst for out, dst in moves[(p, tr.inp)] if out.payload < key)
-            if tr.dst not in neg:
-                yield tr, (tr.dst, frozenset(neg))
+        for a in t.alphabet:
+            here = moves.get((p, a), ())
+            after = frozenset(dst for q in neg_set for _, dst in moves.get((q, a), ()))
+            for out, dst in here:
+                neg = after.union(d for v, d in here if v.payload < out.payload)
+                if dst not in neg:
+                    yield (a, out), (dst, neg)
 
     start = (next(iter(t.initial)), frozenset())
     pairs, arcs = explore([start], successors, "unambiguous expansion")
     finals = frozenset(
         i for i, (p, neg) in enumerate(pairs) if p in t.final and not (neg & t.final)
     )
-    arcs = ((src, tr.inp, tr.out, dst) for src, tr, dst in arcs)
+    arcs = ((src, a, out, dst) for src, (a, out), dst in arcs)
     expanded = Transducer(t.alphabet, t.monoid, len(pairs), {0}, finals, arcs)
     trimmed, kept = trim(expanded)
     return ExpandedTransducer(trimmed, tuple(pairs[old] for old in kept))

@@ -136,6 +136,73 @@ def unit_payload(m):
     raise TypeError(m)
 
 
+def op_reference(m, a, b):
+    """The payload product a * b in m by each instance's own rule:
+    concatenation in free words, the sum in the rationals and the
+    integers, componentwise in products."""
+    if isinstance(m, (FreeWords, NonNegRationals, Integers)):
+        return a + b
+    if isinstance(m, PairOf):
+        return (op_reference(m.left, a[0], b[0]), op_reference(m.right, a[1], b[1]))
+    raise TypeError(m)
+
+
+def common_value(m, payloads):
+    """The value that the mge equalizes the nonempty set payloads to, by
+    each instance's own rule: the longest word in free words, where they
+    must be prefixes of it, the largest rational, componentwise in a
+    product.  Integers form a group, where any choice equalizes, so an
+    integer component reads None.  Of a single payload: the payload,
+    with its integer components as None."""
+    if isinstance(m, FreeWords):
+        top = max(payloads, key=len)
+        assert all(top.startswith(w) for w in payloads), payloads
+        return top
+    if isinstance(m, NonNegRationals):
+        return max(payloads)
+    if isinstance(m, Integers):
+        return None
+    if isinstance(m, PairOf):
+        return (
+            common_value(m.left, {a for a, _ in payloads}),
+            common_value(m.right, {b for _, b in payloads}),
+        )
+    raise TypeError(m)
+
+
+def joint_view_outputs(t, word):
+    """The joint view of the successful runs of the real-time t on word,
+    by a direct walk over those runs: a list of len(word) + 1 payloads,
+    item i the common_value of the outputs after i symbols of the runs,
+    or None when no run on word succeeds.  A state at position i is kept
+    when it reads the rest of word into a final state."""
+    assert t.real_time
+    m = t.monoid
+    step = defaultdict(list)
+    for tr in t.transitions:
+        step[(tr.src, tr.inp)].append((tr.out.payload, tr.dst))
+    alive = [set(t.final)]  # built backward: alive[i] reads word[i:] into a final state
+    for sym in reversed(word):
+        after = alive[-1]
+        alive.append(
+            {p for (p, s), ms in step.items() if s == sym and any(q in after for _, q in ms)}
+        )
+    alive.reverse()
+    nodes = {(p, unit_payload(m)) for p in t.initial & alive[0]}
+    if not nodes:
+        return None
+    views = [common_value(m, {out for _, out in nodes})]
+    for i, sym in enumerate(word):
+        nodes = {
+            (q, op_reference(m, out, v))
+            for p, out in nodes
+            for v, q in step.get((p, sym), ())
+            if q in alive[i + 1]
+        }
+        views.append(common_value(m, {out for _, out in nodes}))
+    return views
+
+
 def eta_reference(a, b):
     """Mge of the values (a, b) as a payload pair, or None, by each
     instance's own rule: the prefix rule in free words, the max rule in
@@ -504,6 +571,19 @@ def evaluate_reference(b, word):
         raise AlphabetError(f"symbol {s!r} is not in the input alphabet")
     if not syms:
         return b.eps_output
+    outputs = positional_outputs(b, syms)
+    if outputs is None:
+        return None
+    product = b.monoid.unit
+    for v in outputs:
+        product = op(product, v)
+    return product
+
+
+def positional_outputs(b, syms):
+    """The psi values the machine emits along the nonempty symbol tuple
+    syms, one per position, read off its dicts; None when a move or an
+    entry is undefined (the left move after the last symbol may be)."""
     n = len(syms)
     # suffix[i] = right state after consuming syms[i:] backwards
     suffix = [0] * (n + 1)
@@ -524,10 +604,7 @@ def evaluate_reference(b, word):
             l = b.left.delta.get((l, syms[i]))
             if l is None:
                 return None
-    product = b.monoid.unit
-    for v in outputs:
-        product = op(product, v)
-    return product
+    return outputs
 
 
 def random_bimachine(rng, max_states=4, max_symbols=3, out_symbols=("x", "y"), monoid=None):

@@ -1,10 +1,8 @@
 import dataclasses
-import importlib
 import random
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -158,9 +156,8 @@ def test_tables_follow_the_entries_when_states_are_far_apart():
             assert evaluate(far, w) == evaluate_reference(b, w), (b, w)
 
 
-def test_commutative_tables_hold_one_code_per_payload(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    lookahead = importlib.import_module("gen").lookahead_spec()
+def test_commutative_tables_hold_one_code_per_payload(perfbench_gen):
+    lookahead = perfbench_gen.lookahead_spec()
     b = build(parse_transducer(lookahead.text()))
     assert format_descriptor(b.monoid) == "product(nnrat,intgrp)" and b.monoid.commutative
     ids, _, _, psi, _ = b.tables

@@ -4,6 +4,7 @@ import pytest
 
 from bimc.benchmark import make_tn
 from bimc.bimachine import evaluate
+from bimc.cli import bimachine_to_text, parse_transducer
 from bimc.classical import check_pseudo_deterministic, classical_compile, unambiguous_expand
 from bimc.compiler import NotFunctionalError, compile as build
 from bimc.fsa import Transducer, enumerate_outputs
@@ -91,6 +92,26 @@ def test_expansion_pairs_name_the_states_and_exclude_their_guess():
         assert all(p not in neg for p, neg in exp.pairs)
         alternatives += any(neg for _, neg in exp.pairs)
     assert alternatives > 50  # 61 of the 405 have a guess with alternatives
+
+
+def test_machines_do_not_depend_on_declaration_order(perfbench_gen):
+    # the expansion's state numbering follows the order the transitions
+    # are declared in; the machines, numbered by the subset walks, must not
+    rng = random.Random(3131)
+    cases = [make_tn(n) for n in range(1, 6)]
+    cases += [parse_transducer(spec.text()) for spec in perfbench_gen.corpus(300)]
+    compared = {classical_compile: 0, build: 0}
+    for t in cases:
+        arcs = rng.sample(t.transitions, len(t.transitions))
+        shuffled = Transducer(t.alphabet, t.monoid, t.n_states, t.initial, t.final, arcs)
+        if shuffled.transitions == t.transitions:
+            continue
+        compilers = [classical_compile] if check_pseudo_deterministic(t) else []
+        compilers += [build] if functionality(t).functional else []
+        for compile_ in compilers:
+            assert bimachine_to_text(compile_(shuffled)) == bimachine_to_text(compile_(t))
+            compared[compile_] += 1
+    assert list(compared.values()) == [54, 85]
 
 
 def test_expand_nonfunctional_keeps_least_output():

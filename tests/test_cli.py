@@ -29,6 +29,7 @@ from bimc.cli import (
 )
 from bimc.compiler import compile as build
 from bimc.fsa import Transducer, Transition
+from bimc.functionality import test_functionality as functionality
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_descriptor,
     parse_value,
@@ -228,6 +229,16 @@ LINE_LESS = re.compile(
 )
 
 
+def _rejection_shape(err):
+    """The kind of a FormatError: numbered when it names its line, as
+    every rejection must unless no line is to blame, else line-less."""
+    message = str(err)
+    if re.match(r"line [1-9][0-9]*: ", message):
+        return "numbered"
+    assert LINE_LESS.fullmatch(message), message
+    return "line-less"
+
+
 def test_parsers_raise_only_format_errors():
     rng = random.Random(2024)
     pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
@@ -248,14 +259,46 @@ def test_parsers_raise_only_format_errors():
                 try:
                     read(_mutated_lines(rng, rng.choice(sources), pool))
                 except FormatError as err:
-                    # every rejection names its line, unless no line is to blame
-                    message = str(err)
-                    if re.match(r"line [1-9][0-9]*: ", message):
-                        shapes["numbered"] += 1
-                    else:
-                        assert LINE_LESS.fullmatch(message), message
-                        shapes["line-less"] += 1
+                    shapes[_rejection_shape(err)] += 1
     assert min(shapes.values()) > 0, shapes
+
+
+def _mutated_chars(rng, text, pool):
+    """text after one or two random character edits: a character
+    deleted, replaced by one from pool, or one from pool inserted."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3) if i < len(text) else 2
+        tail = text[i + 1:] if kind < 2 else text[i:]
+        text = text[:i] + ("" if kind == 0 else rng.choice(pool)) + tail
+    return text
+
+
+def test_readers_round_trip_or_reject_character_edits(perfbench_gen):
+    # each edited text either reads to an object that reads back equal
+    # after writing, or is rejected with its line number
+    rng = random.Random(909)
+    pool = string.digits + string.ascii_lowercase[:4] + "xy-/()\",: \n#"
+    corpus = [spec.text() for spec in perfbench_gen.corpus(200)]
+    transducers = map(parse_transducer, corpus[:100])
+    machines = [build(t) for t in transducers if functionality(t).functional]
+    readers = (
+        (parse_transducer, format_transducer, corpus),
+        (bimachine_from_text, bimachine_to_text, [bimachine_to_text(b) for b in machines]),
+    )
+    for read, write, texts in readers:
+        outcomes = {"read": 0, "numbered": 0, "line-less": 0}
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "line [0-9]+: duplicate transition collapsed")
+            for _ in range(3000):
+                try:
+                    got = read(_mutated_chars(rng, rng.choice(texts), pool))
+                except FormatError as err:
+                    outcomes[_rejection_shape(err)] += 1
+                else:
+                    assert read(write(got)) == got
+                    outcomes["read"] += 1
+        assert outcomes["read"] > 50 and outcomes["numbered"] > 2_000, outcomes
 
 
 def test_bimachine_round_trip_is_canonical():

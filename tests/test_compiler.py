@@ -1,8 +1,6 @@
 import dataclasses
-import importlib
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -357,13 +355,7 @@ def _walk_sets(b):
     return sets
 
 
-def _benchmark_corpus(monkeypatch, size):
-    """The benchmark's fixed random corpus, as transducer texts."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return [member.text() for member in importlib.import_module("gen").corpus(size)]
-
-
-def test_delays_once_per_set_the_walk_meets(monkeypatch):
+def test_delays_once_per_set_the_walk_meets(monkeypatch, perfbench_gen):
     calls = []
     real = compiler.set_mge
 
@@ -380,8 +372,8 @@ def test_delays_once_per_set_the_walk_meets(monkeypatch):
         total += len(calls)
     assert total == 997
     total = 0
-    for text in _benchmark_corpus(monkeypatch, 1000):
-        t = parse_transducer(text)
+    for member in perfbench_gen.corpus(1000):
+        t = parse_transducer(member.text())
         v = functionality(t)
         if v.functional:
             calls.clear()
@@ -391,7 +383,7 @@ def test_delays_once_per_set_the_walk_meets(monkeypatch):
     assert total == 874  # the 933 sets of all left and right subset pairs, less the unmet
 
 
-def test_stats_counts_the_sets_a_compile_meets(monkeypatch, tmp_path, capsys):
+def test_stats_counts_the_sets_a_compile_meets(monkeypatch, tmp_path, capsys, perfbench_gen):
     calls = []
     real = compiler.set_mge
 
@@ -402,7 +394,7 @@ def test_stats_counts_the_sets_a_compile_meets(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(compiler, "set_mge", counting)
     src, out = tmp_path / "member.fst", str(tmp_path / "member.bim")
     stats = {}
-    for i, text in enumerate(_benchmark_corpus(monkeypatch, 200)):
+    for i, text in enumerate(m.text() for m in perfbench_gen.corpus(200)):
         if not functionality(parse_transducer(text)).functional:
             continue
         src.write_text(text, encoding="utf-8")
