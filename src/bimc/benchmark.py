@@ -12,14 +12,12 @@ baseline construction pays a factorial price on the left.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classical import unambiguous_expand
 from .compiler import compile as mge_compile
 from .fsa import StateLimitExceeded, Transducer, determinize, output_cells
 from .monoid import FreeWords
-
-CSV_COLUMNS = "n,method,left_states,right_states,intermediate_states,psi_entries,build_ms"
 
 SAFETY_LIMITS = {"mge": 8, "classical": 7}
 
@@ -55,8 +53,9 @@ def make_tn(n: int) -> Transducer:
     return Transducer(sigma, monoid, n + 2, {s}, {f}, arcs)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
+    """One row of the comparison; its first seven fields are the CSV columns."""
+
     n: int
     method: str
     left_states: int | None = None
@@ -66,52 +65,40 @@ class BenchRow:
     build_ms: float | None = None
     skipped: str | None = None  # reason, when the row was not computed
 
-
-def _cells(r: BenchRow, missing: str) -> list[str]:
-    """The columns of CSV_COLUMNS for one row; a skipped row shows
-    missing in every measured column."""
-    if r.skipped:
-        return [str(r.n), r.method] + [missing] * 5
-    return [
-        str(r.n),
-        r.method,
-        str(r.left_states),
-        str(r.right_states),
-        "" if r.intermediate_states is None else str(r.intermediate_states),
-        str(r.psi_entries),
-        f"{r.build_ms:.1f}",
-    ]
+    def cells(self, missing: str) -> list[str]:
+        """The CSV columns of the row; a skipped row shows missing in every
+        measured column."""
+        if self.skipped:
+            return [str(self.n), self.method] + [missing] * 5
+        return ["" if v is None else str(v) for v in self[:6]] + [f"{self.build_ms:.1f}"]
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
+CSV_COLUMNS = ",".join(BenchRow._fields[:7])
 
-    def to_csv(self) -> str:
-        lines = [CSV_COLUMNS] + [",".join(_cells(r, "")) for r in self.rows]
-        return "\n".join(lines)
 
-    def to_table(self) -> str:
-        head = ("n", "method", "left", "right", "interm", "psi", "ms", "note")
-        body = [
-            (*_cells(r, "-"), f"skipped: {r.skipped}" if r.skipped else "") for r in self.rows
+def to_csv(rows: tuple[BenchRow, ...]) -> str:
+    return "\n".join([CSV_COLUMNS] + [",".join(r.cells("")) for r in rows])
+
+
+def to_table(rows: tuple[BenchRow, ...]) -> str:
+    head = ("n", "method", "left", "right", "interm", "psi", "ms", "note")
+    body = [(*r.cells("-"), f"skipped: {r.skipped}" if r.skipped else "") for r in rows]
+    widths = [max(len(row[i]) for row in [head] + body) for i in range(len(head))]
+    lines = []
+    for row in [head] + body:
+        cells = [
+            row[i].ljust(widths[i]) if i in (1, 7) else row[i].rjust(widths[i])
+            for i in range(len(head))
         ]
-        widths = [max(len(row[i]) for row in [head] + body) for i in range(len(head))]
-        lines = []
-        for row in [head] + body:
-            cells = [
-                row[i].ljust(widths[i]) if i in (1, 7) else row[i].rjust(widths[i])
-                for i in range(len(head))
-            ]
-            lines.append("  ".join(cells).rstrip())
-        return "\n".join(lines)
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
 
 
 def _measure(n: int, method: str) -> BenchRow:
     t = make_tn(n)
     start = time.perf_counter()
     if method == "mge":
-        b = mge_compile(t, verify=True)
+        b = mge_compile(t)
         ms = (time.perf_counter() - start) * 1000
         return BenchRow(n, "mge", b.left.n_states, b.right.n_states, None, len(b.psi), ms)
     tt = unambiguous_expand(t).transducer
@@ -121,11 +108,11 @@ def _measure(n: int, method: str) -> BenchRow:
     return BenchRow(n, "classical", left.n_states, right.n_states, tt.n_states, entries, ms)
 
 
-def run_bench(max_n: int, methods=("classical", "mge"), limit=None) -> BenchReport:
+def run_bench(max_n: int, methods=("classical", "mge"), limit=None) -> tuple[BenchRow, ...]:
     """Measure the given constructions on T_1..T_max_n, rows in (n, method) order.
 
     Rows beyond a method's safety limit (or aborted by BIMC_MAX_STATES)
-    are kept in the report but marked skipped; limit=9 or similar
+    are kept but marked skipped; limit=9 or similar
     replaces the safety limit of every method.
     """
     methods = sorted(set(methods))
@@ -143,4 +130,4 @@ def run_bench(max_n: int, methods=("classical", "mge"), limit=None) -> BenchRepo
                 rows.append(_measure(n, method))
             except StateLimitExceeded as err:
                 rows.append(BenchRow(n, method, skipped=str(err)))
-    return BenchReport(tuple(rows))
+    return tuple(rows)

@@ -20,7 +20,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from ..benchmark import run_bench
+from ..benchmark import run_bench, to_csv, to_table
 from ..bimachine import Bimachine, evaluate
 from ..classical import check_pseudo_deterministic, classical_compile
 from ..compiler import CompileError, compile as mge_compile
@@ -410,8 +410,8 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     methods = ("mge", "classical") if args.method == "both" else (args.method,)
-    report = run_bench(args.max_n, methods=methods, limit=args.limit)
-    print(report.to_csv() if args.format == "csv" else report.to_table())
+    rows = run_bench(args.max_n, methods=methods, limit=args.limit)
+    print(to_csv(rows) if args.format == "csv" else to_table(rows))
     return 0
 
 

@@ -59,7 +59,7 @@ def test_criterion_1_tn_counts_new_construction():
 
 def test_criterion_2_tn_counts_classical_construction():
     started = time.perf_counter()
-    rows = {r.n: r for r in run_bench(6, methods=("classical",)).rows}
+    rows = {r.n: r for r in run_bench(6, methods=("classical",))}
     wrong = []
     for n in range(2, 7):
         fact = 1

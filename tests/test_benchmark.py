@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bimc.benchmark import CSV_COLUMNS, make_tn, run_bench
+from bimc.benchmark import CSV_COLUMNS, BenchRow, make_tn, run_bench, to_csv, to_table
 from bimc.bimachine import evaluate
 from bimc.classical import classical_compile
 from bimc.compiler import compile as build
@@ -52,7 +52,7 @@ def test_tn3_outputs_are_n_per_letter():
 
 
 def test_mge_rows_are_exact():
-    rows = {r.n: r for r in run_bench(3, methods=("mge",)).rows}
+    rows = {r.n: r for r in run_bench(3, methods=("mge",))}
     for n in (1, 2, 3):
         assert rows[n].left_states == 3
         assert rows[n].right_states == 2 ** n + n
@@ -62,7 +62,7 @@ def test_mge_rows_are_exact():
 
 
 def test_classical_rows_meet_lower_bounds():
-    rows = {r.n: r for r in run_bench(3, methods=("classical",)).rows}
+    rows = {r.n: r for r in run_bench(3, methods=("classical",))}
     for n in (2, 3):
         fact = 1
         for k in range(2, n + 1):
@@ -74,7 +74,7 @@ def test_classical_rows_meet_lower_bounds():
 
 
 def test_classical_count_matches_full_compile():
-    bench = {r.n: r for r in run_bench(3, methods=("classical",)).rows}
+    bench = {r.n: r for r in run_bench(3, methods=("classical",))}
     for n in (1, 2, 3):
         b = classical_compile(make_tn(n))
         assert bench[n].psi_entries == len(b.psi)
@@ -83,30 +83,52 @@ def test_classical_count_matches_full_compile():
 
 
 def test_report_is_sorted_and_csv_shaped():
-    rep = run_bench(2)
-    assert [(r.n, r.method) for r in rep.rows] == [
+    rows = run_bench(2)
+    assert [(r.n, r.method) for r in rows] == [
         (1, "classical"), (1, "mge"), (2, "classical"), (2, "mge"),
     ]
-    lines = rep.to_csv().splitlines()
+    lines = to_csv(rows).splitlines()
     assert lines[0] == CSV_COLUMNS
     assert len(lines) == 5
-    mge3 = run_bench(3, methods=("mge",)).to_csv().splitlines()[-1]
+    mge3 = to_csv(run_bench(3, methods=("mge",))).splitlines()[-1]
     assert mge3.startswith("3,mge,3,11,")
 
 
+def test_rendered_text_is_pinned():
+    # a classical row with an intermediate count, an mge row whose time
+    # widens the ms column, and a skipped row
+    rows = (
+        BenchRow(3, "classical", left_states=13, right_states=11, intermediate_states=27,
+                 psi_entries=426, build_ms=1.23),
+        BenchRow(3, "mge", left_states=3, right_states=11, psi_entries=96, build_ms=12.34),
+        BenchRow(4, "classical", skipped="over the safety limit (3)"),
+    )
+    assert to_csv(rows) == (
+        "n,method,left_states,right_states,intermediate_states,psi_entries,build_ms\n"
+        "3,classical,13,11,27,426,1.2\n"
+        "3,mge,3,11,,96,12.3\n"
+        "4,classical,,,,,"
+    )
+    assert to_table(rows) == (
+        "n  method     left  right  interm  psi    ms  note\n"
+        "3  classical    13     11      27  426   1.2\n"
+        "3  mge           3     11           96  12.3\n"
+        "4  classical     -      -       -    -     -  skipped: over the safety limit (3)"
+    )
+
+
 def test_rows_over_the_limit_are_skipped():
-    rep = run_bench(4, methods=("classical",), limit=2)
-    by_n = {r.n: r for r in rep.rows}
+    rows = run_bench(4, methods=("classical",), limit=2)
+    by_n = {r.n: r for r in rows}
     assert by_n[2].skipped is None
     assert by_n[3].skipped == by_n[4].skipped == "over the safety limit (2)"
-    assert "3,classical,,,,," in rep.to_csv().splitlines()
-    assert "skipped" in rep.to_table()
+    assert "3,classical,,,,," in to_csv(rows).splitlines()
+    assert "skipped" in to_table(rows)
 
 
 def test_state_cap_marks_rows_skipped(monkeypatch):
     monkeypatch.setenv("BIMC_MAX_STATES", "4")
-    rep = run_bench(3, methods=("classical",))
-    by_n = {r.n: r for r in rep.rows}
+    by_n = {r.n: r for r in run_bench(3, methods=("classical",))}
     assert by_n[1].skipped is None
     assert by_n[2].skipped and "BIMC_MAX_STATES" in by_n[2].skipped
     assert by_n[3].skipped

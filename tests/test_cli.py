@@ -20,6 +20,7 @@ from bimc.classical import classical_compile
 from bimc.cli import (
     AmbiguousInputError,
     FormatError,
+    _prefix_code_pattern,
     bimachine_from_text,
     bimachine_to_text,
     cli_main,
@@ -439,9 +440,17 @@ def test_tokenize_multi_character_symbols():
     assert tokenize("zz", ("a",)) is None
     assert tokenize("", ()) == () and tokenize("", ("",)) == ()
     assert tokenize("a", ()) is None
-    # a prefix code whose regex would nest 1,000 groups deep splits all the same
-    deep = ["a" * k + "b" for k in range(1000)]
-    assert tokenize("aab" + "b", deep) == ("aab", "b")
+
+
+def test_tokenize_splits_a_prefix_code_too_deep_for_one_regex():
+    # the trie regex of this prefix code nests 1,000 groups deep, past the
+    # default recursion limit, so no pattern is built and the DP splits it;
+    # __wrapped__ skips the cache, so the fallback runs in this test
+    deep = tuple("a" * i + "b" for i in range(1000))
+    assert _prefix_code_pattern.__wrapped__(deep) is None
+    assert tokenize("b" + "a" * 999 + "b" + "ab", deep) == ("b", "a" * 999 + "b", "ab")
+    assert tokenize("aab" + "b", list(deep)) == ("aab", "b")
+    assert tokenize("aaaaa", deep) is None
 
 
 def test_tokenize_rejects_ambiguous_splits():
