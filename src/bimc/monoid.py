@@ -9,9 +9,9 @@ unique because every instance is left cancellative (m*x == m*y implies
 x == y), so one product checking m*c == n confirms a candidate c as
 well as dividing again would.  Every "no solution" answer is None: eta's
 on a pair with no equalizer, solve_right's when no c exists, gamma_n's
-on a chain of mges that does not accumulate.  An instance supplies only
-its product, right division and literals: the unit is the empty
-product, and eta follows from right division except in products.
+on a chain of mges that does not accumulate.  Instances supply
+fold_payloads, solve_payload, check_payload and parse_payload; Monoid
+derives op_payload, format_payload, unit, eta_payload and commutative.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and
@@ -33,8 +33,9 @@ class DescriptorMismatch(TypeError):
 
 
 class Monoid:
-    """Base descriptor.  Subclasses supply the product, right division
-    and literals on raw payloads; the unit and eta are derived from them.
+    """Base descriptor.  Subclasses supply fold_payloads, solve_payload,
+    check_payload and parse_payload; op_payload (a + b), format_payload
+    (str), the unit, eta_payload and commutative are derived here.
     The stored payloads of one instance are totally ordered by <, which
     the classical expansion uses to rank alternative moves.  Callers
     outside the engine go through the module-level functions on
@@ -45,7 +46,8 @@ class Monoid:
     commutative = False
 
     def op_payload(self, a, b):
-        raise NotImplementedError
+        """a + b: concatenates free words, adds numbers; PairOf overrides it."""
+        return a + b
 
     def fold_payloads(self, payloads):
         """Product of a sequence of stored payloads, left to right, in
@@ -72,7 +74,8 @@ class Monoid:
         raise NotImplementedError
 
     def format_payload(self, a) -> str:
-        raise NotImplementedError
+        """The literal str(a) of a number; FreeWords and PairOf override it."""
+        return str(a)
 
     def parse_payload(self, text: str):
         raise NotImplementedError
@@ -110,9 +113,6 @@ class FreeWords(Monoid):
             if c in seen:
                 raise ValueError(f"duplicate alphabet symbol {c!r}")
             seen.add(c)
-
-    def op_payload(self, a, b):
-        return a + b
 
     def fold_payloads(self, payloads):
         return "".join(payloads)
@@ -156,9 +156,6 @@ class NonNegRationals(Monoid):
 
     commutative = True
 
-    def op_payload(self, a, b):
-        return a + b
-
     # integer sums per denominator, then one Fraction over their lcm:
     # adding Fractions one by one normalizes by a gcd at every step
     def fold_payloads(self, payloads):
@@ -186,9 +183,6 @@ class NonNegRationals(Monoid):
             raise ValueError(f"negative rational {a}")
         return a
 
-    def format_payload(self, a) -> str:
-        return str(a)
-
     def parse_payload(self, text: str):
         if not _RAT_RE.fullmatch(text):
             raise ValueError(f"bad rational literal {text!r}")
@@ -205,9 +199,6 @@ class Integers(Monoid):
 
     commutative = True
 
-    def op_payload(self, a, b):
-        return a + b
-
     def fold_payloads(self, payloads):
         return sum(payloads, 0)
 
@@ -221,9 +212,6 @@ class Integers(Monoid):
         if isinstance(a, bool) or not isinstance(a, int):
             raise ValueError(f"integer payload expected, got {a!r}")
         return a
-
-    def format_payload(self, a) -> str:
-        return str(a)
 
     def parse_payload(self, text: str):
         if not _INT_RE.fullmatch(text):
@@ -342,12 +330,9 @@ def op(a: MonoidValue, b: MonoidValue) -> MonoidValue:
 def eta(a: MonoidValue, b: MonoidValue):
     """Most general equalizer of (a, b), or None when no equalizer exists.
 
-    Equal arguments always yield (e, e), checked before anything else.
+    Equal arguments yield (e, e), through eta_payload.
     """
     m = _same_monoid(a, b)
-    if a.payload == b.payload:
-        e = m.unit
-        return (e, e)
     r = m.eta_payload(a.payload, b.payload)
     if r is None:
         return None

@@ -7,6 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bimc.bimachine import evaluate
+from bimc.compiler import compile as build
+from bimc.fsa import Transducer, enumerate_outputs
+from bimc.functionality import test_functionality as functionality
 from bimc.monoid import (
     DescriptorMismatch,
     FreeWords,
@@ -25,6 +29,7 @@ from bimc.monoid import (
     solve_right,
 )
 from helpers import (
+    all_words,
     brute_equalizers,
     candidate_values,
     eta_reference,
@@ -513,3 +518,52 @@ def test_values_of_separately_built_equal_descriptors_hash_alike():
         a, b = MonoidValue(m1, payload), MonoidValue(m2, payload)
         assert a.payload == b.payload and hash(a) == hash(b)
         assert a != b and len({a, b}) == 2
+
+
+# --- the Monoid contract ---------------------------------------------------
+
+
+class Naturals(Monoid):
+    """Non-negative ints under +, supplying only the four methods the base
+    class does not derive."""
+
+    def fold_payloads(self, payloads):
+        return sum(payloads, 0)
+
+    def solve_payload(self, a, b):
+        return b - a if b >= a else None
+
+    def check_payload(self, a):
+        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+            raise ValueError(f"natural payload expected, got {a!r}")
+        return a
+
+    def parse_payload(self, text: str):
+        if not text.isdigit():
+            raise ValueError(f"bad natural literal {text!r}")
+        return int(text)
+
+
+def test_a_monoid_supplying_four_methods_gets_the_rest():
+    nat = Naturals()
+    n = lambda k: MonoidValue(nat, k)
+    assert op(n(2), n(3)) == n(2) * n(3) == n(5)
+    assert format_value(n(7)) == "7" and parse_value(nat, "7") == n(7)
+    assert nat.unit == n(0) and nat.commutative is False
+    assert eta(n(4), n(4)) == (n(0), n(0))
+    assert eta(n(2), n(5)) == (n(3), n(0))
+    assert eta(n(5), n(2)) == (n(0), n(3))
+    # the mges of (2, 5) and (5, 1) accumulate through eta(0, 0)
+    assert gamma_n([(n(3), n(0)), (n(0), n(4))], nat) == (n(3), n(0), n(4))
+    # two runs over a a* b that pay 2 early and late, and 1 per inner a
+    t = Transducer(("a", "b"), nat, 4, {0}, {3}, [
+        (0, "a", 2, 1), (1, "a", 1, 1), (1, "b", 0, 3),
+        (0, "a", 0, 2), (2, "a", 1, 2), (2, "b", 2, 3),
+    ])
+    verdict = functionality(t)
+    assert verdict.functional
+    b = build(t, verdict)
+    for word in all_words(t.alphabet, 5):
+        outputs = enumerate_outputs(t, word)
+        assert len(outputs) <= 1
+        assert evaluate(b, word) == next(iter(outputs), None), word
