@@ -226,13 +226,15 @@ def output_map(left: Dfa, right: Dfa, entry) -> dict:
     return psi
 
 
-def reachable(seeds, adj) -> set:
-    """The seeds and everything reachable from them, where adj maps a
-    state to its successors (a defaultdict, or total on the states)."""
+def reachable(seeds, arcs) -> set:
+    """The seeds and every state that the (src, dst) arcs lead to from them."""
+    succ = {}
+    for src, dst in arcs:
+        succ.setdefault(src, []).append(dst)
     seen = set(seeds)
     stack = list(seen)
     while stack:
-        for nxt in adj[stack.pop()]:
+        for nxt in succ.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -244,12 +246,8 @@ def trim(t: Transducer):
 
     Returns (trimmed, kept) where kept maps new indices to old ones.
     """
-    fwd = defaultdict(set)
-    bwd = defaultdict(set)
-    for tr in t.transitions:
-        fwd[tr.src].add(tr.dst)
-        bwd[tr.dst].add(tr.src)
-    useful = reachable(t.initial, fwd) & reachable(t.final, bwd)
+    pairs = [(tr.src, tr.dst) for tr in t.transitions]
+    useful = reachable(t.initial, pairs) & reachable(t.final, [(q, p) for p, q in pairs])
     kept = sorted(useful)
     renum = {old: new for new, old in enumerate(kept)}
     arcs = tuple(  # renumbering keeps valid, distinct arcs valid and distinct

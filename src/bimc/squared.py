@@ -9,7 +9,6 @@ accumulated label divergence (rho) and its most general equalizer (nu).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .fsa import Transducer, explore, reachable
@@ -70,10 +69,7 @@ def squared(t: Transducer) -> SquaredAutomaton:
 
 def coaccessible(sq: SquaredAutomaton) -> frozenset[int]:
     """Pairs from which some final pair is reachable."""
-    into = defaultdict(set)
-    for src, _, _, dst in sq.transitions:
-        into[dst].add(src)
-    return frozenset(reachable(sq.final, into))
+    return frozenset(reachable(sq.final, [(dst, src) for src, _, _, dst in sq.transitions]))
 
 
 @dataclass

@@ -716,6 +716,39 @@ def count_paths(t, word):
     return sum(c for q, c in counts.items() if q in t.final)
 
 
+def eps_free_steps(t):
+    """The real-time transducer on t's states, initial and final sets with
+    one arc per generalized path p ->eps* a eps*-> q, its output the
+    product along the path, repeats dropped.  Every ε cycle of t must
+    multiply to the unit, so each state's ε paths end in finitely many
+    (state, output) pairs."""
+    m = t.monoid
+    eps_from = defaultdict(list)
+    for tr in t.transitions:
+        if tr.inp is None:
+            eps_from[tr.src].append((tr.out.payload, tr.dst))
+    closure = []  # closure[p]: the (end, output) pairs of the ε paths from p
+    for p in range(t.n_states):
+        items = [(p, unit_payload(m))]
+        seen = set(items)
+        for q, v in items:  # items grows while it is read
+            for out, dst in eps_from[q]:
+                node = (dst, op_reference(m, v, out))
+                if node not in seen:
+                    seen.add(node)
+                    items.append(node)
+        closure.append(items)
+    arcs = {}  # as an ordered set
+    for p in range(t.n_states):
+        for q, v in closure[p]:
+            for tr in t.transitions:
+                if tr.src == q and tr.inp is not None:
+                    before = op_reference(m, v, tr.out.payload)
+                    for r, w in closure[tr.dst]:
+                        arcs[p, tr.inp, op_reference(m, before, w), r] = None
+    return Transducer(t.alphabet, m, t.n_states, t.initial, t.final, arcs)
+
+
 def remove_eps_edges(t):
     """Naive epsilon removal on the input projection: an a-transition
     from p to w, with the unit output, for every generalized path

@@ -37,7 +37,7 @@ from bimc.monoid import (
 )
 from helpers import (
     TRANSDUCER_MONOIDS, all_words, eps_diamond_chain, functional_draws, random_bimachine,
-    random_transducer,
+    random_pseudo_det, random_transducer,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -333,7 +333,8 @@ def test_random_bimachines_round_trip():
 
 def compiled_machines():
     """The mge and classical machines of T_1..T_6, then mge machines of
-    40 functional draws per monoid, with and without ε moves."""
+    40 functional draws per monoid, with and without ε moves, then
+    classical machines of 40 pseudo-deterministic draws per monoid."""
     for n in range(1, 7):
         t = make_tn(n)
         yield build(t)
@@ -343,6 +344,9 @@ def compiled_machines():
         for eps in (False, True):
             for t, verdict in functional_draws(rng, 40, monoid=monoid, eps=eps):
                 yield build(t, verdict=verdict)
+    for monoid in TRANSDUCER_MONOIDS:
+        for _ in range(40):
+            yield classical_compile(random_pseudo_det(rng, monoid=monoid))
 
 
 def test_compiled_bimachines_round_trip_to_an_equal_machine():
@@ -350,7 +354,7 @@ def test_compiled_bimachines_round_trip_to_an_equal_machine():
     for b in compiled_machines():
         assert bimachine_from_text(bimachine_to_text(b)) == b
         checked += 1
-    assert checked == 12 + 4 * 2 * 40
+    assert checked == 12 + 4 * 2 * 40 + 4 * 40
 
 
 def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
@@ -850,6 +854,15 @@ def test_readme_install_command_is_run_by_ci():
     (command,) = re.findall(r"^pip install .*$", block, re.M)
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert command in re.findall(r"^\s*(?:- run: )?(pip install .*?)\s*$", workflow, re.M)
+
+
+def test_readme_names_the_python_versions_ci_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"fails them,\s+on\s+Python\s+(.*?),\s+and\s+the\s+suite", readme, re.S)
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"^\s*python-version: \[(.*)\]\s*$", workflow, re.M)
+    assert re.findall(r"3\.\d+", sentence.group(1)) == re.findall(r'"(3\.\d+)"', matrix)
 
 
 def _console_scripts(text):

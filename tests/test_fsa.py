@@ -20,6 +20,7 @@ from bimc.fsa import (
     members,
     output_cells,
     output_map,
+    reachable,
     trim,
 )
 from bimc.functionality import test_functionality as functionality
@@ -201,6 +202,30 @@ def test_trim_drops_useless_states():
     assert trimmed.initial == frozenset({0})
     assert trimmed.final == frozenset({2})
     assert len(trimmed.transitions) == 2
+
+
+def test_reachable_reads_arc_pairs_once():
+    # a repeated pair, a self-loop, an arc back into the seeds; seed 9
+    # names no arc; 4 and 5 lie only behind states no seed reaches
+    arcs = iter([(0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (3, 2), (4, 5)])
+    assert reachable([0, 9], arcs) == {0, 1, 2, 9}
+    assert reachable([4], [(0, 1), (4, 5), (5, 4)]) == {4, 5}
+    assert reachable([], [(0, 1)]) == set()
+
+
+def test_trim_keeps_parallel_arcs_and_drops_a_dead_cycle():
+    # 0 ->a 1 and 0 ->b 1 side by side; 2 <-> 3 is a cycle reached from 0
+    # that reaches no final state
+    t = Transducer(
+        ("a", "b"), FREE, 4, {0}, {1},
+        [(0, "a", "x", 1), (0, "b", "y", 1), (0, "a", "", 2), (2, "b", "x", 3), (3, "a", "y", 2)],
+    )
+    trimmed, kept = trim(t)
+    assert kept == [0, 1]
+    assert trimmed.transitions == (
+        Transition(0, "a", fw("x"), 1),
+        Transition(0, "b", fw("y"), 1),
+    )
 
 
 def test_trim_without_finals_is_empty():

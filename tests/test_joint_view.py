@@ -13,8 +13,11 @@ from bimc.compiler import compile as build
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import Integers
 from helpers import (
+    TRANSDUCER_MONOIDS,
     all_words,
     common_value,
+    eps_free_steps,
+    functional_draws,
     joint_view_outputs,
     op_reference,
     positional_outputs,
@@ -86,6 +89,23 @@ def test_mge_machines_emit_the_joint_view_on_the_corpus(perfbench_gen):
         positions += checked
     assert members == 216  # 117 over free words or nnrat, 99 products with intgrp
     assert positions > 2_000
+
+
+def test_mge_machines_emit_the_joint_view_with_eps_moves():
+    # a position is the end of an eps* a eps* step: the joint view is
+    # read off the real-time transducer of those steps
+    rng = random.Random(4242)
+    positions = 0
+    for monoid in TRANSDUCER_MONOIDS:
+        if isinstance(monoid, Integers):
+            continue
+        for t, verdict in functional_draws(rng, 60, monoid, eps=True):
+            words = [w for w in all_words(t.alphabet, 4) if w]
+            steps = eps_free_steps(verdict.trimmed)
+            checked, differ = differences(steps, build(t, verdict=verdict), words)
+            assert differ == 0, t
+            positions += checked
+    assert positions > 2_500  # 3,105 over the 180 draws
 
 
 def test_classical_machine_lags_behind_the_joint_view():
