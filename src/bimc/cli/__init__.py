@@ -4,10 +4,11 @@ The transducer format is line based: `monoid <descriptor>`, `alphabet
 <sym>...`, `states <count>`, `initial <idx>...`, `final <idx>...`, and
 one `t <src> <sym> <value> <dst>` row per transition, where the input
 symbol `-` stands for the empty input.  Full-line `#` comments and blank
-lines are ignored.  Bimachines serialize to a `BIM v1` block of sorted
-rows after an alphabet row, so equal machines give identical text; the
-reader requires that layout, and rejects repeated declarations,
-conflicts and undeclared symbols.
+lines are ignored.  Bimachines serialize to a `BIM v2` header and six
+rows, which write out the machine's evaluation tables with explicit
+state counts, so equal machines give identical text; the reader
+requires exactly that layout, and checks every row's token count and
+every number against its bound.
 """
 
 from __future__ import annotations
@@ -144,84 +145,78 @@ def format_transducer(t: Transducer) -> str:
 
 
 def bimachine_to_text(b: Bimachine) -> str:
-    """Serialize with the rows sorted, like the machine's alphabet, and the
-    state counts implicit in the rows, so equal machines give identical text."""
-    lines = [f"BIM v1 {format_descriptor(b.monoid)}", " ".join(("alphabet", *b.alphabet))]
-    for name, dfa in (("LEFT", b.left), ("RIGHT", b.right)):
-        lines.append(name)
-        lines.append(f"start {dfa.start}")
-        for (p, sym), q in sorted(dfa.delta.items()):
-            lines.append(f"d {p} {sym} {q}")
-    lines.append("PSI")
-    for (l, sym, r), v in sorted(b.psi.items()):
-        lines.append(f"o {l} {sym} {r} {format_value(v)}")
-    if b.eps_output is not None:
-        lines.append(f"EPS {format_value(b.eps_output)}")
-    return "\n".join(lines) + "\n"
+    """The BIM v2 text of b, its evaluation tables row by row, so equal
+    machines give identical text.  ValueError if the tables are sparse:
+    a machine with far-apart state numbers has no dense text."""
+    ids, left, right, psi, _ = b.tables
+    if not all(type(table) is list for table in (left, right, psi)):
+        raise ValueError("a machine with far-apart state numbers has no BIM v2 text")
+    eps = [] if b.eps_output is None else [b.eps_output.payload]
+    values = sorted({v.payload for v in b.psi.values()}.union(eps))
+    number = {p: str(i) for i, p in enumerate(values)}
+    k, nr = len(ids), b.right.n_states
+    cells = ["-"] * len(psi)
+    for (l, a, r), v in b.psi.items():
+        cells[(l * k + ids[a]) * nr + r] = number[v.payload]
+    rows = [("alphabet", *b.alphabet), ("values", *map(b.monoid.format_payload, values))]
+    for side, dfa, table in (("left", b.left, left), ("right", b.right, right)):
+        moves = ("-" if q is None else str(q) for q in table)
+        rows.append((side, str(dfa.n_states), str(dfa.start), *moves))
+    rows += [("psi", *cells), ("eps", number[eps[0]] if eps else "-")]
+    return "\n".join([f"BIM v2 {format_descriptor(b.monoid)}", *map(" ".join, rows)]) + "\n"
+
+
+def _numbers(lineno, name, tokens, count, bound):
+    """The count tokens after name on a row, as numbers below bound, with
+    None for -; each distinct token is checked once."""
+    if len(tokens) != count:
+        raise FormatError(f"line {lineno}: token count {len(tokens)} after {name}, not {count}")
+    numbers = {"-": None}
+    for token in dict.fromkeys(tokens):
+        if token not in numbers and not (token.isdecimal() and int(token) < bound):
+            raise FormatError(f"line {lineno}: {token!r} is not - or a number below {bound}")
+        numbers[token] = None if token == "-" else int(token)
+    return [numbers[token] for token in tokens]
 
 
 def bimachine_from_text(text: str) -> Bimachine:
-    """Read a BIM v1 block: the header, the alphabet row, then the sections.
-    A side's states are those that its start, moves and psi column name."""
-    lines = _content_lines(text)
-    lineno, tokens = next(lines, (None, None))
+    """Read a BIM v2 text: the header, then exactly the alphabet, values,
+    left, right, psi and eps rows, in that order."""
+    content = _content_lines(text)
+    lineno, tokens = next(content, (None, None))
     if tokens is None:
-        raise FormatError("empty input, expected a BIM v1 header")
-    if tokens[:2] != ["BIM", "v1"] or len(tokens) < 3:
-        raise FormatError(f"line {lineno}: expected a BIM v1 header")
+        raise FormatError("empty input, expected a BIM v2 header")
+    if tokens[:2] != ["BIM", "v2"] or len(tokens) < 3:
+        raise FormatError(f"line {lineno}: expected a BIM v2 header")
     monoid = _parsed(lineno, parse_descriptor, " ".join(tokens[2:]))
-    lineno, tokens = next(lines, (lineno, None))
-    if not tokens or tokens[0] != "alphabet":
-        raise FormatError(f"line {lineno}: expected the alphabet row after the header")
-    alphabet = _parsed(lineno, check_symbols, tokens[1:])
-    section = eps_output = None
-    starts = {}
-    deltas = {"LEFT": {}, "RIGHT": {}}
-    psi = {}
-    literals = {}  # each distinct psi literal is parsed once, at its first row
-    declared = {}  # line number of each start and EPS row
-    for lineno, tokens in lines:
-        kind = tokens[0]
-        if kind in ("d", "o") and len(tokens) >= 4 and tokens[2] not in alphabet:
-            raise FormatError(f"line {lineno}: undeclared symbol {tokens[2]!r}")
-        if kind in ("LEFT", "RIGHT", "PSI") and len(tokens) == 1:
-            section = kind
-        elif kind == "EPS":
-            _declare(declared, "EPS", lineno)
-            literal = " ".join(tokens[1:])
-            eps_output = _parsed(lineno, parse_value, monoid, literal)
-        elif section in ("LEFT", "RIGHT") and kind == "start" and len(tokens) == 2 and tokens[1].isdecimal():
-            _declare(declared, f"{section} start", lineno)
-            starts[section] = int(tokens[1])
-        elif (
-            section in ("LEFT", "RIGHT") and kind == "d" and len(tokens) == 4
-            and tokens[1].isdecimal() and tokens[3].isdecimal()
-        ):
-            p, sym, q = int(tokens[1]), tokens[2], int(tokens[3])
-            move = deltas[section].setdefault((p, sym), q)
-            if move != q:
-                raise FormatError(f"line {lineno}: conflicting moves for {p} on {sym!r}")
-        elif (
-            section == "PSI" and kind == "o" and len(tokens) >= 5
-            and tokens[1].isdecimal() and tokens[3].isdecimal()
-        ):
-            cell = (int(tokens[1]), tokens[2], int(tokens[3]))
-            literal = " ".join(tokens[4:])
-            value = literals.get(literal)
-            if value is None:
-                value = literals[literal] = _parsed(lineno, parse_value, monoid, literal)
-            if psi.setdefault(cell, value) != value:
-                raise FormatError(f"line {lineno}: conflicting outputs for {cell}")
-        else:
-            raise FormatError(f"line {lineno}: unexpected row {' '.join(tokens)!r}")
+    rows = []
+    for name in ("alphabet", "values", "left", "right", "psi", "eps"):
+        lineno, tokens = next(content, (lineno, None))
+        if not tokens or tokens[0] != name:
+            raise FormatError(f"line {lineno}: expected the {name} row")
+        rows.append((lineno, tokens[1:]))
+    if (extra := next(content, None)) is not None:
+        raise FormatError(f"line {extra[0]}: unexpected row after eps")
+    (line_a, symbols), (line_v, literals), *sides, (line_p, cells), (line_e, eps_row) = rows
+    alphabet = _parsed(line_a, check_symbols, symbols)
+    values = [_parsed(line_v, parse_value, monoid, literal) for literal in literals]
+    k = len(alphabet)
     dfas = []
-    for side, column in (("LEFT", 0), ("RIGHT", 2)):
-        if side not in starts:
-            raise FormatError(f"missing start declaration in {side}")
-        delta = deltas[side]
-        named = [starts[side], *(p for p, _ in delta), *delta.values(), *(c[column] for c in psi)]
-        dfas.append(Dfa(max(named) + 1, starts[side], delta))
-    return Bimachine(monoid, alphabet, *dfas, psi, eps_output)
+    for side, (lineno, tokens) in zip(("left", "right"), sides):
+        if not (tokens and tokens[0].isdecimal()):
+            raise FormatError(f"line {lineno}: expected {side} <states> <start> <next states>")
+        n = int(tokens[0])
+        start, *moves = _numbers(lineno, f"{side} {n}", tokens[1:], 1 + n * k, n)
+        if start is None:
+            raise FormatError(f"line {lineno}: {side} needs a start")
+        keys = itertools.product(range(n), alphabet) if k else ()  # if k > 0, the count bounds n
+        dfas.append(Dfa(n, start, {key: q for key, q in zip(keys, moves) if q is not None}))
+    nl, nr = (dfa.n_states for dfa in dfas)
+    numbers = _numbers(line_p, "psi", cells, nl * k * nr, len(values))
+    keys = itertools.product(range(nl), alphabet, range(nr)) if k else ()
+    psi = {key: values[v] for key, v in zip(keys, numbers) if v is not None}
+    (eps,) = _numbers(line_e, "eps", eps_row, 1, len(values))
+    return Bimachine(monoid, alphabet, *dfas, psi, None if eps is None else values[eps])
 
 
 class AmbiguousInputError(ValueError):

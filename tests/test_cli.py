@@ -15,7 +15,7 @@ import pytest
 
 from bimc import cli
 from bimc.benchmark import make_tn
-from bimc.bimachine import evaluate
+from bimc.bimachine import Bimachine, evaluate
 from bimc.classical import classical_compile
 from bimc.cli import (
     AmbiguousInputError,
@@ -29,7 +29,7 @@ from bimc.cli import (
     tokenize,
 )
 from bimc.compiler import compile as build
-from bimc.fsa import Transducer, Transition
+from bimc.fsa import Dfa, Transducer, Transition
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_descriptor,
@@ -124,9 +124,11 @@ def test_each_free_word_literal_is_checked_once(monkeypatch):
     parse_transducer(text)
     assert checked == ["ab", "", "b"]
     checked.clear()
+    # the values row lists each distinct literal once, sorted by payload
+    assert machine_text.splitlines()[2] == 'values "" "ab" "b"'
     b = bimachine_from_text(machine_text)
-    assert len(b.psi) == machine_text.count("\no ") == 6
-    assert checked == ["ab", "", "b"]  # each distinct literal once
+    assert len(b.psi) == 6
+    assert checked == ["", "ab", "b"]  # each distinct literal once, from the values row
 
 
 def test_parse_transducer_shares_one_value_per_distinct_literal():
@@ -225,8 +227,7 @@ def _mutated_lines(rng, text, pool):
 
 
 LINE_LESS = re.compile(
-    "missing (monoid|alphabet|states) declaration|missing start declaration in (LEFT|RIGHT)"
-    "|empty input, expected a BIM v1 header"
+    "missing (monoid|alphabet|states) declaration|empty input, expected a BIM v2 header"
 )
 
 
@@ -243,7 +244,7 @@ def _rejection_shape(err):
 def test_parsers_raise_only_format_errors():
     rng = random.Random(2024)
     pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
-            "o", "d", "t", "start", "PSI", "EPS", "LEFT", "alphabet", "free:", "nnrat", "product(",
+            "t", "alphabet", "values", "left", "right", "psi", "eps", "free:", "nnrat", "product(",
             ""]
     transducers = [make_tn(2)] + [
         random_transducer(rng, allow_eps=True, monoid=m)
@@ -349,6 +350,17 @@ def compiled_machines():
             yield classical_compile(random_pseudo_det(rng, monoid=monoid))
 
 
+def test_bimachine_round_trip_keeps_states_that_no_move_or_cell_names():
+    # the text states each side's count, so left state 2, which no move
+    # or output cell names, survives the round trip
+    left = Dfa(3, 0, {(0, "a"): 1})
+    b = Bimachine(FREE, ("a",), left, Dfa(1, 0, {}), {(0, "a", 0): MonoidValue(FREE, "x")})
+    text = bimachine_to_text(b)
+    assert text.splitlines()[3] == "left 3 0 1 - -"
+    b2 = bimachine_from_text(text)
+    assert b2.left.n_states == 3 and b2 == b
+
+
 def test_compiled_bimachines_round_trip_to_an_equal_machine():
     checked = 0
     for b in compiled_machines():
@@ -365,75 +377,99 @@ def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
     assert b2.alphabet == ("a", "b", "c")
     assert evaluate(b, ("c",)) is None and evaluate(b2, ("c",)) is None
     assert format_value(evaluate(b2, ("a",))) == '"x"'
-    # the alphabet row must be the second content line; comments do not count
+    # the same machine as a BIM v1 text, which is no longer read
     old = tmp_path / "old.bim"
     old.write_text(
-        '# no alphabet row\nBIM v1 free:x\nLEFT\nstart 0\nd 0 b 0\nRIGHT\nstart 0\n'
-        'd 0 a 0\nPSI\no 0 a 0 "x"\n',
+        'BIM v1 free:xy\nalphabet a b c\nLEFT\nstart 0\nd 0 a 1\nRIGHT\nstart 0\n'
+        'd 0 a 1\nPSI\no 0 a 0 "x"\n',
         encoding="utf-8",
     )
-    with pytest.raises(FormatError, match="line 3: expected the alphabet row"):
+    with pytest.raises(FormatError, match="^line 1: expected a BIM v2 header$"):
         bimachine_from_text(old.read_text(encoding="utf-8"))
     assert cli_main(["run", str(old), "--input", "a"]) == 65
-    assert "line 3: expected the alphabet row" in capsys.readouterr().err
+    assert capsys.readouterr().err == "format error: line 1: expected a BIM v2 header\n"
 
 
 def test_run_on_a_text_naming_far_apart_states(tmp_path, capsys):
-    # the reader counts states up to the highest one named: evaluation
-    # memory must follow the rows, not that count
+    # a state count must be matched by its tokens: a huge count over a
+    # nonempty alphabet fails on length, before anything is allocated
     q = 10**18
     path = tmp_path / "far.bim"
-    path.write_text(
-        f'BIM v1 free:x\nalphabet a b c\nLEFT\nstart {q}\nd {q} a {q}\nRIGHT\nstart {q}\n'
-        f'd {q} a {q}\nPSI\no {q} a {q} "x"\n',
-        encoding="utf-8",
+    rows = ['values "x"', f"left {q} 0", "right 1 0 0", "psi 0", "eps -"]
+    path.write_text("\n".join(["BIM v2 free:x", "alphabet a b c", *rows]) + "\n", encoding="utf-8")
+    assert cli_main(["run", str(path), "--input", "a"]) == 65
+    assert capsys.readouterr().err == (
+        f"format error: line 4: token count 1 after left {q}, not {1 + 3 * q}\n"
     )
-    for word, out, code in (("", "UNDEFINED", 2), ("aaa", '"xxx"', 0), ("ab", "UNDEFINED", 2)):
-        assert cli_main(["run", str(path), "--input", word]) == code
-        assert capsys.readouterr().out == out + "\n"
+    # over an empty alphabet the same count has no tokens to match, and
+    # reading it allocates nothing for its states either
+    path.write_text(f"BIM v2 free:x\nalphabet\nvalues \"x\"\nleft {q} 0\nright {q} {q - 1}\n"
+                    "psi\neps 0\n", encoding="utf-8")
+    assert cli_main(["run", str(path), "--input", ""]) == 0
+    assert capsys.readouterr().out == '"x"\n'
+
+
+V2 = 'BIM v2 free:x\nalphabet a\nvalues "x"\nleft 1 0 0\nright 1 0 0\npsi 0\neps -\n'
+
+
+def _v2_with(line, row):
+    """V2 with its 1-based line replaced by row, or deleted if row is None."""
+    lines = V2.splitlines()
+    lines[line - 1: line] = [] if row is None else [row]
+    return "\n".join(lines) + "\n"
 
 
 def test_bimachine_from_text_rejects_garbage():
+    assert format_value(evaluate(bimachine_from_text(V2), ("a", "a"))) == '"xx"'
     cases = [
-        ("BIM v2 free:x\nLEFT\nstart 0\n", "header"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nd 0 a 1\nd 0 a 2\n", "conflicting"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\n", "missing start"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 zzz\n", "line 8"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nwhat 3\n", "unexpected row"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart \u00b2\n", "line 4: unexpected row"),
-        ("", "empty input"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nstart 3\nRIGHT\nstart 0\n",
-         "line 5: LEFT start already declared on line 4"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nEPS \"\"\nEPS \"x\"\n",
-         "line 8: EPS already declared on line 7"),
-        ("BIM v1 free:xy\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 \"x\"\n"
-         "o 0 a 0 \"y\"\n", "line 9: conflicting outputs for (0, 'a', 0)"),
-        ("BIM v1 free:x\nalphabet a a\n", "line 2: duplicate input symbol 'a'"),
-        ("BIM v1 free:x\nalphabet a\nalphabet a\n", "line 3: unexpected row"),
-        ("BIM v1 free:x\nLEFT\nalphabet a\n", "line 2: expected the alphabet row"),
-        ("BIM v1 free:x\n", "line 1: expected the alphabet row after the header"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nd 0 b 0\n", "line 5: undeclared symbol 'b'"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 b 0 \"x\"\n",
-         "line 8: undeclared symbol 'b'"),
-        ("BIM v1 free:x\nalphabet a -\n", "line 2: the symbol - is reserved"),
-        ("BIM v1 free:x\nalphabet a\nLEFT junk\nstart 0\n", "line 3: unexpected row 'LEFT junk'"),
-        ("BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI 3\n",
-         "line 7: unexpected row 'PSI 3'"),
+        ("", "empty input, expected a BIM v2 header"),
+        ("# comment\n\n", "empty input, expected a BIM v2 header"),
+        (_v2_with(1, "BIM v1 free:x"), "line 1: expected a BIM v2 header"),
+        (_v2_with(1, "BIM v2"), "line 1: expected a BIM v2 header"),
+        (_v2_with(1, "BIM v2 free:"), "line 1: "),
+        # a missing row, rows out of order, an extra row
+        (_v2_with(7, None), "line 6: expected the eps row"),
+        (_v2_with(3, None), "line 3: expected the values row"),
+        (_v2_with(2, 'values "x"\nalphabet a'), "line 2: expected the alphabet row"),
+        (_v2_with(5, "psi 0\nright 1 0 0"), "line 5: expected the right row"),
+        (V2 + "eps -\n", "line 8: unexpected row after eps"),
+        (V2 + "# a comment\n\nx\n", "line 10: unexpected row after eps"),
+        # the alphabet and the literals
+        (_v2_with(2, "alphabet a a"), "line 2: duplicate input symbol 'a'"),
+        (_v2_with(2, "alphabet a -"), "line 2: the symbol - is reserved"),
+        (_v2_with(3, 'values "x" zzz'), "line 3: free word literal must be quoted"),
+        (_v2_with(3, 'values "z"'), "line 3: symbols outside the alphabet"),
+        # token counts
+        (_v2_with(4, "left 1 0"), "line 4: token count 1 after left 1, not 2"),
+        (_v2_with(4, "left 2 0 0"), "line 4: token count 2 after left 2, not 3"),
+        (_v2_with(5, "right 1 0 0 0"), "line 5: token count 3 after right 1, not 2"),
+        (_v2_with(6, "psi 0 0"), "line 6: token count 2 after psi, not 1"),
+        (_v2_with(6, "psi"), "line 6: token count 0 after psi, not 1"),
+        (_v2_with(7, "eps - -"), "line 7: token count 2 after eps, not 1"),
+        (_v2_with(7, "eps"), "line 7: token count 0 after eps, not 1"),
+        (_v2_with(4, "left"), "line 4: expected left <states> <start> <next states>"),
+        (_v2_with(5, "right x 0 0"), "line 5: expected right <states> <start> <next states>"),
+        (_v2_with(4, "left \u00b2 0 0"), "line 4: expected left <states>"),
+        # numbers against their bounds
+        (_v2_with(4, "left 1 0 1"), "line 4: '1' is not - or a number below 1"),
+        (_v2_with(5, "right 2 0 0 2"), "line 5: '2' is not - or a number below 2"),
+        (_v2_with(4, "left 1 1 0"), "line 4: '1' is not - or a number below 1"),
+        (_v2_with(5, "right 1 - 0"), "line 5: right needs a start"),
+        (_v2_with(4, "left 0 0"), "line 4: '0' is not - or a number below 0"),
+        (_v2_with(6, "psi 1"), "line 6: '1' is not - or a number below 1"),
+        (_v2_with(6, "psi -1"), "line 6: '-1' is not - or a number below 1"),
+        (_v2_with(6, "psi \u00b2"), "line 6: '\u00b2' is not - or a number below 1"),
+        (_v2_with(7, "eps 1"), "line 7: '1' is not - or a number below 1"),
+        (_v2_with(7, "eps x"), "line 7: 'x' is not - or a number below 1"),
     ]
     cases += [
-        ("BIM v1 product(free:ab,intgrp)\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\n"
-         f"o 0 a 0 {lit}\n", "line 8: ")
+        (f"BIM v2 product(free:ab,intgrp)\nalphabet a\nvalues {lit}\n", "line 3: ")
         for lit in QUOTED_SEPARATORS
     ]
     for text, needle in cases:
         with pytest.raises(FormatError) as info:
             bimachine_from_text(text)
-        assert needle in str(info.value)
-    repeated = bimachine_from_text(
-        'BIM v1 free:x\nalphabet a\nLEFT\nstart 0\nRIGHT\nstart 0\nPSI\no 0 a 0 "x"\n'
-        'o 0 a 0 "x"\n'
-    )
-    assert format_value(repeated.psi[(0, "a", 0)]) == '"x"'
+        assert needle in str(info.value), (text, str(info.value))
 
 
 def test_tokenize_multi_character_symbols():
