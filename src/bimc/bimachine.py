@@ -81,7 +81,7 @@ class Bimachine:
         left[q*k + a] and right[q*k + a] hold the next state, and
         psi[(l*k + a)*n_R + r] the output payload, or None; a list, or a
         _Sparse dict if it would have over 8 slots per entry, as far-apart
-        state numbers can make.  fold multiplies a list of psi slots;
+        states or a wide alphabet can make.  fold multiplies a list of psi slots;
         psi holds a code 0..V-1 per distinct payload where fold counts them."""
         ids = {a: i for i, a in enumerate(self.alphabet)}
         k, nr = len(ids), self.right.n_states

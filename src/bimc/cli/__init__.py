@@ -145,35 +145,34 @@ def format_transducer(t: Transducer) -> str:
 
 
 def bimachine_to_text(b: Bimachine) -> str:
-    """The BIM v2 text of b, its evaluation tables row by row, so equal
-    machines give identical text.  ValueError if the tables are sparse:
-    a machine with far-apart state numbers has no dense text."""
-    ids, left, right, psi, _ = b.tables
-    if not all(type(table) is list for table in (left, right, psi)):
-        raise ValueError("a machine with far-apart state numbers has no BIM v2 text")
+    """The BIM v2 text of b, its moves and output cells row by row in the
+    layout of Bimachine.tables, so equal machines give identical text."""
     eps = [] if b.eps_output is None else [b.eps_output.payload]
     values = sorted({v.payload for v in b.psi.values()}.union(eps))
     number = {p: str(i) for i, p in enumerate(values)}
+    ids = {a: i for i, a in enumerate(b.alphabet)}
     k, nr = len(ids), b.right.n_states
-    cells = ["-"] * len(psi)
+    rows = [("alphabet", *b.alphabet), ("values", *map(b.monoid.format_payload, values))]
+    for side, dfa in (("left", b.left), ("right", b.right)):
+        moves = ["-"] * (dfa.n_states * k)
+        for (q, a), p in dfa.delta.items():
+            moves[q * k + ids[a]] = str(p)
+        rows.append((side, str(dfa.n_states), str(dfa.start), *moves))
+    cells = ["-"] * (b.left.n_states * k * nr)
     for (l, a, r), v in b.psi.items():
         cells[(l * k + ids[a]) * nr + r] = number[v.payload]
-    rows = [("alphabet", *b.alphabet), ("values", *map(b.monoid.format_payload, values))]
-    for side, dfa, table in (("left", b.left, left), ("right", b.right, right)):
-        moves = ("-" if q is None else str(q) for q in table)
-        rows.append((side, str(dfa.n_states), str(dfa.start), *moves))
     rows += [("psi", *cells), ("eps", number[eps[0]] if eps else "-")]
     return "\n".join([f"BIM v2 {format_descriptor(b.monoid)}", *map(" ".join, rows)]) + "\n"
 
 
 def _numbers(lineno, name, tokens, count, bound):
     """The count tokens after name on a row, as numbers below bound, with
-    None for -; each distinct token is checked once."""
+    None for -; each distinct token is checked once, its length before int()."""
     if len(tokens) != count:
         raise FormatError(f"line {lineno}: token count {len(tokens)} after {name}, not {count}")
-    numbers = {"-": None}
+    numbers, width = {"-": None}, len(str(bound))
     for token in dict.fromkeys(tokens):
-        if token not in numbers and not (token.isdecimal() and int(token) < bound):
+        if token != "-" and not (token.isdecimal() and len(token) <= width and int(token) < bound):
             raise FormatError(f"line {lineno}: {token!r} is not - or a number below {bound}")
         numbers[token] = None if token == "-" else int(token)
     return [numbers[token] for token in tokens]
@@ -205,7 +204,7 @@ def bimachine_from_text(text: str) -> Bimachine:
     for side, (lineno, tokens) in zip(("left", "right"), sides):
         if not (tokens and tokens[0].isdecimal()):
             raise FormatError(f"line {lineno}: expected {side} <states> <start> <next states>")
-        n = int(tokens[0])
+        n = _parsed(lineno, int, tokens[0])  # a ValueError past 4,300 digits
         start, *moves = _numbers(lineno, f"{side} {n}", tokens[1:], 1 + n * k, n)
         if start is None:
             raise FormatError(f"line {lineno}: {side} needs a start")
@@ -378,8 +377,9 @@ def _cmd_compile(args):
         b = classical_compile(t)
     else:
         b = mge_compile(t, verdict=verdict)
+    text = bimachine_to_text(b)  # first, so that a failure leaves no empty file
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(bimachine_to_text(b))
+        handle.write(text)
     if args.stats:
         eps = "none" if b.eps_output is None else format_value(b.eps_output)
         sets = {m for *_, s, l2, r in output_cells(b.left, b.right) for m in (s, l2 & r)}

@@ -369,6 +369,37 @@ def test_compiled_bimachines_round_trip_to_an_equal_machine():
     assert checked == 12 + 4 * 2 * 40 + 4 * 40
 
 
+def test_compiled_machine_with_a_sparse_output_table_is_written(tmp_path, capsys, monkeypatch):
+    # the words whose first and last letters match, copied, over 10
+    # letters: the mge machine has 21 states a side and 450 output cells
+    # in 4,410 slots, so its psi table is sparse, and its text is written
+    letters = tuple("abcdefghij")
+    rows = []
+    for i, x in enumerate(letters, start=1):
+        rows += [(0, x, x, i), (0, x, x, 11), (i, x, x, 11)]
+        rows += [(i, y, y, i) for y in letters]
+    t = Transducer(letters, FreeWords(letters), 12, {0}, {11}, rows)
+    b = build(t)
+    assert (b.left.n_states, b.right.n_states, len(b.psi)) == (21, 21, 450)
+    assert type(b.tables[3]) is not list
+    assert bimachine_from_text(bimachine_to_text(b)) == b
+    fst, bim = tmp_path / "ends.fst", tmp_path / "ends.bim"
+    fst.write_text(format_transducer(t), encoding="utf-8")
+    assert cli_main(["compile", str(fst), "-o", str(bim)]) == 0
+    assert bimachine_from_text(bim.read_text(encoding="utf-8")) == b
+    assert cli_main(["run", str(bim), "--input", "jabcj"]) == 0
+    assert cli_main(["run", str(bim), "--input", "c"]) == 0
+    assert cli_main(["run", str(bim), "--input", "jabc"]) == 2
+    assert capsys.readouterr().out == '"jabcj"\n"c"\nUNDEFINED\n'
+    # the text is made before the output file opens: a failure leaves none
+    def refuse(b):
+        raise ValueError("no text")
+    monkeypatch.setattr(cli, "bimachine_to_text", refuse)
+    assert cli_main(["compile", str(fst), "-o", str(tmp_path / "none.bim")]) == 65
+    assert capsys.readouterr().err == "error: no text\n"
+    assert not (tmp_path / "none.bim").exists()
+
+
 def test_bimachine_text_keeps_the_alphabet(tmp_path, capsys):
     b = build(Transducer(("a", "b", "c"), FREE, 2, {0}, {1}, [(0, "a", "x", 1)]))
     text = bimachine_to_text(b)
@@ -461,6 +492,9 @@ def test_bimachine_from_text_rejects_garbage():
         (_v2_with(6, "psi \u00b2"), "line 6: '\u00b2' is not - or a number below 1"),
         (_v2_with(7, "eps 1"), "line 7: '1' is not - or a number below 1"),
         (_v2_with(7, "eps x"), "line 7: 'x' is not - or a number below 1"),
+        # numbers past int()'s 4,300 digits, as a state count and as a state
+        (_v2_with(4, f"left {'1' * 5000} 0 0"), "line 4: "),
+        (_v2_with(4, f"left 1 0 {'0' * 4999}1"), f"line 4: '{'0' * 4999}1' is not - or a number"),
     ]
     cases += [
         (f"BIM v2 product(free:ab,intgrp)\nalphabet a\nvalues {lit}\n", "line 3: ")
