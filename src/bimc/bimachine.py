@@ -10,22 +10,16 @@ state inspection, no search: each input word gets at most one output.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .fsa import Dfa, check_symbols, is_state
-from .monoid import Integers, Monoid, MonoidValue, _trusted
+from .fsa import Dfa, OutputTable, check_symbols, flat_slots, is_state
+from .monoid import Monoid, MonoidValue, _trusted
 
 
 class AlphabetError(ValueError):
     """An input symbol the machine's alphabet does not contain."""
-
-
-class _Sparse(dict):
-    """An evaluation table kept by its defined slots; the others read None."""
-
-    def __missing__(self, key):
-        return None
 
 
 @dataclass(frozen=True)
@@ -33,16 +27,19 @@ class Bimachine:
     """Left/right deterministic automata plus the positional output map.
 
     psi is partial: a missing entry means no defined behaviour, which
-    evaluate reports as an undefined result rather than an error.  The
-    eps_output field is the value for the empty word, or None when the
-    empty word has no output.  The alphabet is stored sorted.
+    evaluate reports as an undefined result rather than an error.  A dict
+    keyed by (left state, symbol, right state) is checked entry by entry and
+    stored as an OutputTable; one that a compiler or the reader filled is
+    checked for its shape only.  The eps_output field is the value for the
+    empty word, or None when the empty word has no output.  The alphabet is
+    stored sorted.
     """
 
     monoid: Monoid
     alphabet: tuple[str, ...]
     left: Dfa
     right: Dfa
-    psi: dict[tuple[int, str, int], MonoidValue] = field(default_factory=dict)
+    psi: Mapping[tuple[int, str, int], MonoidValue] = field(default_factory=dict)
     eps_output: MonoidValue | None = None
 
     def __post_init__(self):
@@ -63,14 +60,22 @@ class Bimachine:
         def foreign(v):
             return not isinstance(v, MonoidValue) or (v.monoid is not m and v.monoid != m)
 
-        nl, nr = self.left.n_states, self.right.n_states
-        for (l, a, r), v in self.psi.items():  # is_state inlined: calls slowed classical 8%
-            if not (type(l) is int and type(r) is int and 0 <= l < nl and 0 <= r < nr):
-                raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
-            if a not in syms:
-                raise ValueError(f"output entry uses undeclared symbol {a!r}")
-            if foreign(v):
-                raise ValueError(f"output value {v!r} does not belong to the output monoid")
+        nl, nr, psi = self.left.n_states, self.right.n_states, self.psi
+        if isinstance(psi, OutputTable):  # filled by a compiler or the reader: valid
+            if (psi.monoid, psi.alphabet, psi.n_left, psi.n_right) != (m, self.alphabet, nl, nr):
+                raise ValueError("the output table was made for another machine")
+        else:
+            table = OutputTable(m, self.alphabet, nl, nr, len(psi))
+            k, ids = len(table.ids), table.ids
+            for (l, a, r), v in psi.items():  # is_state inlined: calls slowed classical 8%
+                if not (type(l) is int and type(r) is int and 0 <= l < nl and 0 <= r < nr):
+                    raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
+                if a not in syms:
+                    raise ValueError(f"output entry uses undeclared symbol {a!r}")
+                if foreign(v):
+                    raise ValueError(f"output value {v!r} does not belong to the output monoid")
+                table.table[(l * k + ids[a]) * nr + r] = table.store(v)
+            object.__setattr__(self, "psi", table)
         if self.eps_output is not None and foreign(self.eps_output):
             raise ValueError("empty-word output does not belong to the output monoid")
 
@@ -78,35 +83,23 @@ class Bimachine:
     def tables(self):
         """(ids, left, right, psi, fold) for evaluate, built on first use,
         outside equality and repr: ids numbers the k sorted symbols,
-        left[q*k + a] and right[q*k + a] hold the next state, and
-        psi[(l*k + a)*n_R + r] the output payload, or None; a list, or a
-        _Sparse dict if it would have over 8 slots per entry, as far-apart
-        states or a wide alphabet can make.  fold multiplies a list of psi slots;
-        psi holds a code 0..V-1 per distinct payload where fold counts them."""
-        ids = {a: i for i, a in enumerate(self.alphabet)}
-        k, nr = len(ids), self.right.n_states
-
-        def slots(n, entries):  # a list slot is 8 bytes, a dict entry 70-85
-            return [None] * n if n <= 8 * entries + 64 else _Sparse()
+        left[q*k + a] and right[q*k + a] hold the next state, in a list or,
+        where it would be mostly empty, a _Sparse dict, and psi is the
+        output table's flat table (OutputTable).  fold multiplies a list of
+        psi slots, by their counts where psi holds codes."""
+        psi = self.psi
+        k = len(psi.ids)
 
         def flat(dfa):
-            delta = slots(dfa.n_states * k, len(dfa.delta))
+            delta = flat_slots(dfa.n_states * k, len(dfa.delta))
             for (q, a), p in dfa.delta.items():
-                delta[q * k + ids[a]] = p
+                delta[q * k + psi.ids[a]] = p
             return delta
 
-        psi = slots(self.left.n_states * k * nr, len(self.psi))
-        # order is free in a commutative monoid: fold each payload once, with
-        # its count; not for bare integers, which fold_payloads sums in C
-        m, codes = self.monoid, {}
-        count = m.commutative and not isinstance(m, Integers)
-        for (l, a, r), v in self.psi.items():
-            p = v.payload
-            psi[(l * k + ids[a]) * nr + r] = codes.setdefault(p, len(codes)) if count else p
-        values = list(codes)
-        fold = m.fold_payloads if not count else (
+        m, values = self.monoid, [v.payload for v in psi.distinct]
+        fold = m.fold_payloads if not psi.counted else (
             lambda cells: m.fold_counts([(values[c], n) for c, n in Counter(cells).items()]))
-        return ids, flat(self.left), flat(self.right), psi, fold
+        return psi.ids, flat(self.left), flat(self.right), psi.table, fold
 
 
 def evaluate(b: Bimachine, word) -> MonoidValue | None:

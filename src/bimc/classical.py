@@ -84,6 +84,6 @@ def classical_compile(t: Transducer) -> Bimachine:
         (v,) = [out for out, dst in tt.moves[p, cell[1]] if s2 >> dst & 1]
         return v
 
-    psi = output_map(left, right, entry)
+    psi = output_map(tt.monoid, tt.alphabet, left, right, entry)
     eps_out = tt.monoid.unit if (tt.initial & tt.final) else None
     return Bimachine(tt.monoid, tt.alphabet, left, right, psi, eps_out)

@@ -26,8 +26,8 @@ from ..bimachine import Bimachine, evaluate
 from ..classical import check_pseudo_deterministic, classical_compile
 from ..compiler import CompileError, compile as mge_compile
 from ..fsa import (
-    Dfa, StateLimitExceeded, Transducer, Transition, check_symbols, enumerate_outputs,
-    output_cells, trusted_transducer,
+    Dfa, OutputTable, StateLimitExceeded, Transducer, Transition, check_symbols,
+    enumerate_outputs, output_cells, trusted_transducer,
 )
 from ..functionality import test_functionality
 from ..monoid import (
@@ -62,6 +62,18 @@ def _parsed(lineno, parse, *args):
         raise FormatError(f"line {lineno}: {err}") from None
 
 
+def _count(lineno, token, what):
+    """token as a number, or a FormatError at lineno saying what was
+    expected; its length is checked before int(), which refuses more
+    digits than sys.get_int_max_str_digits() allows, a limit of at least
+    640 where there is one."""
+    if not token.isdecimal():
+        raise FormatError(f"line {lineno}: {what}")
+    if len(token) > 640 and 0 < sys.get_int_max_str_digits() < len(token):
+        raise FormatError(f"line {lineno}: a number of {len(token)} digits is too long")
+    return int(token)
+
+
 def _declare(declared, name, lineno):
     """Record name as declared at lineno; a name may be declared once."""
     if name in declared:
@@ -89,18 +101,17 @@ def parse_transducer(text: str) -> Transducer:
             monoid = _parsed(lineno, parse_descriptor, " ".join(rest))
         elif kind == "alphabet":
             alphabet = _parsed(lineno, check_symbols, rest)
-        elif kind == "states":
-            if len(rest) != 1 or not rest[0].isdecimal():
-                raise FormatError(f"line {lineno}: states needs one count")
-            n_states = int(rest[0])
+        elif kind == "states":  # joined, more than one token is not a number
+            n_states = _count(lineno, " ".join(rest), "states needs one count")
         elif kind in ("initial", "final"):
-            if not all(x.isdecimal() for x in rest):
-                raise FormatError(f"line {lineno}: {kind} takes state indices")
-            state_lists[kind] = frozenset(int(x) for x in rest)
+            what = f"{kind} takes state indices"
+            state_lists[kind] = frozenset(_count(lineno, x, what) for x in rest)
         elif kind == "t":
-            if len(rest) < 4 or not rest[0].isdecimal() or not rest[-1].isdecimal():
-                raise FormatError(f"line {lineno}: expected t <src> <sym> <value> <dst>")
-            rows.append((lineno, int(rest[0]), rest[1], " ".join(rest[2:-1]), int(rest[-1])))
+            what = "expected t <src> <sym> <value> <dst>"
+            if len(rest) < 4:
+                raise FormatError(f"line {lineno}: {what}")
+            src, dst = _count(lineno, rest[0], what), _count(lineno, rest[-1], what)
+            rows.append((lineno, src, rest[1], " ".join(rest[2:-1]), dst))
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     for name, value in (("monoid", monoid), ("alphabet", alphabet), ("states", n_states)):
@@ -147,20 +158,21 @@ def format_transducer(t: Transducer) -> str:
 def bimachine_to_text(b: Bimachine) -> str:
     """The BIM v2 text of b, its moves and output cells row by row in the
     layout of Bimachine.tables, so equal machines give identical text."""
+    psi = b.psi
     eps = [] if b.eps_output is None else [b.eps_output.payload]
-    values = sorted({v.payload for v in b.psi.values()}.union(eps))
+    values = sorted({v.payload for v in psi.distinct}.union(eps))
     number = {p: str(i) for i, p in enumerate(values)}
-    ids = {a: i for i, a in enumerate(b.alphabet)}
-    k, nr = len(ids), b.right.n_states
+    label = {c if psi.counted else v.payload: number[v.payload] for c, v in enumerate(psi.distinct)}
+    ids, k = psi.ids, len(psi.ids)
     rows = [("alphabet", *b.alphabet), ("values", *map(b.monoid.format_payload, values))]
     for side, dfa in (("left", b.left), ("right", b.right)):
         moves = ["-"] * (dfa.n_states * k)
         for (q, a), p in dfa.delta.items():
             moves[q * k + ids[a]] = str(p)
         rows.append((side, str(dfa.n_states), str(dfa.start), *moves))
-    cells = ["-"] * (b.left.n_states * k * nr)
-    for (l, a, r), v in b.psi.items():
-        cells[(l * k + ids[a]) * nr + r] = number[v.payload]
+    cells = ["-"] * (b.left.n_states * k * b.right.n_states)
+    for i, x in psi.slots():
+        cells[i] = label[x]
     rows += [("psi", *cells), ("eps", number[eps[0]] if eps else "-")]
     return "\n".join([f"BIM v2 {format_descriptor(b.monoid)}", *map(" ".join, rows)]) + "\n"
 
@@ -202,9 +214,8 @@ def bimachine_from_text(text: str) -> Bimachine:
     k = len(alphabet)
     dfas = []
     for side, (lineno, tokens) in zip(("left", "right"), sides):
-        if not (tokens and tokens[0].isdecimal()):
-            raise FormatError(f"line {lineno}: expected {side} <states> <start> <next states>")
-        n = _parsed(lineno, int, tokens[0])  # a ValueError past 4,300 digits
+        what = f"expected {side} <states> <start> <next states>"
+        n = _count(lineno, tokens[0] if tokens else "", what)
         start, *moves = _numbers(lineno, f"{side} {n}", tokens[1:], 1 + n * k, n)
         if start is None:
             raise FormatError(f"line {lineno}: {side} needs a start")
@@ -212,8 +223,15 @@ def bimachine_from_text(text: str) -> Bimachine:
         dfas.append(Dfa(n, start, {key: q for key, q in zip(keys, moves) if q is not None}))
     nl, nr = (dfa.n_states for dfa in dfas)
     numbers = _numbers(line_p, "psi", cells, nl * k * nr, len(values))
-    keys = itertools.product(range(nl), alphabet, range(nr)) if k else ()
-    psi = {key: values[v] for key, v in zip(keys, numbers) if v is not None}
+    if list(alphabet) != sorted(alphabet):  # the psi rows, nr cells each, in sorted symbol order
+        order = sorted(range(k), key=alphabet.__getitem__)
+        starts = ((l * k + i) * nr for l in range(nl) for i in order)
+        numbers = [v for j in starts for v in numbers[j:j + nr]]
+    psi = OutputTable(monoid, alphabet, nl, nr, len(numbers) - numbers.count(None))
+    stored = {v: psi.store(values[v]) for v in dict.fromkeys(numbers) if v is not None}
+    for i, v in enumerate(numbers):
+        if v is not None:
+            psi.table[i] = stored[v]
     (eps,) = _numbers(line_e, "eps", eps_row, 1, len(values))
     return Bimachine(monoid, alphabet, *dfas, psi, None if eps is None else values[eps])
 
@@ -385,7 +403,7 @@ def _cmd_compile(args):
         sets = {m for *_, s, l2, r in output_cells(b.left, b.right) for m in (s, l2 & r)}
         print(
             f"left={b.left.n_states} right={b.right.n_states} "
-            f"psi={len(b.psi)} values={len({v.payload for v in b.psi.values()})} eps={eps} "
+            f"psi={len(b.psi)} slots={len(b.psi.table)} values={len(b.psi.distinct)} eps={eps} "
             f"squared={len(verdict.squared.pairs)} "
             f"useful={len(verdict.valuation.rho)} sets={len(sets)}"
         )

@@ -146,7 +146,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
     phi = cache(lambda s: set_mge(members(s), nu, tt.monoid))  # delays of a set, by bitmask
     psi = output_map(
-        left, right,
+        tt.monoid, tt.alphabet, left, right,
         lambda cell, s, s2: output_value(cell, phi(s), phi(s2), real_time.moves, verify=verify),
     )
     eps_out = next(iter(verdict.eps_outputs), None)

@@ -1,8 +1,8 @@
 """Finite-state transducers with monoid outputs and the constructions on
 their state sets: trimming, the epsilon paths out of each state, the
 forward and backward power-set automata of a real-time transducer
-(subsets are bitmasks), the walk over output cells with the output map
-it fills, and run enumeration.  A transducer indexes its moves by
+(subsets are bitmasks), the walk over output cells with the flat output
+table it fills, and run enumeration.  A transducer indexes its moves by
 (state, input) once, as Transducer.moves.  Every walk that discovers
 its states from a start (the power-set automata, the squared automaton,
 the classical expansion, the epsilon closure, which also finds nonunit
@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .monoid import Monoid, MonoidValue
+from .monoid import Integers, Monoid, MonoidValue
 
 
 class StateLimitExceeded(RuntimeError):
@@ -208,21 +209,102 @@ def output_cells(left: Dfa, right: Dfa):
                     yield li, a, ri, s, lm2, rm
 
 
-def output_map(left: Dfa, right: Dfa, entry) -> dict:
+class _Sparse(dict):
+    """An evaluation table kept by its defined slots; the others read None."""
+
+    def __missing__(self, key):
+        return None
+
+
+def flat_slots(n, entries):
+    """n table slots that read None: a list, or a _Sparse dict if the list
+    would have over 8 slots per entry, of at most entries defined ones, as
+    far-apart states or a wide alphabet can make (a list slot is 8 bytes,
+    a dict entry 70-85)."""
+    return [None] * n if n <= 8 * entries + 64 else _Sparse()
+
+
+class OutputTable(Mapping):
+    """A bimachine's output map psi: the flat table evaluate reads, and a
+    read-only mapping from cells (l, a, r) to values.  Slot (l*k + i)*n_right
+    + r, for a the i-th of the k sorted symbols, holds the payload of the
+    cell's value, or when counted its code, or None.  Codes number the
+    payloads of a commutative monoid, so that evaluate folds each once with
+    its count; not those of bare integers, which fold_payloads sums in C.
+    distinct holds, by code, the one value object per payload that store
+    kept and that reads return."""
+
+    def __init__(self, monoid: Monoid, alphabet, n_left, n_right, entries):
+        self.monoid, self.alphabet = monoid, tuple(sorted(alphabet))
+        self.n_left, self.n_right = n_left, n_right
+        self.ids = {a: i for i, a in enumerate(self.alphabet)}
+        self.counted = monoid.commutative and not isinstance(monoid, Integers)
+        self.table = flat_slots(n_left * len(self.ids) * n_right, entries)
+        self.distinct, self._codes = [], {}
+
+    def store(self, value):
+        """What a slot holds for value, its code or its payload object."""
+        code = self._codes.setdefault(value.payload, len(self.distinct))
+        if code == len(self.distinct):
+            self.distinct.append(value)
+        return code if self.counted else self.distinct[code].payload
+
+    def slots(self):
+        """The (slot, content) pairs of the defined cells."""
+        pairs = enumerate(self.table) if type(self.table) is list else self.table.items()
+        return ((i, x) for i, x in pairs if x is not None)
+
+    def __getitem__(self, cell):
+        try:
+            l, a, r = cell
+            if type(l) is type(r) is int and 0 <= l < self.n_left and 0 <= r < self.n_right:
+                x = self.table[(l * len(self.ids) + self.ids[a]) * self.n_right + r]
+                if x is not None:
+                    return self.distinct[x if self.counted else self._codes[x]]
+        except (TypeError, ValueError, KeyError):  # not a cell
+            pass
+        raise KeyError(cell)
+
+    def _dict(self, payloads=False):
+        width, nr, syms = len(self.ids) * self.n_right, self.n_right, self.alphabet
+        values = [v.payload for v in self.distinct] if payloads else self.distinct
+        value = dict(zip(range(len(values)) if self.counted else self._codes, values))
+        return {(i // width, syms[i % width // nr], i % nr): value[x] for i, x in self.slots()}
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        table = self.table
+        return len(table) - table.count(None) if type(table) is list else len(table)
+
+    def __eq__(self, other):  # as dicts; in one monoid, of payloads, which compare faster
+        if isinstance(other, OutputTable) and other.monoid == self.monoid:
+            return self._dict(payloads=True) == other._dict(payloads=True)
+        return self._dict() == other
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
+def output_map(monoid: Monoid, alphabet, left: Dfa, right: Dfa, entry) -> OutputTable:
     """The output map psi over output_cells(left, right), where
     entry(cell, s, s2) gives cell (li, a, ri) its value from the
     intersection sets s before the a-step and s2 after it.  entry must
     depend on (s, a, s2) alone: it runs at the first cell of each
-    distinct triple in walk order, and later cells share that value.
-    Values with equal payloads are stored as one object."""
-    psi, solved, pool = {}, {}, {}
+    distinct triple in walk order, and later cells share its slot
+    content.  The table is sized by n_L·|right.delta|, which bounds the
+    cells, so a wide alphabet with few right moves gets a sparse one."""
+    psi = OutputTable(monoid, alphabet, left.n_states, right.n_states,
+                      left.n_states * len(right.delta))
+    table, ids, k, nr = psi.table, psi.ids, len(psi.ids), right.n_states
+    solved = {}
     for li, a, ri, s, l2, r in output_cells(left, right):
         key = (s, a, l2 & r)
-        value = solved.get(key)
-        if value is None:
-            value = entry((li, a, ri), s, key[2])
-            value = solved[key] = pool.setdefault(value.payload, value)
-        psi[li, a, ri] = value
+        x = solved.get(key)
+        if x is None:
+            x = solved[key] = psi.store(entry((li, a, ri), s, key[2]))
+        table[(li * k + ids[a]) * nr + ri] = x
     return psi
 
 

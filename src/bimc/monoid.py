@@ -26,6 +26,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class DescriptorMismatch(TypeError):
@@ -80,8 +81,9 @@ class Monoid:
     def parse_payload(self, text: str):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def unit(self) -> MonoidValue:
+        """The empty product, computed once per instance, outside equality and hash."""
         return _trusted(self, self.fold_payloads(()))
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -8,12 +10,15 @@ import pytest
 
 from bimc.benchmark import make_tn
 from bimc.bimachine import AlphabetError, Bimachine, evaluate
-from bimc.classical import classical_compile
+from bimc.classical import classical_compile, unambiguous_expand
 from bimc.cli import bimachine_from_text, bimachine_to_text, parse_transducer
 from bimc.compiler import compile as build
-from bimc.fsa import Dfa, Transducer
+from bimc.fsa import Dfa, Transducer, members, output_cells
+from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_descriptor
-from helpers import TRANSDUCER_MONOIDS, all_words, evaluate_reference, random_bimachine, run_dfa
+from helpers import (
+    TRANSDUCER_MONOIDS, all_words, evaluate_reference, random_bimachine, random_transducer, run_dfa,
+)
 
 FREE = FreeWords(("x", "y"))
 
@@ -185,6 +190,86 @@ def test_commutative_tables_hold_one_code_per_payload(perfbench_gen):
             other = random_bimachine(rng, monoid=monoid)
             assert {p for p in other.tables[3] if p is not None} == {v.payload for v in other.psi.values()}
             assert other.tables[4] == monoid.fold_payloads
+
+
+def test_compiled_psi_reads_as_the_dict_it_replaces():
+    # a compile once kept psi as a dict with one entry per output cell, in
+    # walk order; read off the expansion for classical machines, that dict
+    # and the flat table are the same map, and each builds the same machine
+    for n in range(1, 6):
+        t = make_tn(n)
+        tt = unambiguous_expand(t).transducer
+        b = classical_compile(t)
+        old = {}
+        for li, a, ri, s, l2, r in output_cells(b.left, b.right):
+            (p,) = members(s)
+            (old[li, a, ri],) = [out for out, dst in tt.moves[p, a] if (l2 & r) >> dst & 1]
+        assert b.psi == old and old == b.psi and dict(b.psi) == old
+        assert len(b.psi) == len(old) and sorted(b.psi) == list(b.psi) == sorted(old)
+        again = dataclasses.replace(b, psi=old)
+        assert again == b and again.tables[3] == b.tables[3]
+        assert dataclasses.replace(b, psi=dict(b.psi)) == b
+        assert b.psi != {**old, next(iter(old)): MonoidValue(t.monoid, "1" * 99)}
+    rng = random.Random(12)
+    transducers = [random_transducer(rng, monoid=m) for m in TRANSDUCER_MONOIDS * 20]
+    machines = [build(t) for t in transducers if functionality(t).functional]
+    assert len(machines) > 20
+    for b in [build(make_tn(n), verify=False) for n in range(1, 8)] + machines:
+        cells = sum(1 for _ in output_cells(b.left, b.right))
+        assert len(b.psi) == cells == len(dict(b.psi)) == len(b.psi.items())
+        assert dataclasses.replace(b, psi=dict(b.psi)) == b
+
+
+def test_psi_is_a_read_only_mapping():
+    b = fixture()
+    assert b.psi[0, "a", 1] == fw("x") and b.psi.get((1, "b", 0)) == fw("yy")
+    assert dict(b.psi) == {(0, "a", 0): fw("y"), (0, "a", 1): fw("x"), (1, "b", 0): fw("yy")}
+    assert repr(b.psi) == repr(dict(b.psi))
+    for cell in ((0, "b", 0), (0, "q", 0), (2, "a", 0), (0, "a", -1), (True, "a", 1),
+                 (0.0, "a", 1), ([], "a", 0), (0, [], 0), "ab", None):
+        assert cell not in b.psi and b.psi.get(cell) is None
+        with pytest.raises(KeyError):
+            b.psi[cell]
+    with pytest.raises(TypeError):
+        b.psi[0, "a", 1] = fw("y")
+    # one value object per payload, whatever the dict held
+    b = Bimachine(FREE, ("a",), Dfa(2, 0, {}), Dfa(1, 0, {}), {(0, "a", 0): fw("x"), (1, "a", 0): fw("x")})
+    assert b.psi[0, "a", 0] is b.psi[1, "a", 0] and len(b.psi.distinct) == 1
+    # a table is checked for its shape and monoid only
+    for changed, needle in (({"right": Dfa(3, 0, {})}, "made for another machine"),
+                            ({"left": Dfa(1, 0, {})}, "made for another machine"),
+                            ({"alphabet": ("a", "c")}, "made for another machine"),
+                            ({"monoid": FreeWords("xyz")}, "made for another machine")):
+        with pytest.raises(ValueError, match=needle):
+            dataclasses.replace(b, **changed)
+    assert dataclasses.replace(b).psi is b.psi
+
+
+def retained_bytes(build):
+    """The bytes that the object build() returns holds on to, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_compiled_machines_retain_their_flat_tables_not_dicts():
+    # with a dict of (l, a, r) keys for psi, classical T_5 kept 5.8 MiB and
+    # mge T_11 9.3 MiB; they keep 0.57 and 3.2 MiB, of which the flat psi
+    # tables are 0.4 and 0.5 MiB and, at T_11, the right DFA's delta 2.5 MiB
+    classical_compile(make_tn(2))  # the first compile allocates for good: caches, interned names
+    for build_it, cells, slots, bound in (
+        (lambda: classical_compile(make_tn(5)), 51055, 51060, 0.8),
+        (lambda: build(make_tn(11), verify=False), 67936, 67947, 4.0),
+    ):
+        b, size = retained_bytes(build_it)
+        assert (len(b.psi), len(b.psi.table)) == (cells, slots)
+        assert size < bound * 2**20, f"{size / 2**20:.2f} MiB"
 
 
 def test_constructor_rejects_bad_entries():

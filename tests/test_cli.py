@@ -241,7 +241,7 @@ def _rejection_shape(err):
     return "line-less"
 
 
-def test_parsers_raise_only_format_errors():
+def test_parsers_raise_only_format_errors(tmp_path, capsys):
     rng = random.Random(2024)
     pool = ['"x"', '"z"', '("x",1)', "(1,1)", "1/2", "1/0", "-3", "x", "-", "7", "99",
             "t", "alphabet", "values", "left", "right", "psi", "eps", "free:", "nnrat", "product(",
@@ -263,6 +263,20 @@ def test_parsers_raise_only_format_errors():
                 except FormatError as err:
                     shapes[_rejection_shape(err)] += 1
     assert min(shapes.values()) > 0, shapes
+    # a number past int()'s 4,300-digit limit in each of the four places
+    # the transducer format has one is refused on its line, as in bimc check
+    big = "1" * 5000
+    lines = format_transducer(make_tn(1)).splitlines()
+    assert lines[2:6] == ["states 3", "initial 0", "final 2", 't 0 a1 "" 1']
+    for lineno, row in ((3, f"states {big}"), (4, f"initial {big}"), (5, f"final {big}"),
+                        (6, f't {big} a1 "" 1'), (6, f't 0 a1 "" {big}')):
+        text = "\n".join(lines[:lineno - 1] + [row] + lines[lineno:]) + "\n"
+        message = f"line {lineno}: a number of 5000 digits is too long"
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_transducer(text)
+        (tmp_path / "big.fst").write_text(text, encoding="utf-8")
+        assert cli_main(["check", str(tmp_path / "big.fst")]) == 65
+        assert capsys.readouterr().err == f"format error: {message}\n"
 
 
 def _mutated_chars(rng, text, pool):
@@ -370,27 +384,26 @@ def test_compiled_bimachines_round_trip_to_an_equal_machine():
 
 
 def test_compiled_machine_with_a_sparse_output_table_is_written(tmp_path, capsys, monkeypatch):
-    # the words whose first and last letters match, copied, over 10
-    # letters: the mge machine has 21 states a side and 450 output cells
-    # in 4,410 slots, so its psi table is sparse, and its text is written
-    letters = tuple("abcdefghij")
+    # the words of one letter twice, copied, over 20 letters: the mge
+    # machine has 22 states a side, 40 right moves and 40 output cells, so
+    # its psi table is sparse, not 9,680 slots, and its text is written
+    letters = tuple("abcdefghijklmnopqrst")
     rows = []
     for i, x in enumerate(letters, start=1):
-        rows += [(0, x, x, i), (0, x, x, 11), (i, x, x, 11)]
-        rows += [(i, y, y, i) for y in letters]
-    t = Transducer(letters, FreeWords(letters), 12, {0}, {11}, rows)
+        rows += [(0, x, x, i), (i, x, x, 21)]
+    t = Transducer(letters, FreeWords(letters), 22, {0}, {21}, rows)
     b = build(t)
-    assert (b.left.n_states, b.right.n_states, len(b.psi)) == (21, 21, 450)
-    assert type(b.tables[3]) is not list
+    assert (b.left.n_states, b.right.n_states, len(b.psi)) == (22, 22, 40)
+    assert type(b.tables[3]) is not list and len(b.psi.table) == 40
     assert bimachine_from_text(bimachine_to_text(b)) == b
-    fst, bim = tmp_path / "ends.fst", tmp_path / "ends.bim"
+    fst, bim = tmp_path / "twice.fst", tmp_path / "twice.bim"
     fst.write_text(format_transducer(t), encoding="utf-8")
     assert cli_main(["compile", str(fst), "-o", str(bim)]) == 0
     assert bimachine_from_text(bim.read_text(encoding="utf-8")) == b
-    assert cli_main(["run", str(bim), "--input", "jabcj"]) == 0
-    assert cli_main(["run", str(bim), "--input", "c"]) == 0
-    assert cli_main(["run", str(bim), "--input", "jabc"]) == 2
-    assert capsys.readouterr().out == '"jabcj"\n"c"\nUNDEFINED\n'
+    assert cli_main(["run", str(bim), "--input", "tt"]) == 0
+    assert cli_main(["run", str(bim), "--input", "cc"]) == 0
+    assert cli_main(["run", str(bim), "--input", "ct"]) == 2
+    assert capsys.readouterr().out == '"tt"\n"cc"\nUNDEFINED\n'
     # the text is made before the output file opens: a failure leaves none
     def refuse(b):
         raise ValueError("no text")
@@ -441,6 +454,25 @@ def test_run_on_a_text_naming_far_apart_states(tmp_path, capsys):
 
 
 V2 = 'BIM v2 free:x\nalphabet a\nvalues "x"\nleft 1 0 0\nright 1 0 0\npsi 0\neps -\n'
+
+
+def test_bimachine_text_with_an_unsorted_alphabet_reads_as_the_sorted_one():
+    # rows follow the alphabet row's symbol order; the machine stores them sorted
+    rows = {  # (sorted, as "b a"): two states a side, moves and cells on both symbols
+        "left": ("left 2 0 1 0 1 1", "left 2 0 0 1 1 1"),
+        "right": ("right 2 0 1 0 - 1", "right 2 0 0 1 1 -"),
+        "psi": ("psi 0 - 1 0 - 1 0 -", "psi 1 0 0 - 0 - - 1"),
+    }
+    for monoid, values in (("free:xy", '"x" "y"'), ("nnrat", "1/2 1")):
+        sorted_text, unsorted_text = (
+            "\n".join([f"BIM v2 {monoid}", alphabet, f"values {values}",
+                       *(pair[i] for pair in rows.values()), "eps -"]) + "\n"
+            for i, alphabet in enumerate(("alphabet a b", "alphabet b a")))
+        b, b2 = bimachine_from_text(sorted_text), bimachine_from_text(unsorted_text)
+        assert b2 == b and b2.tables[1:4] == b.tables[1:4] and len(b.psi) == 5
+        assert bimachine_to_text(b2) == sorted_text
+        for w in all_words(("a", "b"), 3):
+            assert evaluate(b2, w) == evaluate(b, w)
 
 
 def _v2_with(line, row):
@@ -664,7 +696,7 @@ def test_cli_compile_and_run(tmp_path, capsys):
     assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--stats"]) == 0
     stats = capsys.readouterr().out
     assert "left=3" in stats and "right=6" in stats
-    assert "psi=34 values=4 eps=none" in stats  # 34 entries, 4 distinct payloads
+    assert "psi=34 slots=36 values=4 eps=none" in stats  # 34 entries in 36 slots, 4 payloads
     assert stats.strip().endswith("squared=10 useful=6 sets=5")
     assert cli_main(["run", out, "--input", "a1a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
@@ -700,7 +732,7 @@ def test_cli_compile_classical_method(tmp_path, capsys):
     ) == 0
     # the squared automaton is the input's; sets are over the expansion
     assert capsys.readouterr().out.strip() == (
-        "left=5 right=6 psi=58 values=5 eps=none squared=10 useful=6 sets=10"
+        "left=5 right=6 psi=58 slots=60 values=5 eps=none squared=10 useful=6 sets=10"
     )
     assert cli_main(["run", out, "--input", "a2a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'

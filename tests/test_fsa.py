@@ -11,6 +11,7 @@ from bimc.classical import classical_compile
 from bimc.cli import format_transducer, parse_transducer
 from bimc.compiler import compile
 from bimc.fsa import (
+    OutputTable,
     StateLimitExceeded,
     Transducer,
     Transition,
@@ -373,12 +374,13 @@ def test_output_cells_are_the_compiled_output_maps():
         assert naive_count(b) == len(b.psi)
 
 
-def naive_output_map(left, right, entry):
-    """The output map with entry called on every cell."""
-    return {
-        (li, a, ri): entry((li, a, ri), s, l2 & r)
-        for li, a, ri, s, l2, r in output_cells(left, right)
-    }
+def naive_output_map(monoid, alphabet, left, right, entry):
+    """The output map with entry called on every cell, in its flat table."""
+    psi = OutputTable(monoid, alphabet, left.n_states, right.n_states, left.n_states * len(right.delta))
+    k, nr = len(psi.ids), right.n_states
+    for li, a, ri, s, l2, r in output_cells(left, right):
+        psi.table[(li * k + psi.ids[a]) * nr + ri] = psi.store(entry((li, a, ri), s, l2 & r))
+    return psi
 
 
 # a stand-in output value: output_map pools the values it stores by payload
@@ -394,13 +396,15 @@ def test_output_map_solves_each_triple_once(monkeypatch):
             return Solved((s, cell[1], s2))
 
         triples = {(s, a, l2 & r) for _, a, _, s, l2, r in output_cells(b.left, b.right)}
-        psi = output_map(b.left, b.right, entry)
+        psi = output_map(b.monoid, b.alphabet, b.left, b.right, entry)
         assert set(calls) == triples and set(calls.values()) <= {1}
-        assert psi == naive_output_map(b.left, b.right, lambda cell, s, s2: Solved((s, cell[1], s2)))
+        naive = naive_output_map(b.monoid, b.alphabet, b.left, b.right,
+                                 lambda cell, s, s2: Solved((s, cell[1], s2)))
+        assert psi == naive and psi.table == naive.table
         # the compiler's own entries give the same map when every cell is solved
         with monkeypatch.context() as patched:
             patched.setattr(module, "output_map", naive_output_map)
-            assert rebuild().psi == b.psi
+            assert rebuild().psi == b.psi and rebuild().tables[3] == b.tables[3]
         return len(triples)
 
     rng = random.Random(6161)
@@ -419,6 +423,27 @@ def test_output_map_solves_each_triple_once(monkeypatch):
     assert len(shared) == 5 and min(shared.values()) > 0, shared  # some cells share a triple
 
 
+def test_output_table_is_sized_by_the_right_moves():
+    # n_L·|right.delta| bounds the cells, so the table is a list only where
+    # that bound, times 8 plus 64, covers n_L·k·n_R slots
+    def copies(letters, loops):
+        # copies the words over letters whose first and last letters match,
+        # with loops, or else the words of one letter twice
+        n, rows = len(letters), []
+        for i, x in enumerate(letters, start=1):
+            rows += [(0, x, x, i), (i, x, x, n + 1)] + [(0, x, x, n + 1)] * loops
+            rows += [(i, y, y, i) for y in letters] * loops
+        return compile(Transducer(letters, FreeWords(letters), n + 2, {0}, {n + 1}, rows))
+
+    ends = copies("abcdefghij", True)  # 450 cells in 4,410 slots, 210 right moves
+    assert (len(ends.psi), ends.left.n_states * len(ends.right.delta)) == (450, 4410)
+    assert type(ends.psi.table) is list and len(ends.psi.table) == 4410
+    twice = copies("abcdefghijklmnopqrst", False)  # 40 cells, 40 right moves, 9,680 slots
+    assert (len(twice.psi), len(twice.right.delta), twice.left.n_states) == (40, 40, 22)
+    assert type(twice.psi.table) is not list and len(twice.psi.table) == 40
+    assert dataclasses.replace(twice, psi=dict(twice.psi)) == twice
+
+
 def test_output_map_propagates_entry_errors():
     t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
     left, right = determinize(t)
@@ -430,7 +455,7 @@ def test_output_map_propagates_entry_errors():
         raise ArithmeticError(f"no entry at {cell}")
 
     with pytest.raises(ArithmeticError, match="no entry at"):
-        output_map(left, right, entry)
+        output_map(FREE, t.alphabet, left, right, entry)
     assert seen == [first[:3]]
 
 

@@ -146,6 +146,17 @@ def test_fold_of_nothing_is_the_unit():
         assert MonoidValue(m, m.fold_payloads([])) == m.unit
 
 
+def test_the_unit_is_computed_once_per_instance_outside_equality():
+    for m in ALL_MONOIDS + [FREE_INT]:
+        fresh = parse_descriptor(format_descriptor(m))
+        assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+        unit = m.unit
+        assert m.unit is unit and fresh.unit is not unit and fresh.unit == unit
+        assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+        assert type(unit) is MonoidValue and unit.monoid is m
+        assert repr(unit.payload) == repr(unit_payload(m))
+
+
 COMMUTATIVE = [
     (RAT, rat_values),
     (INT, int_values),
