@@ -233,7 +233,8 @@ def test_psi_is_a_read_only_mapping():
     with pytest.raises(TypeError):
         b.psi[0, "a", 1] = fw("y")
     # one value object per payload, whatever the dict held
-    b = Bimachine(FREE, ("a",), Dfa(2, 0, {}), Dfa(1, 0, {}), {(0, "a", 0): fw("x"), (1, "a", 0): fw("x")})
+    twice = {(0, "a", 0): fw("x"), (1, "a", 0): fw("x")}
+    b = Bimachine(FREE, ("a",), Dfa(2, 0, {}), Dfa(1, 0, {}), twice)
     assert b.psi[0, "a", 0] is b.psi[1, "a", 0] and len(b.psi.distinct) == 1
     # a table is checked for its shape and monoid only
     for changed, needle in (({"right": Dfa(3, 0, {})}, "made for another machine"),

@@ -376,7 +376,8 @@ def test_output_cells_are_the_compiled_output_maps():
 
 def naive_output_map(monoid, alphabet, left, right, entry):
     """The output map with entry called on every cell, in its flat table."""
-    psi = OutputTable(monoid, alphabet, left.n_states, right.n_states, left.n_states * len(right.delta))
+    bound = left.n_states * len(right.delta)
+    psi = OutputTable(monoid, alphabet, left.n_states, right.n_states, bound)
     k, nr = len(psi.ids), right.n_states
     for li, a, ri, s, l2, r in output_cells(left, right):
         psi.table[(li * k + psi.ids[a]) * nr + ri] = psi.store(entry((li, a, ri), s, l2 & r))
