@@ -74,7 +74,7 @@ class Bimachine:
                     raise ValueError(f"output entry uses undeclared symbol {a!r}")
                 if foreign(v):
                     raise ValueError(f"output value {v!r} does not belong to the output monoid")
-                table.table[(l * k + ids[a]) * nr + r] = table.store(v)
+                table.table[(l * k + ids[a]) * nr + r] = table.store(v.payload)
             object.__setattr__(self, "psi", table)
         if self.eps_output is not None and foreign(self.eps_output):
             raise ValueError("empty-word output does not belong to the output monoid")

@@ -81,7 +81,7 @@ def classical_compile(t: Transducer) -> Bimachine:
 
     def entry(cell, s, s2):
         (p,) = members(s)
-        (v,) = [out for out, dst in tt.moves[p, cell[1]] if s2 >> dst & 1]
+        (v,) = [out.payload for out, dst in tt.moves[p, cell[1]] if s2 >> dst & 1]
         return v
 
     psi = output_map(tt.monoid, tt.alphabet, left, right, entry)

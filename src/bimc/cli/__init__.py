@@ -185,7 +185,8 @@ def _numbers(lineno, name, tokens, count, bound):
     numbers, width = {"-": None}, len(str(bound))
     for token in dict.fromkeys(tokens):
         if token != "-" and not (token.isdecimal() and len(token) <= width and int(token) < bound):
-            raise FormatError(f"line {lineno}: {token!r} is not - or a number below {bound}")
+            shown = repr(token[:20]) + (f"... of {len(token)} characters" if token[20:] else "")
+            raise FormatError(f"line {lineno}: {shown} is not - or a number below {bound}")
         numbers[token] = None if token == "-" else int(token)
     return [numbers[token] for token in tokens]
 
@@ -228,7 +229,7 @@ def bimachine_from_text(text: str) -> Bimachine:
         starts = ((l * k + i) * nr for l in range(nl) for i in order)
         numbers = [v for j in starts for v in numbers[j:j + nr]]
     psi = OutputTable(monoid, alphabet, nl, nr, len(numbers) - numbers.count(None))
-    stored = {v: psi.store(values[v]) for v in dict.fromkeys(numbers) if v is not None}
+    stored = {v: psi.store(values[v].payload) for v in dict.fromkeys(numbers) if v is not None}
     for i, v in enumerate(numbers):
         if v is not None:
             psi.table[i] = stored[v]

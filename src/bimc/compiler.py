@@ -2,11 +2,12 @@
 
 The construction determinizes the generalized transitions, the ε*·a·ε*
 steps of the transducer, forward from the initial states and backward
-from the final ones, then fills the positional output map: for every set
-the cell walk meets, a most general equalizer chain assigns each member
-state its accumulated delay, once per set, and each output entry is the
-unique value balancing those delays across one transition, solved once
-for all the cells that share its intersection triple.
+from the final ones, then fills the positional output map on raw
+payloads: for every set the cell walk meets, a most general equalizer
+chain assigns each member state its accumulated delay, once per set, and
+each output entry is the unique payload balancing those delays across
+one transition, solved once for all the cells that share its
+intersection triple; the table builds one value per distinct payload.
 Verification divides once per entry and checks every further transition
 joining the two sets by one payload product, which left cancellation
 makes exact.  Everything downstream of the functionality verdict is
@@ -20,7 +21,7 @@ from functools import cache
 from .bimachine import Bimachine
 from .fsa import Transducer, determinize, members, output_map
 from .functionality import FunctionalityVerdict, test_functionality
-from .monoid import Monoid, gamma_n, solve_right
+from .monoid import Monoid, MonoidValue, gamma_n, solve_right
 
 
 class CompileError(Exception):
@@ -42,7 +43,8 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
 
     S is enumerated in ascending state order; nu maps ordered state
     pairs to their recorded equalizers, and accumulating the chain of
-    equalizers between consecutive members gives one value per state.
+    equalizers between consecutive members through gamma_n gives one
+    value per state, whose payloads compile keeps for the output fill.
     A missing or non-accumulating entry means the transducer was not
     functional after all.
     """
@@ -84,40 +86,42 @@ def generalized_transitions(t: Transducer, eps_paths):
 
 
 def output_value(cell, phi_s, phi_s2, steps, verify=False):
-    """The output entry of cell (li, a, ri), given the delays phi_s of
-    its intersection set before the a-step and phi_s2 of the one after.
+    """The output entry of cell (li, a, ri) as a payload, given the delay
+    payloads phi_s of its intersection set before the a-step and phi_s2 after.
 
     steps is the Transducer.moves of the generalized transitions.  Solves
-    delay(p) ∘ c = value ∘ delay(p') on the first transition connecting
-    the two intersection sets; with verify every further such
-    transition is checked by multiplying raw payloads, which by left
-    cancellation holds exactly when c solves it too.  Only a failing
-    transition is solved, to name its error.
+    delay(p) ∘ c = value ∘ delay(p') on raw payloads, on the first
+    transition connecting the two intersection sets; with verify every
+    further such transition is checked by one payload product, which by
+    left cancellation holds exactly when c solves it too.  Only a failing
+    transition is solved on values, to name its error.
     """
     li, a, ri = cell
-    c = mon = None
+    c = None
     for p, delay in phi_s.items():
         for m, q in steps.get((p, a), ()):
             d2 = phi_s2.get(q)
             if d2 is None:
                 continue
-            if c is not None and (
-                mon.op_payload(delay.payload, c.payload) == mon.op_payload(m.payload, d2.payload)
-            ):
+            mon = m.monoid
+            target = mon.op_payload(m.payload, d2)
+            if c is None:
+                c = mon.solve_payload(delay, target)
+                if c is not None:
+                    if not verify:
+                        return c
+                    continue
+            elif mon.op_payload(delay, c) == target:
                 continue
-            cand = solve_right(delay, m * d2)
+            cand = solve_right(MonoidValue(mon, delay), MonoidValue(mon, target))
             if cand is None:
                 raise CompileError(
                     f"delay equation for transition ({p}, {a!r}, {q}) has no solution"
                 )
-            if c is not None:
-                raise CompileError(
-                    f"output entry ({li}, {a!r}, {ri}) is not well defined: "
-                    f"transition ({p}, {a!r}, {q}) solves to {cand!r}, expected {c!r}"
-                )
-            if not verify:
-                return cand
-            c, mon = cand, cand.monoid
+            raise CompileError(
+                f"output entry ({li}, {a!r}, {ri}) is not well defined: "
+                f"transition ({p}, {a!r}, {q}) solves to {cand!r}, expected {MonoidValue(mon, c)!r}"
+            )
     if c is None:
         raise CompileError(f"no transition connects {tuple(phi_s)} to {tuple(phi_s2)} on {a!r}")
     return c
@@ -144,7 +148,8 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     left, right = determinize(real_time)
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
-    phi = cache(lambda s: set_mge(members(s), nu, tt.monoid))  # delays of a set, by bitmask
+    # the delay payloads of a set, by bitmask
+    phi = cache(lambda s: {p: v.payload for p, v in set_mge(members(s), nu, tt.monoid).items()})
     psi = output_map(
         tt.monoid, tt.alphabet, left, right,
         lambda cell, s, s2: output_value(cell, phi(s), phi(s2), real_time.moves, verify=verify),

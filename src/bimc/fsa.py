@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .monoid import Integers, Monoid, MonoidValue
+from .monoid import Integers, Monoid, MonoidValue, _trusted
 
 
 class StateLimitExceeded(RuntimeError):
@@ -232,7 +232,7 @@ class OutputTable(Mapping):
     payloads of a commutative monoid, so that evaluate folds each once with
     its count; not those of bare integers, which fold_payloads sums in C.
     distinct holds, by code, the one value object per payload that store
-    kept and that reads return."""
+    built and that reads return."""
 
     def __init__(self, monoid: Monoid, alphabet, n_left, n_right, entries):
         self.monoid, self.alphabet = monoid, tuple(sorted(alphabet))
@@ -242,11 +242,11 @@ class OutputTable(Mapping):
         self.table = flat_slots(n_left * len(self.ids) * n_right, entries)
         self.distinct, self._codes = [], {}
 
-    def store(self, value):
-        """What a slot holds for value, its code or its payload object."""
-        code = self._codes.setdefault(value.payload, len(self.distinct))
+    def store(self, payload):
+        """What a slot holds for payload, its code or its pooled payload."""
+        code = self._codes.setdefault(payload, len(self.distinct))
         if code == len(self.distinct):
-            self.distinct.append(value)
+            self.distinct.append(_trusted(self.monoid, payload))
         return code if self.counted else self.distinct[code].payload
 
     def slots(self):
@@ -289,8 +289,8 @@ class OutputTable(Mapping):
 
 def output_map(monoid: Monoid, alphabet, left: Dfa, right: Dfa, entry) -> OutputTable:
     """The output map psi over output_cells(left, right), where
-    entry(cell, s, s2) gives cell (li, a, ri) its value from the
-    intersection sets s before the a-step and s2 after it.  entry must
+    entry(cell, s, s2) gives cell (li, a, ri) the payload of its value
+    from the intersection sets s before the a-step and s2 after it.  entry must
     depend on (s, a, s2) alone: it runs at the first cell of each
     distinct triple in walk order, and later cells share its slot
     content.  The table is sized by n_L·|right.delta|, which bounds the

@@ -11,7 +11,7 @@ well as dividing again would.  Every "no solution" answer is None: eta's
 on a pair with no equalizer, solve_right's when no c exists, gamma_n's
 on a chain of mges that does not accumulate.  Instances supply
 fold_payloads, solve_payload, check_payload and parse_payload; Monoid
-derives op_payload, format_payload, unit, eta_payload and commutative.
+derives the rest.
 
 Four instances are available: free words over a finite alphabet,
 non-negative rationals under addition, integers under addition, and
@@ -36,13 +36,13 @@ class DescriptorMismatch(TypeError):
 class Monoid:
     """Base descriptor.  Subclasses supply fold_payloads, solve_payload,
     check_payload and parse_payload; op_payload (a + b), format_payload
-    (str), the unit, eta_payload and commutative are derived here.
-    The stored payloads of one instance are totally ordered by <, which
-    the classical expansion uses to rank alternative moves.  Callers
-    outside the engine go through the module-level functions on
-    MonoidValue, and so does the output fill, except that it checks
-    further transitions on payloads; the decision procedure uses the
-    payload operations directly.  Commutative ones add fold_counts."""
+    (str), the unit, eta_payload, gamma_payload and commutative are
+    derived here.  The stored payloads of one instance are totally
+    ordered by <, which the classical expansion uses to rank alternative
+    moves.  Callers outside the engine go through the module-level
+    functions on MonoidValue; the decision procedure and the compiler's
+    output fill use the payload operations directly.  Commutative ones
+    add fold_counts."""
 
     commutative = False
 
@@ -69,6 +69,17 @@ class Monoid:
             return (self.fold_payloads(()), c)
         c = self.solve_payload(a, b)
         return None if c is None else (c, self.fold_payloads(()))
+
+    def gamma_payload(self, chain):
+        """gamma_n on payloads: the chain's (x1, x2) mges accumulated into a
+        tuple, re-aligned through eta_payload at each link, or None."""
+        acc = list(chain[0]) if chain else [self.unit.payload]
+        for x1, x2 in chain[1:]:
+            h = self.eta_payload(acc[-1], x1)
+            if h is None:
+                return None
+            acc = [self.op_payload(z, h[0]) for z in acc] + [self.op_payload(x2, h[1])]
+        return tuple(acc)
 
     def check_payload(self, a):
         """Validate and normalize a raw payload, returning the stored form."""
@@ -356,19 +367,16 @@ def gamma_n(pairs, monoid: Monoid):
     mge of the tuple (n_1..n_k), the componentwise-minimal (x_1..x_k)
     with all n_i*x_i equal, without ever touching the n_i themselves.
     The empty chain yields (e,) of monoid.  None, like eta, when an
-    intermediate pair is not equalizable.
+    intermediate pair is not equalizable.  Monoid.gamma_payload computes it.
     """
-    pairs = tuple(pairs)
-    if not pairs:
-        return (monoid.unit,)
-    acc = list(pairs[0])
-    for x1, x2 in pairs[1:]:
-        h = eta(acc[-1], x1)
-        if h is None:
-            return None
-        h1, h2 = h
-        acc = [z * h1 for z in acc] + [x2 * h2]
-    return tuple(acc)
+    chain = []
+    for x1, x2 in pairs:
+        m = _same_monoid(x1, x2)
+        if m is not monoid and m != monoid:
+            raise DescriptorMismatch(f"{m} vs {monoid}")
+        chain.append((x1.payload, x2.payload))
+    acc = monoid.gamma_payload(chain)
+    return None if acc is None else tuple(_trusted(monoid, z) for z in acc)
 
 
 def _split_top_level(inner: str, whole: str) -> tuple[str, str]:

@@ -108,6 +108,21 @@ def test_behaviour_digest_is_unchanged():
     assert len(got) == len(want) and not changed, f"{report}, first: {changed[:3]}"
 
 
+# the digest stops at T_6; these pin the whole machine text of the larger
+# members, which the output fill's delays and divisions all reach
+TN_TEXT_SHA256 = {
+    7: "67f16e323d9394b13f1e9cf8274b9921f79cd0e2f18dc9e5bf28abe158b2a887",
+    8: "e11e5f5c977580e544755053029e44d2173705b75079e8758f940f60f01e53a7",
+    9: "a9d73f40d11799080f0e87ace0aac69b576ecd9552e144c41024eea158668404",
+}
+
+
+def test_larger_tn_machine_texts_are_unchanged():
+    for n, want in TN_TEXT_SHA256.items():
+        text = bimachine_to_text(compile(make_tn(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, n
+
+
 if __name__ == "__main__":
     lines = digest()
     if GOLDEN.exists():

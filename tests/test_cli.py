@@ -526,7 +526,11 @@ def test_bimachine_from_text_rejects_garbage():
         (_v2_with(7, "eps x"), "line 7: 'x' is not - or a number below 1"),
         # numbers past int()'s 4,300 digits, as a state count and as a state
         (_v2_with(4, f"left {'1' * 5000} 0 0"), "line 4: "),
-        (_v2_with(4, f"left 1 0 {'0' * 4999}1"), f"line 4: '{'0' * 4999}1' is not - or a number"),
+        (_v2_with(4, f"left 1 0 {'0' * 4999}1"),
+         f"line 4: '{'0' * 20}'... of 5000 characters is not - or a number below 1"),
+        (_v2_with(4, f"left 1 {'1' * 5000} 0"), f"line 4: '{'1' * 20}'... of 5000 characters"),
+        (_v2_with(4, f"left 1 0 {'x' * 21}"), f"line 4: '{'x' * 20}'... of 21 characters"),
+        (_v2_with(4, f"left 1 0 {'x' * 20}"), f"line 4: '{'x' * 20}' is not - or a number"),
     ]
     cases += [
         (f"BIM v2 product(free:ab,intgrp)\nalphabet a\nvalues {lit}\n", "line 3: ")
@@ -536,6 +540,7 @@ def test_bimachine_from_text_rejects_garbage():
         with pytest.raises(FormatError) as info:
             bimachine_from_text(text)
         assert needle in str(info.value), (text, str(info.value))
+        assert len(str(info.value)) < 200, str(info.value)  # a long token is quoted in part
 
 
 def test_tokenize_multi_character_symbols():

@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from collections import Counter, namedtuple
+from collections import Counter
 
 import pytest
 
@@ -384,23 +384,19 @@ def naive_output_map(monoid, alphabet, left, right, entry):
     return psi
 
 
-# a stand-in output value: output_map pools the values it stores by payload
-Solved = namedtuple("Solved", "payload")
-
-
 def test_output_map_solves_each_triple_once(monkeypatch):
     def check(b, module, rebuild):
         calls = Counter()
 
         def entry(cell, s, s2):
             calls[s, cell[1], s2] += 1
-            return Solved((s, cell[1], s2))
+            return (s, cell[1], s2)  # a stand-in payload, one per triple
 
         triples = {(s, a, l2 & r) for _, a, _, s, l2, r in output_cells(b.left, b.right)}
         psi = output_map(b.monoid, b.alphabet, b.left, b.right, entry)
         assert set(calls) == triples and set(calls.values()) <= {1}
         naive = naive_output_map(b.monoid, b.alphabet, b.left, b.right,
-                                 lambda cell, s, s2: Solved((s, cell[1], s2)))
+                                 lambda cell, s, s2: (s, cell[1], s2))
         assert psi == naive and psi.table == naive.table
         # the compiler's own entries give the same map when every cell is solved
         with monkeypatch.context() as patched:

@@ -578,3 +578,37 @@ def test_a_monoid_supplying_four_methods_gets_the_rest():
         outputs = enumerate_outputs(t, word)
         assert len(outputs) <= 1
         assert evaluate(b, word) == next(iter(outputs), None), word
+
+
+NATURALS = Naturals()
+natural_values = st.integers(0, 12).map(lambda k: MonoidValue(NATURALS, k))
+
+
+def check_gamma_payload(m, values):
+    """Monoid.gamma_payload over the chain of mges of consecutive values
+    against the mu_n oracle on the values and against gamma_n, by repr of
+    the payloads; False when a consecutive pair has no mge, so no chain."""
+    chain = [eta(x, y) for x, y in zip(values, values[1:])]
+    if None in chain:
+        return False
+    got = m.gamma_payload([(x1.payload, x2.payload) for x1, x2 in chain])
+    for want in (mu_n(values), gamma_n(chain, m)):
+        assert repr(got) == repr(None if want is None else tuple(v.payload for v in want))
+    return True
+
+
+@given(st.data())
+def test_gamma_payload_agrees_with_mu_and_gamma_n(data):
+    kinds = INSTANCES + [(FREE_INT, free_int_values), (NATURALS, natural_values)]
+    m, values = data.draw(st.sampled_from(kinds))
+    check_gamma_payload(m, data.draw(st.lists(values, min_size=1, max_size=6)))
+
+
+def test_gamma_payload_covers_the_empty_chain_and_a_failing_one():
+    for m, values in INSTANCES + [(FREE_INT, free_int_values), (NATURALS, natural_values)]:
+        assert m.gamma_payload([]) == (m.fold_payloads(()),)
+        assert check_gamma_payload(m, (m.unit,))
+    # each pair is prefix-comparable, the tuple is not: the chain does not accumulate
+    for m, words in ((FREE, ("a", "", "b")), (FREE_INT, (("a", 1), ("", 2), ("b", 0)))):
+        values = tuple(MonoidValue(m, w) for w in words)
+        assert mu_n(values) is None and check_gamma_payload(m, values)
