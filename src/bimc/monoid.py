@@ -371,10 +371,11 @@ def gamma_n(pairs, monoid: Monoid):
     """
     chain = []
     for x1, x2 in pairs:
-        m = _same_monoid(x1, x2)
-        if m is not monoid and m != monoid:
-            raise DescriptorMismatch(f"{m} vs {monoid}")
+        if _same_monoid(x1, x2) is not monoid and x1.monoid != monoid:
+            raise DescriptorMismatch(f"{x1.monoid} vs {monoid}")
         chain.append((x1.payload, x2.payload))
+    if not chain:
+        return (monoid.unit,)
     acc = monoid.gamma_payload(chain)
     return None if acc is None else tuple(_trusted(monoid, z) for z in acc)
 

@@ -125,6 +125,13 @@ def test_mixing_monoids_is_rejected():
         op(fw("a"), rat(1))
     with pytest.raises(DescriptorMismatch):
         eta(ig(3), rat(3))
+    # gamma_n checks every value of every pair against the monoid passed,
+    # a lone pair included; an equal descriptor passes
+    pair = (fw("a"), fw(""))
+    assert gamma_n([pair], FreeWords(("a", "b", "c"))) == pair
+    for chain, m in (([pair], RAT), ([(fw("a"), rat(0))], FREE), ([(rat(1), rat(0)), pair], RAT)):
+        with pytest.raises(DescriptorMismatch):
+            gamma_n(chain, m)
 
 
 @given(st.data())
