@@ -41,10 +41,11 @@ class NotFunctionalError(CompileError):
 def set_mge(S, nu, monoid: Monoid) -> dict:
     """The delay function of one intersection set.
 
-    S is enumerated in ascending state order; nu maps ordered state
-    pairs to their recorded equalizers, and accumulating the chain of
-    equalizers between consecutive members through gamma_n gives one
-    value per state, whose payloads compile keeps for the output fill.
+    S is enumerated in ascending state order; nu maps the squared
+    automaton's state pairs (p, q), p <= q, to their recorded
+    equalizers, and accumulating the chain of equalizers between
+    consecutive members through gamma_n gives one value per state,
+    whose payloads compile keeps for the output fill.
     A missing or non-accumulating entry means the transducer was not
     functional after all.
     """

@@ -88,8 +88,9 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
     extras = dict(squared=sq, valuation=val, eps_outputs=eps_outs, eps_paths=eps_paths)
     op, fmt = trimmed.monoid.op_payload, trimmed.monoid.format_payload  # rho and arcs hold payloads
 
-    def pair(i):  # squared pair i, named by the states of t it stands for
-        return "({},{})".format(*(kept[p] for p in sq.pairs[i]))
+    def pair(i, swapped=False):  # squared pair i, named by the states of t it stands for
+        p, q = sq.pairs[i]
+        return f"({kept[q]},{kept[p]})" if swapped else f"({kept[p]},{kept[q]})"
 
     def shown(x):  # a pair of payloads
         return "({},{})".format(*map(fmt, x))
@@ -100,13 +101,15 @@ def test_functionality(t: Transducer) -> FunctionalityVerdict:
             f"pair {pair(i)} accumulates {shown(val.rho[i])} which no suffix can equalize",
             **extras,
         )
-    for src, m1, m2, dst in sq.transitions:
+    for src, m1, m2, dst, swapped in sq.transitions:
         if src in useful and dst in useful:
             (x1, x2), (y1, y2) = val.rho[src], val.nu[dst]
+            if swapped:
+                y1, y2 = y2, y1
             if op(op(x1, m1), y1.payload) != op(op(x2, m2), y2.payload):
                 return reject(
                     "transition-mismatch",
-                    f"step {pair(src)} -> {pair(dst)} with labels {shown((m1, m2))} "
+                    f"step {pair(src)} -> {pair(dst, swapped)} with labels {shown((m1, m2))} "
                     "breaks output agreement",
                     **extras,
                 )

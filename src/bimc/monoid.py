@@ -169,6 +169,15 @@ class NonNegRationals(Monoid):
 
     commutative = True
 
+    # most sums in a verdict add the unit, and a Fraction sum builds a new
+    # Fraction through a gcd even then; the zero test is a small share of it
+    def op_payload(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        return a + b
+
     # integer sums per denominator, then one Fraction over their lcm:
     # adding Fractions one by one normalizes by a gcd at every step
     def fold_payloads(self, payloads):

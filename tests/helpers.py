@@ -3,7 +3,8 @@
 Everything here works directly on raw transitions or raw payload
 enumeration, independent of the determinization, squaring, and compile
 machinery under test; only functional_draws runs the functionality
-test, as a filter on random draws.
+test, as a filter on random draws, and functionality_reference borrows
+its trim and ε gates, which come before the squaring it checks.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import Transducer, explore
-from bimc.functionality import test_functionality
+from bimc.fsa import Transducer, eps_closure, explore, reachable, trim
+from bimc.functionality import eps_cycle_check, eps_language, test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
     FreeWords,
@@ -284,12 +285,14 @@ def dump_valuation(sq, val) -> str:
 
 
 def squared_reference(t):
-    """The squared automaton by the per-symbol walk: from each pair,
-    every two moves on each input symbol in alphabet order, then each
-    ε move of the second component, then of the first, the other
-    waiting with the unit payload; arcs are labelled by payloads, and a
+    """The ordered squared automaton by the per-symbol walk: every pair
+    (p, q) in both orientations; from each pair, every two moves on each
+    input symbol in alphabet order, then each ε move of the second
+    component, then of the first, the other waiting with the unit
+    payload; arcs are labelled by payloads, none is swapped, and a
     repeated arc is dropped, the first one kept in place.  The oracle
-    for squared, which builds each distinct arc once."""
+    for squared, which builds each distinct arc once and only the pairs
+    with p <= q (canonical_projection)."""
     moves = {key: [(out.payload, q) for out, q in ms] for key, ms in t.moves.items()}
     unit = t.monoid.unit.payload
 
@@ -306,7 +309,7 @@ def squared_reference(t):
 
     starts = [(p1, p2) for p1 in sorted(t.initial) for p2 in sorted(t.initial)]
     order, arcs = explore(starts, successors, "squared")
-    transitions = dict.fromkeys((src, m1, m2, dst) for src, (m1, m2), dst in arcs)
+    transitions = dict.fromkeys((src, m1, m2, dst, False) for src, (m1, m2), dst in arcs)
     final = frozenset(
         i for i, (p1, p2) in enumerate(order) if p1 in t.final and p2 in t.final
     )
@@ -314,15 +317,29 @@ def squared_reference(t):
     return SquaredAutomaton(t.monoid, tuple(order), initial, final, tuple(transitions))
 
 
+def canonical_projection(sq):
+    """The pairs (p, q) with p <= q of an ordered squared automaton, such
+    as squared_reference's, as a set, and the arcs out of them as a set
+    of (src pair, m1, m2, dst pair, swapped), dst with p <= q and
+    swapped when the ordered target had p > q: what squared builds."""
+    pairs = {pair for pair in sq.pairs if pair[0] <= pair[1]}
+    arcs = set()
+    for src, m1, m2, dst, _ in sq.transitions:
+        p, q = sq.pairs[dst]
+        if sq.pairs[src] in pairs:
+            arcs.add((sq.pairs[src], m1, m2, (min(p, q), max(p, q)), p > q))
+    return pairs, arcs
+
+
 def valuation_reference(sq, useful):
     """rho (payload pairs) and nu (value pairs) as dicts, by the per-pair
     rule: visit the useful pairs in discovery order, an initial one set
     to (e, e), and hand each pair's rho on along its arcs to the useful
-    pairs not yet set.  The oracle for squared.valuation's single scan
-    of the arcs."""
+    pairs not yet set, swapped along a swapped arc.  The oracle for
+    squared.valuation's single scan of the arcs."""
     out_edges = defaultdict(list)
-    for src, m1, m2, dst in sq.transitions:
-        out_edges[src].append((m1, m2, dst))
+    for src, m1, m2, dst, swapped in sq.transitions:
+        out_edges[src].append((m1, m2, dst, swapped))
     m = sq.monoid
     unit = m.unit
     rho = {}
@@ -333,15 +350,47 @@ def valuation_reference(sq, useful):
             rho[i] = (unit.payload, unit.payload)
         assert i in rho, "useful pair reached before its predecessors"
         x1, x2 = rho[i]
-        for m1, m2, dst in out_edges[i]:
+        for m1, m2, dst, swapped in out_edges[i]:
             if dst in useful and dst not in rho:
-                rho[dst] = (m.op_payload(x1, m1), m.op_payload(x2, m2))
+                y1, y2 = m.op_payload(x1, m1), m.op_payload(x2, m2)
+                rho[dst] = (y2, y1) if swapped else (y1, y2)
     nu = {}
     for i, (x1, x2) in rho.items():
         nu_i = (unit, unit) if x1 == x2 else eta(MonoidValue(m, x1), MonoidValue(m, x2))
         if nu_i is not None:
             nu[i] = nu_i
     return rho, nu
+
+
+def functionality_reference(t):
+    """(functional, witness kind or None) by the ordered squared
+    automaton: trim and the ε gates of test_functionality, then
+    squared_reference, valuation_reference and the same three checks
+    over every pair in both orientations: every useful pair equalizable,
+    every useful arc balanced against its target's nu, every final pair
+    balanced.  The oracle for test_functionality, which checks only the
+    pairs with p <= q."""
+    trimmed, _ = trim(t)
+    eps_paths = eps_closure(trimmed)
+    if eps_cycle_check(trimmed, eps_paths) is not None:
+        return False, "eps-cycle"
+    if len(eps_language(trimmed, eps_paths)) > 1:
+        return False, "eps-language"
+    sq = squared_reference(trimmed)
+    useful = reachable(sq.final, [(dst, src) for src, _, _, dst, _ in sq.transitions])
+    rho, nu = valuation_reference(sq, useful)
+    if useful - nu.keys():
+        return False, "unequalizable-pair"
+    op = sq.monoid.op_payload
+    for src, m1, m2, dst, _ in sq.transitions:
+        if src in useful and dst in useful:
+            (x1, x2), (y1, y2) = rho[src], nu[dst]
+            if op(op(x1, m1), y1.payload) != op(op(x2, m2), y2.payload):
+                return False, "transition-mismatch"
+    unit = sq.monoid.unit
+    if any(nu.get(f) != (unit, unit) for f in sq.final):
+        return False, "final-imbalance"
+    return True, None
 
 
 def run_dfa(dfa, word):

@@ -29,15 +29,16 @@ from bimc.cli import (
     tokenize,
 )
 from bimc.compiler import compile as build
-from bimc.fsa import Dfa, Transducer, Transition
+from bimc.fsa import Dfa, Transducer, Transition, trim
 from bimc.functionality import test_functionality as functionality
+from bimc.squared import coaccessible
 from bimc.monoid import (
     FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_value, parse_descriptor,
     parse_value,
 )
 from helpers import (
     TRANSDUCER_MONOIDS, all_words, eps_diamond_chain, functional_draws, random_bimachine,
-    random_pseudo_det, random_transducer,
+    random_pseudo_det, random_transducer, squared_reference,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -677,8 +678,9 @@ def test_cli_check_exit_codes(tmp_path, capsys):
 
 
 def test_cli_check_names_the_phase_over_the_state_budget(tmp_path, capsys, monkeypatch):
+    # T_5 squares to 22 pairs with p <= q
     monkeypatch.setenv("BIMC_MAX_STATES", "20")
-    assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
+    assert cli_main(["check", tn_file(tmp_path, 5)]) == 65
     assert "error: squared exceeded BIMC_MAX_STATES=20" in capsys.readouterr().err
     monkeypatch.setenv("BIMC_MAX_STATES", "many")
     assert cli_main(["check", tn_file(tmp_path, 4)]) == 65
@@ -696,13 +698,23 @@ def test_cli_check_stops_the_epsilon_closure_at_the_state_budget(tmp_path, capsy
     assert "error: epsilon closure exceeded BIMC_MAX_STATES=1000" in capsys.readouterr().err
 
 
+def tn2_squared_counts():
+    """The pairs (p, q) with p <= q of T_2's ordered squared automaton,
+    and the useful ones among them: what --stats counts."""
+    ref = squared_reference(trim(make_tn(2))[0])
+    useful = coaccessible(ref)
+    canonical = [i for i, (p, q) in enumerate(ref.pairs) if p <= q]
+    return len(canonical), len(useful.intersection(canonical))
+
+
 def test_cli_compile_and_run(tmp_path, capsys):
     out = str(tmp_path / "tn2.bim")
     assert cli_main(["compile", tn_file(tmp_path, 2), "-o", out, "--stats"]) == 0
     stats = capsys.readouterr().out
     assert "left=3" in stats and "right=6" in stats
     assert "psi=34 slots=36 values=4 eps=none" in stats  # 34 entries in 36 slots, 4 payloads
-    assert stats.strip().endswith("squared=10 useful=6 sets=5")
+    assert stats.strip().endswith("squared=7 useful=5 sets=5")
+    assert tn2_squared_counts() == (7, 5)
     assert cli_main(["run", out, "--input", "a1a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'
     assert cli_main(["run", out, "--input", "a1"]) == 2
@@ -737,7 +749,7 @@ def test_cli_compile_classical_method(tmp_path, capsys):
     ) == 0
     # the squared automaton is the input's; sets are over the expansion
     assert capsys.readouterr().out.strip() == (
-        "left=5 right=6 psi=58 slots=60 values=5 eps=none squared=10 useful=6 sets=10"
+        "left=5 right=6 psi=58 slots=60 values=5 eps=none squared=7 useful=5 sets=10"
     )
     assert cli_main(["run", out, "--input", "a2a1"]) == 0
     assert capsys.readouterr().out.strip() == '"1111"'

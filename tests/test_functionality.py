@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, NonNegRationals, PairOf
 from helpers import (
     TRANSDUCER_MONOIDS,
+    canonical_projection,
     eps_closure_reference,
     eps_cycle_reference,
     eps_diamond_chain,
+    functionality_reference,
     output_table,
     random_transducer,
+    squared_reference,
     with_eps_detours,
 )
 
@@ -263,8 +267,10 @@ def test_witness_eps_language():
 
 
 def test_squared_automaton_keeps_the_state_budget(monkeypatch):
-    t = make_tn(4)
-    assert len(functionality(t).squared.pairs) == 26
+    # T_5 squares to 37 ordered pairs, 22 of them with p <= q
+    t = make_tn(5)
+    pairs, _ = canonical_projection(squared_reference(trim(t)[0]))
+    assert len(functionality(t).squared.pairs) == len(pairs) == 22
     monkeypatch.setenv("BIMC_MAX_STATES", "20")
     with pytest.raises(StateLimitExceeded, match="squared exceeded BIMC_MAX_STATES=20"):
         functionality(t)
@@ -305,6 +311,24 @@ def test_verdict_is_reproducible():
         a, b = functionality(t), functionality(t)
         assert a.functional == b.functional
         assert a.witness == b.witness
+
+
+def test_verdict_matches_the_ordered_reference():
+    # the check over pairs with p <= q decides as the one over every
+    # ordered pair, with the same witness kind; a valuation that does
+    # not swap rho along a swapped arc fails this within the draws
+    rng = random.Random(3838)
+    kinds = Counter()
+    for monoid in TRANSDUCER_MONOIDS:
+        for k in range(300):
+            t = random_transducer(rng, allow_eps=k % 2 == 0, monoid=monoid)
+            for u in (t, with_eps_detours(rng, t)):
+                v = functionality(u)
+                want = functionality_reference(u)
+                assert (v.functional, v.witness and v.witness.kind) == want
+                kinds[want[1]] += 1
+    assert kinds[None] > 1000 and kinds["transition-mismatch"] > 300
+    assert min(kinds.values()) >= 5 and len(kinds) == 6
 
 
 def test_verdict_agrees_with_bounded_oracle():

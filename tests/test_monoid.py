@@ -475,6 +475,19 @@ def test_value_literal_errors():
         parse_value(PROD, '("ab")')
 
 
+def test_rational_sums_with_a_zero_operand_are_fractions():
+    rat = NonNegRationals()
+    pair = PairOf(rat, PairOf(Integers(), rat))
+    values = [Fraction(0), Fraction(0, 5), Fraction(3, 7), Fraction(2), Fraction(1, 3)]
+    for a in values:
+        for b in values:
+            got = rat.op_payload(a, b)
+            assert got == a + b and type(got) is Fraction
+            got = pair.op_payload((a, (1, b)), (b, (-1, a)))
+            assert got == (a + b, (0, a + b))
+            assert type(got[0]) is Fraction and type(got[1][1]) is Fraction
+
+
 def test_rational_arithmetic_stays_exact():
     third = parse_value(RAT, "1/3")
     assert third * third * third == rat(1)

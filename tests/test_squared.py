@@ -5,12 +5,14 @@ from collections import defaultdict, deque
 
 from bimc.benchmark import make_tn
 from bimc.fsa import Transducer, trim
+from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, MonoidValue, eta
 from bimc.squared import coaccessible, squared, valuation
 from helpers import (
     TRANSDUCER_MONOIDS,
     brute_equalizers,
     candidate_values,
+    canonical_projection,
     dump_valuation,
     is_instance_of,
     pair_index,
@@ -52,7 +54,8 @@ def initial_paths(t, max_steps):
 
 
 def paired_by_word(t, max_steps):
-    """Payload pairs of common-input path pairs: ((q1,q2),(m1,m2))."""
+    """Payload pairs of common-input path pairs: ((q1,q2),(m1,m2)), each
+    named with q1 <= q2, its payloads swapped with it."""
     by_word = defaultdict(list)
     for word, out, end in initial_paths(t, max_steps):
         by_word[word].append((out, end))
@@ -60,15 +63,18 @@ def paired_by_word(t, max_steps):
     for entries in by_word.values():
         for o1, e1 in entries:
             for o2, e2 in entries:
-                combos.add(((e1, e2), (o1, o2)))
+                combos.add(((e1, e2), (o1, o2)) if e1 <= e2 else ((e2, e1), (o2, o1)))
     return combos
 
 
 def squared_reachable(sq, max_steps):
-    """Payload pairs reachable inside the squared automaton itself."""
+    """Payload pairs reachable inside the squared automaton itself,
+    swapped along a swapped arc.  A diagonal pair (p, p) holds its
+    values in both orders: it is its own mirror, so the walk reaches
+    only one order of the values of a run and of its mirror image."""
     out_edges = defaultdict(list)
-    for src, m1, m2, dst in sq.transitions:
-        out_edges[src].append((m1, m2, dst))
+    for src, m1, m2, dst, swapped in sq.transitions:
+        out_edges[src].append((m1, m2, dst, swapped))
     op, unit = sq.monoid.op_payload, sq.monoid.unit.payload
     queue = deque((i, unit, unit, 0) for i in sorted(sq.initial))
     seen = set((i, unit, unit) for i in sq.initial)
@@ -76,10 +82,13 @@ def squared_reachable(sq, max_steps):
     while queue:
         idx, a1, a2, steps = queue.popleft()
         results.add((sq.pairs[idx], (a1, a2)))
+        if sq.pairs[idx][0] == sq.pairs[idx][1]:
+            results.add((sq.pairs[idx], (a2, a1)))
         if steps >= max_steps:
             continue
-        for m1, m2, dst in out_edges[idx]:
-            node = (dst, op(a1, m1), op(a2, m2))
+        for m1, m2, dst, swapped in out_edges[idx]:
+            b1, b2 = op(a1, m1), op(a2, m2)
+            node = (dst, b2, b1) if swapped else (dst, b1, b2)
             if node not in seen:
                 seen.add(node)
                 queue.append((*node, steps + 1))
@@ -95,10 +104,12 @@ def test_squared_pairs_up_branches():
     )
     sq = squared(t)
     assert sq.pairs[0] == (0, 0)
-    assert set(sq.pairs) == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
+    # (2, 1) is stored as (1, 2); both arcs out of (0, 0) into it stay
+    assert set(sq.pairs) == {(0, 0), (1, 1), (1, 2), (2, 2)}
+    assert set(sq.pairs) == canonical_projection(squared_reference(t))[0]
     assert len(sq.transitions) == 4
     assert sq.final == frozenset(
-        i for i, p in enumerate(sq.pairs) if p in {(1, 1), (1, 2), (2, 1), (2, 2)}
+        i for i, p in enumerate(sq.pairs) if p in {(1, 1), (1, 2), (2, 2)}
     )
 
 
@@ -106,19 +117,40 @@ def test_squared_eps_keeps_one_sided_moves():
     t = Transducer(
         ("a",), FREE, 2, {0}, {1}, [(0, None, "y", 1), (0, "a", "x", 1)]
     )
-    sq = squared(t)
-    arcs = {(sq.pairs[s], m1, m2, sq.pairs[d]) for s, m1, m2, d in sq.transitions}
-    assert ((0, 0), "x", "x", (1, 1)) in arcs
-    assert ((0, 0), "", "y", (0, 1)) in arcs
-    assert ((0, 0), "y", "", (1, 0)) in arcs
+    arcs = named_arcs(squared(t))
+    assert ((0, 0), "x", "x", (1, 1), False) in arcs
+    assert ((0, 0), "", "y", (0, 1), False) in arcs
+    assert ((0, 0), "y", "", (0, 1), True) in arcs  # the ordered arc into (1, 0)
+
+
+def named_arcs(sq):
+    """sq's arcs with their pairs named by states: (src pair, m1, m2,
+    dst pair, swapped), in sq's order."""
+    return [(sq.pairs[s], m1, m2, sq.pairs[d], sw) for s, m1, m2, d, sw in sq.transitions]
 
 
 def assert_same_squared(t):
+    """squared(t) holds the canonical projection of the ordered
+    reference, each arc once, numbered breadth first."""
     sq, ref = squared(t), squared_reference(t)
+    pairs, arcs = canonical_projection(ref)
     assert sq.monoid == ref.monoid
-    assert sq.pairs == ref.pairs
-    assert sq.initial == ref.initial and sq.final == ref.final
-    assert sq.transitions == ref.transitions
+    assert len(sq.pairs) == len(pairs) and set(sq.pairs) == pairs
+    named = named_arcs(sq)
+    assert len(named) == len(arcs) and set(named) == arcs
+    assert {sq.pairs[i] for i in sq.initial} == {ref.pairs[i] for i in ref.initial} & pairs
+    assert {sq.pairs[i] for i in sq.final} == {ref.pairs[i] for i in ref.final} & pairs
+    # the initial pairs first, arcs grouped by source, every other pair
+    # numbered by the first arc into it
+    assert sq.initial == frozenset(range(len(sq.initial)))
+    seen = len(sq.initial)
+    for src, _, _, dst, _ in sq.transitions:
+        assert src < seen
+        if dst >= seen:
+            assert dst == seen
+            seen += 1
+    assert seen == len(sq.pairs)
+    assert [src for src, *_ in sq.transitions] == sorted(src for src, *_ in sq.transitions)
 
 
 def with_unit_self_loops(rng, t):
@@ -155,15 +187,20 @@ def test_squared_keeps_one_arc_where_eps_steps_repeat_symbol_steps():
         [(0, "a", "", 0), (0, "a", "x", 1), (0, None, "", 0), (0, None, "x", 1), (1, None, "", 1)],
     )
     assert_same_squared(t)
-    sq = squared(t)
     e, x = "", "x"
-    from_start = [(m1, m2, sq.pairs[dst]) for src, m1, m2, dst in sq.transitions if src == 0]
-    assert from_start == [(e, e, (0, 0)), (e, x, (0, 1)), (x, e, (1, 0)), (x, x, (1, 1))]
+    from_start = [arc[1:] for arc in named_arcs(squared(t)) if arc[0] == (0, 0)]
+    assert from_start == [
+        (e, e, (0, 0), False), (e, x, (0, 1), False), (x, e, (0, 1), True), (x, x, (1, 1), False)
+    ]
 
 
 def test_squared_tn9_builds_each_distinct_arc_once():
-    sq = squared(trim(make_tn(9))[0])
-    assert len(sq.transitions) == len(set(sq.transitions)) == 805
+    # the ordered reference has 805 arcs out of 101 pairs
+    t = trim(make_tn(9))[0]
+    sq = squared(t)
+    pairs, arcs = canonical_projection(squared_reference(t))
+    assert len(sq.pairs) == len(pairs) == 56
+    assert len(sq.transitions) == len(set(sq.transitions)) == len(arcs) == 477
 
 
 def test_squared_eps_transition_bound():
@@ -237,14 +274,17 @@ def test_valuation_keeps_unit_on_an_initial_pair_reached_by_an_arc():
     sq = squared(t)
     index = pair_index(sq)
     src, dst = index[(0, 0)], index[(1, 1)]
-    assert dst in sq.initial and (src, "x", "x", dst) in sq.transitions
+    assert dst in sq.initial and (src, "x", "x", dst, False) in sq.transitions
     val = valuation(sq, coaccessible(sq))
     assert val.rho[dst] == ("", "")
     assert val.rho[index[(0, 1)]] == ("", "")
 
 
 def test_valuation_matches_the_per_pair_reference():
+    # on a functional input nu does not depend on the path, so it is the
+    # ordered reference's on every pair with p <= q
     rng = random.Random(9090)
+    functional = 0
     for monoid in TRANSDUCER_MONOIDS:
         for eps in (False, True):
             for _ in range(250):
@@ -253,6 +293,14 @@ def test_valuation_matches_the_per_pair_reference():
                 useful = coaccessible(sq)
                 val = valuation(sq, useful)
                 assert (val.rho, val.nu) == valuation_reference(sq, useful)
+                if not functionality(t).functional:
+                    continue
+                functional += 1
+                ref = squared_reference(t)
+                _, ref_nu = valuation_reference(ref, coaccessible(ref))
+                index = pair_index(ref)
+                assert {i: ref_nu.get(index[p]) for i, p in enumerate(sq.pairs) if i in useful} == val.nu
+    assert functional > 500
 
 
 def test_valuation_defined_exactly_on_useful_pairs():
@@ -272,8 +320,6 @@ def test_valuation_defined_exactly_on_useful_pairs():
 
 
 def test_valuation_nu_is_mge_of_relevant_pairs():
-    from bimc.functionality import test_functionality as functionality
-
     rng = random.Random(24)
     pool = candidate_values(FREE, 3)
     checked = 0
@@ -304,11 +350,14 @@ def test_dump_valuation_golden():
         '((0,0)) rho=("","") nu=("","")\n'
         '((1,1)) rho=("x","x") nu=("","")\n'
         '((1,2)) rho=("x","xx") nu=("x","")\n'
-        '((2,1)) rho=("xx","x") nu=("","x")\n'
         '((2,2)) rho=("xx","xx") nu=("","")\n'
         '((3,3)) rho=("xxy","xxy") nu=("","")\n'
     )
     assert dump_valuation(sq, val) == expected
+    # the ordered reference's dump, less its line for (2, 1)
+    ref = squared_reference(t)
+    ordered = dump_valuation(ref, valuation(ref, coaccessible(ref))).splitlines(keepends=True)
+    assert "".join(line for line in ordered if not line.startswith("((2,1))")) == expected
 
 
 def test_valuation_is_deterministic():
