@@ -1,19 +1,19 @@
 """Finite-state transducers with monoid outputs and the constructions on
 their state sets: trimming, the epsilon paths out of each state, the
 forward and backward power-set automata of a real-time transducer
-(subsets are bitmasks), the walk over output cells with the flat output
-table it fills, and run enumeration.  A transducer indexes its moves by
-(state, input) once, as Transducer.moves.  Every walk that discovers
-its states from a start (the power-set automata, the squared automaton,
-the classical expansion, the epsilon closure, which also finds nonunit
-epsilon cycles, and run enumeration) numbers them with explore, which
-keeps the one state budget, BIMC_MAX_STATES."""
+(subsets are bitmasks), the walk over output cells, by rows of one left
+state and symbol, with the flat output table it fills, and run
+enumeration.  A transducer indexes its moves by (state, input) once, as
+Transducer.moves.  Every walk that discovers its states from a start
+(the power-set automata, the squared automaton, the classical expansion,
+the epsilon closure, which also finds nonunit epsilon cycles, and run
+enumeration) numbers them with explore, which keeps the one state
+budget, BIMC_MAX_STATES; the output-cell walk counts its cells on it."""
 
 from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +25,15 @@ from .monoid import Integers, Monoid, MonoidValue, _trusted
 class StateLimitExceeded(RuntimeError):
     """A walk found more states than BIMC_MAX_STATES allows; the message
     names it: determinize, squared, unambiguous expansion, epsilon
-    closure or path enumeration."""
+    closure, path enumeration or output table (which counts cells)."""
+
+
+def _max_states():
+    """BIMC_MAX_STATES as a count, inf when unset; ValueError if not a count."""
+    raw = os.environ.get("BIMC_MAX_STATES", "")
+    if raw and not raw.isdecimal():
+        raise ValueError(f"BIMC_MAX_STATES must be a state count, not {raw!r}")
+    return int(raw) if raw else math.inf
 
 
 def explore(starts, successors, what):
@@ -39,10 +47,7 @@ def explore(starts, successors, what):
     nodes are numbered; the count is checked before each visit, and
     every numbered node gets one, so no result goes past the cap.
     """
-    raw = os.environ.get("BIMC_MAX_STATES", "")
-    if raw and not raw.isdecimal():
-        raise ValueError(f"BIMC_MAX_STATES must be a state count, not {raw!r}")
-    cap = int(raw) if raw else math.inf
+    cap = _max_states()
     order = list(dict.fromkeys(starts))
     index = {node: i for i, node in enumerate(order)}
     arcs = []
@@ -182,31 +187,37 @@ def members(mask):
 
 
 def output_cells(left: Dfa, right: Dfa):
-    """Every bimachine output cell (li, a, ri) at which some state is
-    both reachable along li and co-reachable along ri after a.
+    """The bimachine output cells (li, a, ri) at which some state is both
+    reachable along li and co-reachable along ri after a, by rows.
 
     left and right are the two subset automata of one transducer, as
-    determinize returns them.  Yields (li, a, ri, s, l2, r) where the
-    intersection sets are bitmasks over source states: s before the
-    a-step and l2 & r after it.  The second is left to output_map: the bare
-    cell count in benchmark skips it, as on the classical construction's
-    large masks it would add about a third to the cost of the count.
-    A state in s has an a-successor, so the left a-step always exists.
+    determinize returns them.  Yields (li, a, lm, lm2, moves) for each li
+    and, in right.delta's order, each a that li steps on: the masks of li
+    and its a-step, and the one list, in right.delta's order, of right
+    a-moves (ri, rm2, rm) with the masks of ri's a-step and of ri.  The
+    row's cells are the moves whose s = lm & rm2, the set before the
+    a-step, is nonempty; s2 = lm2 & rm, the set after it, is empty just
+    when s is.  Raises StateLimitExceeded before a row that would take
+    the cells past BIMC_MAX_STATES.
     """
     masks_l, masks_r = left.subsets, right.subsets
-    steps_r = defaultdict(list)
+    steps_r = {}
     for (ri, a), ri2 in right.delta.items():
-        steps_r[a].append((ri, masks_r[ri2], masks_r[ri]))
+        steps_r.setdefault(a, []).append((ri, masks_r[ri2], masks_r[ri]))
+    cap, cells, uncounted = _max_states(), 0, []
     for li, lm in enumerate(masks_l):
         for a, moves in steps_r.items():
             li2 = left.delta.get((li, a))
             if li2 is None:
                 continue
-            lm2 = masks_l[li2]
-            for ri, rm2, rm in moves:
-                s = lm & rm2
-                if s:
-                    yield li, a, ri, s, lm2, rm
+            cells += len(moves)  # a bound for the uncounted rows, made exact past the cap
+            uncounted.append((lm, moves))
+            if cells > cap:
+                cells -= sum(1 for m, row in uncounted for _, rm2, _ in row if not m & rm2)
+                uncounted.clear()
+                if cells > cap:
+                    raise StateLimitExceeded(f"output table exceeded BIMC_MAX_STATES={cap}")
+            yield li, a, lm, masks_l[li2], moves
 
 
 class _Sparse(dict):
@@ -293,18 +304,22 @@ def output_map(monoid: Monoid, alphabet, left: Dfa, right: Dfa, entry) -> Output
     from the intersection sets s before the a-step and s2 after it.  entry must
     depend on (s, a, s2) alone: it runs at the first cell of each
     distinct triple in walk order, and later cells share its slot
-    content.  The table is sized by n_L·|right.delta|, which bounds the
-    cells, so a wide alphabet with few right moves gets a sparse one."""
+    content, read from the row's dict of solved (s, s2).  The table is
+    sized by n_L·|right.delta|, which bounds the cells, so a wide
+    alphabet with few right moves gets a sparse one."""
     psi = OutputTable(monoid, alphabet, left.n_states, right.n_states,
                       left.n_states * len(right.delta))
     table, ids, k, nr = psi.table, psi.ids, len(psi.ids), right.n_states
-    solved = {}
-    for li, a, ri, s, l2, r in output_cells(left, right):
-        key = (s, a, l2 & r)
-        x = solved.get(key)
-        if x is None:
-            x = solved[key] = psi.store(entry((li, a, ri), s, key[2]))
-        table[(li * k + ids[a]) * nr + ri] = x
+    solved = {a: {} for a in ids}
+    for li, a, lm, lm2, moves in output_cells(left, right):
+        base, done = (li * k + ids[a]) * nr, solved[a]
+        for ri, rm2, rm in moves:
+            if s := lm & rm2:
+                key = (s, lm2 & rm)
+                x = done.get(key)
+                if x is None:
+                    x = done[key] = psi.store(entry((li, a, ri), *key))
+                table[base + ri] = x
     return psi
 
 

@@ -127,11 +127,15 @@ def test_rows_over_the_limit_are_skipped():
 
 
 def test_state_cap_marks_rows_skipped(monkeypatch):
-    monkeypatch.setenv("BIMC_MAX_STATES", "4")
+    # classical T_1 has 3 expanded states and 8 output cells, T_2 10 and 58
+    monkeypatch.setenv("BIMC_MAX_STATES", "8")
     by_n = {r.n: r for r in run_bench(3, methods=("classical",))}
-    assert by_n[1].skipped is None
+    assert by_n[1].skipped is None and by_n[1].psi_entries == 8
     assert by_n[2].skipped and "BIMC_MAX_STATES" in by_n[2].skipped
     assert by_n[3].skipped
+    monkeypatch.setenv("BIMC_MAX_STATES", "7")
+    (row,) = run_bench(1, methods=("classical",))
+    assert row.skipped == "output table exceeded BIMC_MAX_STATES=7"
 
 
 def test_run_bench_rejects_unknown_method():

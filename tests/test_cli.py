@@ -866,16 +866,28 @@ def test_cli_compare(tmp_path, capsys):
 
 
 def test_cli_compare_keeps_the_state_budget_on_the_path_walk(tmp_path, capsys, monkeypatch):
-    # double.fst compiles within 3 states; the walk's nodes per word do not
+    # both machines for double.fst have 2 states a side and 8 output cells;
+    # the path walk numbers n + 1 nodes on an n-letter word
     double, _ = _readme_examples()
     path = tmp_path / "double.fst"
     path.write_text(double, encoding="utf-8")
-    monkeypatch.setenv("BIMC_MAX_STATES", "3")
+    monkeypatch.setenv("BIMC_MAX_STATES", "8")
+    assert cli_main(["compare", str(path), "--max-len", "8"]) == 65
+    assert "error: path enumeration exceeded BIMC_MAX_STATES=8" in capsys.readouterr().err
+    assert cli_main(["compare", str(path), "--max-len", "7"]) == 0
+    assert "agree with the path walk on 255 words" in capsys.readouterr().out
+    monkeypatch.setenv("BIMC_MAX_STATES", "7")
     assert cli_main(["compare", str(path), "--max-len", "3"]) == 65
-    assert "error: path enumeration exceeded BIMC_MAX_STATES=3" in capsys.readouterr().err
-    monkeypatch.setenv("BIMC_MAX_STATES", "6")
-    assert cli_main(["compare", str(path), "--max-len", "3"]) == 0
-    assert "agree with the path walk on 15 words" in capsys.readouterr().out
+    assert "error: output table exceeded BIMC_MAX_STATES=7" in capsys.readouterr().err
+
+
+def test_cli_compile_keeps_the_state_budget_on_the_output_table(tmp_path, capsys, monkeypatch):
+    # classical T_6: 367 expanded states, 1,766 and 70 a side, 741,714 output cells
+    monkeypatch.setenv("BIMC_MAX_STATES", "100000")
+    out = tmp_path / "t6.bim"
+    assert cli_main(["compile", tn_file(tmp_path, 6), "--method", "classical", "-o", str(out)]) == 65
+    assert "error: output table exceeded BIMC_MAX_STATES=100000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_compare_reports_two_walk_outputs(tmp_path, capsys, monkeypatch):

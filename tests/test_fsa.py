@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from bimc import classical, compiler
-from bimc.classical import classical_compile
+from bimc.benchmark import make_tn
+from bimc.classical import classical_compile, unambiguous_expand
 from bimc.cli import format_transducer, parse_transducer
 from bimc.compiler import compile
 from bimc.fsa import (
@@ -29,6 +30,7 @@ from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairO
 from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
+    flat_cells,
     output_table,
     random_pseudo_det,
     random_transducer,
@@ -364,24 +366,66 @@ def test_output_cells_are_the_compiled_output_maps():
         verdict = functionality(t)
         if verdict.functional:
             b = compile(t, verdict=verdict)
-            assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+            assert sum(1 for _ in flat_cells(b.left, b.right)) == len(b.psi)
             assert naive_count(b) == len(b.psi)
             compiled[k % 4] += 1
     assert min(compiled.values()) > 10
     for _ in range(60):
         b = classical_compile(random_pseudo_det(rng))
-        assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+        assert sum(1 for _ in flat_cells(b.left, b.right)) == len(b.psi)
         assert naive_count(b) == len(b.psi)
 
 
+def test_output_cells_keep_the_state_budget(monkeypatch):
+    # classical T_3's rows hold 426 cells among 429 right moves; the count
+    # is exact, and no row that would pass the cap is yielded
+    left, right = determinize(unambiguous_expand(make_tn(3)).transducer)
+    rows = list(output_cells(left, right))
+    widest = max(len(moves) for *_, moves in rows)
+    assert sum(len(moves) for *_, moves in rows) == 429
+    assert sum(1 for _ in flat_cells(left, right)) == 426
+    monkeypatch.setenv("BIMC_MAX_STATES", "426")
+    assert len(classical_compile(make_tn(3)).psi) == 426
+    for cap in (425, 200, 0):
+        monkeypatch.setenv("BIMC_MAX_STATES", str(cap))
+        seen = []
+        with pytest.raises(StateLimitExceeded, match=f"^output table exceeded BIMC_MAX_STATES={cap}$"):
+            seen.extend(flat_cells(left, right))
+        assert len(seen) <= cap < len(seen) + widest
+    monkeypatch.setenv("BIMC_MAX_STATES", "many")
+    with pytest.raises(ValueError, match="BIMC_MAX_STATES must be a state count, not 'many'"):
+        next(output_cells(left, right))
+
+
 def naive_output_map(monoid, alphabet, left, right, entry):
-    """The output map with entry called on every cell, in its flat table."""
+    """The output map with entry called on every cell, in its flat table.
+    The cells (li, a, ri) come straight from the two DFAs' moves and
+    masks, in the walk's order (li, then the symbols in right.delta's
+    order, then ri in it), so that codes are numbered alike."""
     bound = left.n_states * len(right.delta)
     psi = OutputTable(monoid, alphabet, left.n_states, right.n_states, bound)
-    k, nr = len(psi.ids), right.n_states
-    for li, a, ri, s, l2, r in output_cells(left, right):
-        psi.table[(li * k + psi.ids[a]) * nr + ri] = psi.store(entry((li, a, ri), s, l2 & r))
+    k, nr, masks_l, masks_r = len(psi.ids), right.n_states, left.subsets, right.subsets
+    moves = {}
+    for (ri, a), ri2 in right.delta.items():
+        moves.setdefault(a, []).append((ri, ri2))
+    for li in range(left.n_states):
+        for a, row in moves.items():
+            for ri, ri2 in row:
+                s = masks_l[li] & masks_r[ri2]
+                if s:  # a state in s has an a-step, so li has one
+                    s2 = masks_l[left.delta[li, a]] & masks_r[ri]
+                    psi.table[(li * k + psi.ids[a]) * nr + ri] = psi.store(entry((li, a, ri), s, s2))
     return psi
+
+
+def copies(letters, loops):
+    """The mge machine that copies the words over letters whose first and
+    last letters match, with loops, or else the words of one letter twice."""
+    n, rows = len(letters), []
+    for i, x in enumerate(letters, start=1):
+        rows += [(0, x, x, i), (i, x, x, n + 1)] + [(0, x, x, n + 1)] * loops
+        rows += [(i, y, y, i) for y in letters] * loops
+    return compile(Transducer(letters, FreeWords(letters), n + 2, {0}, {n + 1}, rows))
 
 
 def test_output_map_solves_each_triple_once(monkeypatch):
@@ -392,7 +436,7 @@ def test_output_map_solves_each_triple_once(monkeypatch):
             calls[s, cell[1], s2] += 1
             return (s, cell[1], s2)  # a stand-in payload, one per triple
 
-        triples = {(s, a, l2 & r) for _, a, _, s, l2, r in output_cells(b.left, b.right)}
+        triples = {(s, a, s2) for _, a, _, s, s2 in flat_cells(b.left, b.right)}
         psi = output_map(b.monoid, b.alphabet, b.left, b.right, entry)
         assert set(calls) == triples and set(calls.values()) <= {1}
         naive = naive_output_map(b.monoid, b.alphabet, b.left, b.right,
@@ -418,20 +462,18 @@ def test_output_map_solves_each_triple_once(monkeypatch):
         b = classical_compile(t)
         shared["classical"] += len(b.psi) - check(b, classical, lambda: classical_compile(t))
     assert len(shared) == 5 and min(shared.values()) > 0, shared  # some cells share a triple
+    for n in range(1, 8):
+        t = make_tn(n)
+        check(compile(t), compiler, lambda: compile(t))
+        if n <= 5:
+            check(classical_compile(t), classical, lambda: classical_compile(t))
+    twice = copies("abcdefghijklmnopqrst", False)  # a sparse table
+    assert check(twice, compiler, lambda: copies("abcdefghijklmnopqrst", False)) == 40
 
 
 def test_output_table_is_sized_by_the_right_moves():
     # n_L·|right.delta| bounds the cells, so the table is a list only where
     # that bound, times 8 plus 64, covers n_L·k·n_R slots
-    def copies(letters, loops):
-        # copies the words over letters whose first and last letters match,
-        # with loops, or else the words of one letter twice
-        n, rows = len(letters), []
-        for i, x in enumerate(letters, start=1):
-            rows += [(0, x, x, i), (i, x, x, n + 1)] + [(0, x, x, n + 1)] * loops
-            rows += [(i, y, y, i) for y in letters] * loops
-        return compile(Transducer(letters, FreeWords(letters), n + 2, {0}, {n + 1}, rows))
-
     ends = copies("abcdefghij", True)  # 450 cells in 4,410 slots, 210 right moves
     assert (len(ends.psi), ends.left.n_states * len(ends.right.delta)) == (450, 4410)
     assert type(ends.psi.table) is list and len(ends.psi.table) == 4410
@@ -444,7 +486,7 @@ def test_output_table_is_sized_by_the_right_moves():
 def test_output_map_propagates_entry_errors():
     t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
     left, right = determinize(t)
-    first = next(output_cells(left, right))
+    first = next(flat_cells(left, right))
     seen = []
 
     def entry(cell, s, s2):
