@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .classical import unambiguous_expand
 from .compiler import compile as mge_compile
-from .fsa import StateLimitExceeded, Transducer, determinize, output_cells
+from .fsa import StateLimitExceeded, Transducer, cell_count, determinize
 from .monoid import FreeWords
 
 SAFETY_LIMITS = {"mge": 8, "classical": 7}
@@ -103,7 +103,7 @@ def _measure(n: int, method: str) -> BenchRow:
         return BenchRow(n, "mge", b.left.n_states, b.right.n_states, None, len(b.psi), ms)
     tt = unambiguous_expand(t).transducer
     left, right = determinize(tt)
-    entries = sum(1 for *_, lm, _, mv in output_cells(left, right) for _, rm2, _ in mv if lm & rm2)
+    entries = cell_count(left, right)
     ms = (time.perf_counter() - start) * 1000
     return BenchRow(n, "classical", left.n_states, right.n_states, tt.n_states, entries, ms)
 

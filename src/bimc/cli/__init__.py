@@ -401,8 +401,7 @@ def _cmd_compile(args):
         handle.write(text)
     if args.stats:
         eps = "none" if b.eps_output is None else format_value(b.eps_output)
-        sets = {m for _, _, lm, lm2, moves in output_cells(b.left, b.right) for _, rm2, rm in moves
-                for m in (lm & rm2, lm2 & rm)} - {0}  # 0 from a row's moves that are no cells
+        sets = {m for *_, s, s2 in output_cells(b.left, b.right) for m in (s, s2)}
         print(
             f"left={b.left.n_states} right={b.right.n_states} "
             f"psi={len(b.psi)} slots={len(b.psi.table)} values={len(b.psi.distinct)} eps={eps} "

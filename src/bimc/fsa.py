@@ -186,17 +186,17 @@ def members(mask):
     return tuple(states)
 
 
-def output_cells(left: Dfa, right: Dfa):
-    """The bimachine output cells (li, a, ri) at which some state is both
-    reachable along li and co-reachable along ri after a, by rows.
+def output_rows(left: Dfa, right: Dfa):
+    """The bimachine output cells by rows: for each left state li and, in
+    right.delta's order, each symbol a that li steps on, (li, a, lm, lm2,
+    moves) with the masks of li and its a-step and the one list, in
+    right.delta's order, of right a-moves (ri, rm2, rm) with the masks of
+    ri's a-step and of ri.  left and right are the two subset automata of
+    one transducer, as determinize returns them.
 
-    left and right are the two subset automata of one transducer, as
-    determinize returns them.  Yields (li, a, lm, lm2, moves) for each li
-    and, in right.delta's order, each a that li steps on: the masks of li
-    and its a-step, and the one list, in right.delta's order, of right
-    a-moves (ri, rm2, rm) with the masks of ri's a-step and of ri.  The
-    row's cells are the moves whose s = lm & rm2, the set before the
-    a-step, is nonempty; s2 = lm2 & rm, the set after it, is empty just
+    The row's cells (li, a, ri) are the moves whose s = lm & rm2, the
+    states reachable along li and co-reachable along ri after a, is
+    nonempty; s2 = lm2 & rm, the set after the a-step, is empty just
     when s is.  Raises StateLimitExceeded before a row that would take
     the cells past BIMC_MAX_STATES.
     """
@@ -204,20 +204,31 @@ def output_cells(left: Dfa, right: Dfa):
     steps_r = {}
     for (ri, a), ri2 in right.delta.items():
         steps_r.setdefault(a, []).append((ri, masks_r[ri2], masks_r[ri]))
-    cap, cells, uncounted = _max_states(), 0, []
+    cap, cells = _max_states(), 0
     for li, lm in enumerate(masks_l):
         for a, moves in steps_r.items():
             li2 = left.delta.get((li, a))
             if li2 is None:
                 continue
-            cells += len(moves)  # a bound for the uncounted rows, made exact past the cap
-            uncounted.append((lm, moves))
-            if cells > cap:
-                cells -= sum(1 for m, row in uncounted for _, rm2, _ in row if not m & rm2)
-                uncounted.clear()
+            if cap < math.inf:
+                cells += sum(1 for _, rm2, _ in moves if lm & rm2)
                 if cells > cap:
                     raise StateLimitExceeded(f"output table exceeded BIMC_MAX_STATES={cap}")
             yield li, a, lm, masks_l[li2], moves
+
+
+def output_cells(left: Dfa, right: Dfa):
+    """The cells of output_rows(left, right) one by one, in walk order,
+    as (li, a, ri, s, s2); for checks and statistics, not the fill."""
+    for li, a, lm, lm2, moves in output_rows(left, right):
+        for ri, rm2, rm in moves:
+            if s := lm & rm2:
+                yield li, a, ri, s, lm2 & rm
+
+
+def cell_count(left: Dfa, right: Dfa) -> int:
+    """The number of output_cells(left, right), found without their s2."""
+    return sum(1 for *_, lm, _, mv in output_rows(left, right) for _, rm2, _ in mv if lm & rm2)
 
 
 class _Sparse(dict):
@@ -299,7 +310,7 @@ class OutputTable(Mapping):
 
 
 def output_map(monoid: Monoid, alphabet, left: Dfa, right: Dfa, entry) -> OutputTable:
-    """The output map psi over output_cells(left, right), where
+    """The output map psi over output_rows(left, right), where
     entry(cell, s, s2) gives cell (li, a, ri) the payload of its value
     from the intersection sets s before the a-step and s2 after it.  entry must
     depend on (s, a, s2) alone: it runs at the first cell of each
@@ -311,7 +322,7 @@ def output_map(monoid: Monoid, alphabet, left: Dfa, right: Dfa, entry) -> Output
                       left.n_states * len(right.delta))
     table, ids, k, nr = psi.table, psi.ids, len(psi.ids), right.n_states
     solved = {a: {} for a in ids}
-    for li, a, lm, lm2, moves in output_cells(left, right):
+    for li, a, lm, lm2, moves in output_rows(left, right):
         base, done = (li * k + ids[a]) * nr, solved[a]
         for ri, rm2, rm in moves:
             if s := lm & rm2:

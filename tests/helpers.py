@@ -3,10 +3,8 @@
 Everything here works directly on raw transitions or raw payload
 enumeration, independent of the determinization, squaring, and compile
 machinery under test; only functional_draws runs the functionality
-test, as a filter on random draws, functionality_reference borrows
-its trim and ε gates, which come before the squaring it checks, and
-flat_cells flattens the output-cell walk's rows for tests that read
-its cells.
+test, as a filter on random draws, and functionality_reference borrows
+its trim and ε gates, which come before the squaring it checks.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from bimc.fsa import Transducer, eps_closure, explore, output_cells, reachable, trim
+from bimc.fsa import Transducer, eps_closure, explore, reachable, trim
 from bimc.functionality import eps_cycle_check, eps_language, test_functionality
 from bimc.monoid import (
     DescriptorMismatch,
@@ -393,16 +391,6 @@ def functionality_reference(t):
     if any(nu.get(f) != (unit, unit) for f in sq.final):
         return False, "final-imbalance"
     return True, None
-
-
-def flat_cells(left, right):
-    """The cells of fsa.output_cells(left, right) one by one, in walk
-    order, as (li, a, ri, s, s2): the intersection sets before and after
-    the a-step."""
-    for li, a, lm, lm2, moves in output_cells(left, right):
-        for ri, rm2, rm in moves:
-            if lm & rm2:
-                yield li, a, ri, lm & rm2, lm2 & rm
 
 
 def run_dfa(dfa, word):

@@ -13,12 +13,11 @@ from bimc.bimachine import AlphabetError, Bimachine, evaluate
 from bimc.classical import classical_compile, unambiguous_expand
 from bimc.cli import bimachine_from_text, bimachine_to_text, parse_transducer
 from bimc.compiler import compile as build
-from bimc.fsa import Dfa, Transducer, members
+from bimc.fsa import Dfa, Transducer, members, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf, format_descriptor
 from helpers import (
-    TRANSDUCER_MONOIDS, all_words, evaluate_reference, flat_cells, random_bimachine,
-    random_transducer, run_dfa,
+    TRANSDUCER_MONOIDS, all_words, evaluate_reference, random_bimachine, random_transducer, run_dfa,
 )
 
 FREE = FreeWords(("x", "y"))
@@ -202,7 +201,7 @@ def test_compiled_psi_reads_as_the_dict_it_replaces():
         tt = unambiguous_expand(t).transducer
         b = classical_compile(t)
         old = {}
-        for li, a, ri, s, s2 in flat_cells(b.left, b.right):
+        for li, a, ri, s, s2 in output_cells(b.left, b.right):
             (p,) = members(s)
             (old[li, a, ri],) = [out for out, dst in tt.moves[p, a] if s2 >> dst & 1]
         assert b.psi == old and old == b.psi and dict(b.psi) == old
@@ -216,7 +215,7 @@ def test_compiled_psi_reads_as_the_dict_it_replaces():
     machines = [build(t) for t in transducers if functionality(t).functional]
     assert len(machines) > 20
     for b in [build(make_tn(n), verify=False) for n in range(1, 8)] + machines:
-        cells = sum(1 for _ in flat_cells(b.left, b.right))
+        cells = sum(1 for _ in output_cells(b.left, b.right))
         assert len(b.psi) == cells == len(dict(b.psi)) == len(b.psi.items())
         assert dataclasses.replace(b, psi=dict(b.psi)) == b
 

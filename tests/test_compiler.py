@@ -16,13 +16,12 @@ from bimc.compiler import (
     output_value,
     set_mge,
 )
-from bimc.fsa import Transducer, determinize, eps_closure, members
+from bimc.fsa import Transducer, determinize, eps_closure, members, output_cells
 from bimc.functionality import test_functionality as functionality
 from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairOf
 from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
-    flat_cells,
     functional_draws,
     output_table,
     random_transducer,
@@ -371,7 +370,7 @@ def test_eps_detours_keep_the_relation():
 def _walk_sets(b):
     """The intersection sets the cell walk meets, before and after each step."""
     sets = set()
-    for *_, s, s2 in flat_cells(b.left, b.right):
+    for *_, s, s2 in output_cells(b.left, b.right):
         sets |= {s, s2}
     return sets
 

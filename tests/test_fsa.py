@@ -16,12 +16,14 @@ from bimc.fsa import (
     StateLimitExceeded,
     Transducer,
     Transition,
+    cell_count,
     determinize,
     enumerate_outputs,
     explore,
     members,
     output_cells,
     output_map,
+    output_rows,
     reachable,
     trim,
 )
@@ -30,7 +32,6 @@ from bimc.monoid import FreeWords, Integers, MonoidValue, NonNegRationals, PairO
 from helpers import (
     TRANSDUCER_MONOIDS,
     all_words,
-    flat_cells,
     output_table,
     random_pseudo_det,
     random_transducer,
@@ -366,35 +367,37 @@ def test_output_cells_are_the_compiled_output_maps():
         verdict = functionality(t)
         if verdict.functional:
             b = compile(t, verdict=verdict)
-            assert sum(1 for _ in flat_cells(b.left, b.right)) == len(b.psi)
-            assert naive_count(b) == len(b.psi)
+            assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+            assert cell_count(b.left, b.right) == naive_count(b) == len(b.psi)
             compiled[k % 4] += 1
     assert min(compiled.values()) > 10
     for _ in range(60):
         b = classical_compile(random_pseudo_det(rng))
-        assert sum(1 for _ in flat_cells(b.left, b.right)) == len(b.psi)
-        assert naive_count(b) == len(b.psi)
+        assert sum(1 for _ in output_cells(b.left, b.right)) == len(b.psi)
+        assert cell_count(b.left, b.right) == naive_count(b) == len(b.psi)
 
 
 def test_output_cells_keep_the_state_budget(monkeypatch):
     # classical T_3's rows hold 426 cells among 429 right moves; the count
     # is exact, and no row that would pass the cap is yielded
     left, right = determinize(unambiguous_expand(make_tn(3)).transducer)
-    rows = list(output_cells(left, right))
+    rows = list(output_rows(left, right))
     widest = max(len(moves) for *_, moves in rows)
     assert sum(len(moves) for *_, moves in rows) == 429
-    assert sum(1 for _ in flat_cells(left, right)) == 426
+    assert sum(1 for _ in output_cells(left, right)) == cell_count(left, right) == 426
     monkeypatch.setenv("BIMC_MAX_STATES", "426")
     assert len(classical_compile(make_tn(3)).psi) == 426
     for cap in (425, 200, 0):
         monkeypatch.setenv("BIMC_MAX_STATES", str(cap))
         seen = []
         with pytest.raises(StateLimitExceeded, match=f"^output table exceeded BIMC_MAX_STATES={cap}$"):
-            seen.extend(flat_cells(left, right))
+            seen.extend(output_cells(left, right))
         assert len(seen) <= cap < len(seen) + widest
+        with pytest.raises(StateLimitExceeded, match=f"^output table exceeded BIMC_MAX_STATES={cap}$"):
+            cell_count(left, right)
     monkeypatch.setenv("BIMC_MAX_STATES", "many")
     with pytest.raises(ValueError, match="BIMC_MAX_STATES must be a state count, not 'many'"):
-        next(output_cells(left, right))
+        next(output_rows(left, right))
 
 
 def naive_output_map(monoid, alphabet, left, right, entry):
@@ -436,7 +439,7 @@ def test_output_map_solves_each_triple_once(monkeypatch):
             calls[s, cell[1], s2] += 1
             return (s, cell[1], s2)  # a stand-in payload, one per triple
 
-        triples = {(s, a, s2) for _, a, _, s, s2 in flat_cells(b.left, b.right)}
+        triples = {(s, a, s2) for _, a, _, s, s2 in output_cells(b.left, b.right)}
         psi = output_map(b.monoid, b.alphabet, b.left, b.right, entry)
         assert set(calls) == triples and set(calls.values()) <= {1}
         naive = naive_output_map(b.monoid, b.alphabet, b.left, b.right,
@@ -486,7 +489,7 @@ def test_output_table_is_sized_by_the_right_moves():
 def test_output_map_propagates_entry_errors():
     t = Transducer(("a",), FREE, 2, {0}, {1}, [(0, "a", "x", 1), (1, "a", "y", 1)])
     left, right = determinize(t)
-    first = next(flat_cells(left, right))
+    first = next(output_cells(left, right))
     seen = []
 
     def entry(cell, s, s2):
