@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .fsa import Dfa, OutputTable, check_symbols, flat_slots, is_state
 from .monoid import Monoid, MonoidValue, _trusted
@@ -32,7 +31,12 @@ class Bimachine:
     stored as an OutputTable; one that a compiler or the reader filled is
     checked for its shape only.  The eps_output field is the value for the
     empty word, or None when the empty word has no output.  The alphabet is
-    stored sorted.
+    stored sorted.  tables, (ids, left, right, psi, fold) for evaluate, is
+    built by the constructor, outside equality and repr: ids numbers the k
+    sorted symbols, left[q*k + a] and right[q*k + a] hold the next state, in
+    a list or, where it would be mostly empty, a _Sparse dict, and psi is the
+    output table's flat table (OutputTable).  fold multiplies a list of psi
+    slots, by their counts where psi holds codes.
     """
 
     monoid: Monoid
@@ -44,17 +48,22 @@ class Bimachine:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(sorted(check_symbols(self.alphabet))))
-        syms = set(self.alphabet)
+        ids = {a: i for i, a in enumerate(self.alphabet)}
+        k, flats = len(ids), []
         for side, dfa in (("left", self.left), ("right", self.right)):
-            if not is_state(dfa.n_states):
-                raise ValueError(f"{side} state count {dfa.n_states!r} is not a non-negative int")
-            if not is_state(dfa.start, dfa.n_states):
-                raise ValueError(f"{side} start {dfa.start} is not among its {dfa.n_states} states")
+            n = dfa.n_states
+            if not is_state(n):
+                raise ValueError(f"{side} state count {n!r} is not a non-negative int")
+            if not is_state(dfa.start, n):
+                raise ValueError(f"{side} start {dfa.start} is not among its {n} states")
+            flat = flat_slots(n * k, len(dfa.delta))
             for (p, a), q in dfa.delta.items():
-                if not (is_state(p, dfa.n_states) and is_state(q, dfa.n_states)):
+                if not (is_state(p, n) and is_state(q, n)):
                     raise ValueError(f"{side} move ({p}, {a!r}) -> {q} references a missing state")
-                if a not in syms:
+                if a not in ids:
                     raise ValueError(f"{side} move uses undeclared symbol {a!r}")
+                flat[p * k + ids[a]] = q
+            flats.append(flat)
         m = self.monoid
 
         def foreign(v):
@@ -65,41 +74,22 @@ class Bimachine:
             if (psi.monoid, psi.alphabet, psi.n_left, psi.n_right) != (m, self.alphabet, nl, nr):
                 raise ValueError("the output table was made for another machine")
         else:
-            table = OutputTable(m, self.alphabet, nl, nr, len(psi))
-            k, ids = len(table.ids), table.ids
-            for (l, a, r), v in psi.items():  # is_state inlined: calls slowed classical 8%
-                if not (type(l) is int and type(r) is int and 0 <= l < nl and 0 <= r < nr):
+            psi = OutputTable(m, self.alphabet, nl, nr, len(psi))
+            for (l, a, r), v in self.psi.items():
+                if not (is_state(l, nl) and is_state(r, nr)):
                     raise ValueError(f"output entry ({l}, {a!r}, {r}) references a missing state")
-                if a not in syms:
+                if a not in ids:
                     raise ValueError(f"output entry uses undeclared symbol {a!r}")
                 if foreign(v):
                     raise ValueError(f"output value {v!r} does not belong to the output monoid")
-                table.table[(l * k + ids[a]) * nr + r] = table.store(v.payload)
-            object.__setattr__(self, "psi", table)
+                psi.table[(l * k + ids[a]) * nr + r] = psi.store(v.payload)
+            object.__setattr__(self, "psi", psi)
         if self.eps_output is not None and foreign(self.eps_output):
             raise ValueError("empty-word output does not belong to the output monoid")
-
-    @cached_property
-    def tables(self):
-        """(ids, left, right, psi, fold) for evaluate, built on first use,
-        outside equality and repr: ids numbers the k sorted symbols,
-        left[q*k + a] and right[q*k + a] hold the next state, in a list or,
-        where it would be mostly empty, a _Sparse dict, and psi is the
-        output table's flat table (OutputTable).  fold multiplies a list of
-        psi slots, by their counts where psi holds codes."""
-        psi = self.psi
-        k = len(psi.ids)
-
-        def flat(dfa):
-            delta = flat_slots(dfa.n_states * k, len(dfa.delta))
-            for (q, a), p in dfa.delta.items():
-                delta[q * k + psi.ids[a]] = p
-            return delta
-
-        m, values = self.monoid, [v.payload for v in psi.distinct]
+        values = [v.payload for v in psi.distinct]
         fold = m.fold_payloads if not psi.counted else (
             lambda cells: m.fold_counts([(values[c], n) for c, n in Counter(cells).items()]))
-        return psi.ids, flat(self.left), flat(self.right), psi.table, fold
+        object.__setattr__(self, "tables", (ids, *flats, psi.table, fold))
 
 
 def evaluate(b: Bimachine, word) -> MonoidValue | None:

@@ -39,13 +39,13 @@ class NotFunctionalError(CompileError):
 
 
 def set_mge(S, nu, monoid: Monoid) -> dict:
-    """The delay function of one intersection set.
+    """The delay function of one intersection set, as {state: payload}.
 
     S is enumerated in ascending state order; nu maps the squared
     automaton's state pairs (p, q), p <= q, to their recorded
     equalizers, and accumulating the chain of equalizers between
     consecutive members through gamma_n gives one value per state,
-    whose payloads compile keeps for the output fill.
+    whose payload the output fill reads.
     A missing or non-accumulating entry means the transducer was not
     functional after all.
     """
@@ -59,7 +59,7 @@ def set_mge(S, nu, monoid: Monoid) -> dict:
     values = gamma_n(chain, monoid)
     if values is None:
         raise CompileError(f"equalizer chain for {states} does not accumulate")
-    return dict(zip(states, values))
+    return {p: v.payload for p, v in zip(states, values)}
 
 
 def generalized_transitions(t: Transducer, eps_paths):
@@ -150,7 +150,7 @@ def compile(t: Transducer, verdict: FunctionalityVerdict | None = None, verify=T
     sq, val = verdict.squared, verdict.valuation
     nu = {sq.pairs[i]: v for i, v in val.nu.items()}
     # the delay payloads of a set, by bitmask
-    phi = cache(lambda s: {p: v.payload for p, v in set_mge(members(s), nu, tt.monoid).items()})
+    phi = cache(lambda s: set_mge(members(s), nu, tt.monoid))
     psi = output_map(
         tt.monoid, tt.alphabet, left, right,
         lambda cell, s, s2: output_value(cell, phi(s), phi(s2), real_time.moves, verify=verify),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +155,14 @@ _RAT_RE = re.compile(r"\d+(/\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
+def _printable(n: int) -> int:
+    """n, unless str() would refuse it, past int's digit limit (0 for none, else >= 640)."""
+    limit = n.bit_length() > 2000 and sys.get_int_max_str_digits()  # 2**2000 has 603 digits
+    if limit and abs(n) >= 10**limit:
+        raise ValueError(f"a number of over {limit} digits is past int's limit for writing it")
+    return n
+
+
 def _over_lcm(numerators):  # the sum of numerators[d]/d, one Fraction
     lcm = math.lcm(*numerators)
     return Fraction(sum(n * (lcm // d) for d, n in numerators.items()), lcm)
@@ -200,7 +209,7 @@ class NonNegRationals(Monoid):
             return self.parse_payload(a)
         if isinstance(a, bool) or not isinstance(a, numbers.Rational):
             raise ValueError(f"rational payload must be a Fraction, int or literal, got {a!r}")
-        a = Fraction(a)
+        a = Fraction(_printable(a.numerator), _printable(a.denominator))
         if a < 0:
             raise ValueError(f"negative rational {a}")
         return a
@@ -233,7 +242,7 @@ class Integers(Monoid):
     def check_payload(self, a):
         if isinstance(a, bool) or not isinstance(a, int):
             raise ValueError(f"integer payload expected, got {a!r}")
-        return a
+        return _printable(a)
 
     def parse_payload(self, text: str):
         if not _INT_RE.fullmatch(text):

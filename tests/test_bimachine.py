@@ -115,19 +115,25 @@ def test_tables_agree_with_the_dict_walk():
 
 
 def test_tables_are_built_once_and_left_out_of_equality_and_repr():
+    # the constructor builds the tables in the pass that checks the moves,
+    # for a machine built from a dict, a compiled one and a read one alike
+    compiled = build(make_tn(2))
+    for made in (fixture(), compiled, bimachine_from_text(bimachine_to_text(compiled))):
+        assert "tables" in vars(made)
+        assert [len(t) for t in made.tables[1:3]] == [made.left.n_states * len(made.alphabet),
+                                                      made.right.n_states * len(made.alphabet)]
     b, fresh = fixture(), fixture()
     shown = repr(b)
-    assert b == fresh  # neither table built
+    assert b == fresh  # both built, by separate constructor calls
     tables = b.tables
-    assert b.tables is tables
+    assert fresh.tables == tables and fresh.tables is not tables
     ids, left, right, psi, _ = tables
     assert ids == {"a": 0, "b": 1}
     assert left == [1, 0, 1, 0] and right == [1, 1, 0, 1]
     assert psi == ["y", "x", None, None, None, None, "yy", None]
     assert evaluate(b, ("a", "b")) == fw("xyy") and b.tables is tables
-    assert b == fresh and fresh == b  # b's tables built, fresh's not
+    assert b == fresh and fresh == b  # b evaluated, fresh not
     assert repr(b) == repr(fresh) == shown
-    assert fresh.tables == tables and fresh.tables is not tables
     copy = dataclasses.replace(b, psi={(0, "a", 1): fw("x")})
     assert copy.tables[3] == [None, "x", None, None, None, None, None, None]
     assert dataclasses.replace(b).tables is not tables
@@ -261,8 +267,9 @@ def retained_bytes(build):
 
 def test_compiled_machines_retain_their_flat_tables_not_dicts():
     # with a dict of (l, a, r) keys for psi, classical T_5 kept 5.8 MiB and
-    # mge T_11 9.3 MiB; they keep 0.57 and 3.2 MiB, of which the flat psi
-    # tables are 0.4 and 0.5 MiB and, at T_11, the right DFA's delta 2.5 MiB
+    # mge T_11 9.3 MiB; they keep 0.58 and 3.33 MiB, of which the flat psi
+    # tables are 0.4 and 0.5 MiB and, at T_11, the right DFA's delta 2.5 MiB;
+    # the DFAs' flat move lists, built by the constructor, add 0.01 and 0.17
     classical_compile(make_tn(2))  # the first compile allocates for good: caches, interned names
     for build_it, cells, slots, bound in (
         (lambda: classical_compile(make_tn(5)), 51055, 51060, 0.8),

@@ -70,9 +70,9 @@ def test_compile_rejects_nonfunctional():
 
 
 def test_set_mge_singleton_and_chain():
-    assert set_mge([5], {}, FREE) == {5: FREE.unit}
+    assert set_mge([5], {}, FREE) == {5: FREE.unit.payload}
     phi = set_mge({3, 7}, {(3, 7): (fw("b" * 0 + "x"), fw(""))}, FREE)
-    assert phi == {3: fw("x"), 7: fw("")}
+    assert phi == {3: fw("x").payload, 7: fw("").payload}
 
 
 def test_set_mge_missing_pair_fails():

@@ -1,6 +1,7 @@
 """Monoid instances: laws, most general equalizers, accumulation."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -524,6 +525,34 @@ def test_payload_validation():
         MonoidValue(FREE, 3)
     with pytest.raises(ValueError, match="2-tuple"):
         MonoidValue(PROD, "ab")
+
+
+def test_numbers_past_the_digit_limit_are_refused_where_they_enter():
+    # exactly the ints str() refuses, so every accepted value can be written;
+    # the limit is the interpreter's, read at each check
+    pair = PairOf(Integers(), NonNegRationals())
+    too_long = ((INT, 10**4300), (INT, -(10**4300)), (RAT, Fraction(1, 10**5000)),
+                (RAT, Fraction(10**4300, 3)), (RAT, 10**5000), (pair, (1, Fraction(1, 10**4300))),
+                (pair, (10**4300, 0)))
+    longest = ((INT, 10**4300 - 1), (INT, 1 - 10**4300),
+               (RAT, Fraction(10**4300 - 1, 10**4300 - 2)),
+               (pair, (10**4300 - 1, Fraction(1, 10**4300 - 1))))
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for m, payload in too_long:
+            with pytest.raises(ValueError, match="over 4300 digits"):
+                MonoidValue(m, payload)
+            with pytest.raises(ValueError, match="over 4300 digits"):
+                Transducer(("a",), m, 1, {0}, {0}, [(0, "a", payload, 0)])
+        for m, payload in longest:
+            t = Transducer(("a",), m, 1, {0}, {0}, [(0, "a", payload, 0)])
+            assert parse_value(m, format_value(t.transitions[0].out)).payload == payload
+        sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+        for m, payload in too_long:
+            assert MonoidValue(m, payload).payload == payload
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_values_are_hashable_and_comparable():
